@@ -37,7 +37,6 @@ from .layout import (
     build_block_layout,
     build_spec_layout,
     full_sequence_layout,
-    mask_allows,
 )
 from .metrics import (
     CostRecord,
@@ -54,7 +53,6 @@ from .model import (
     ScriptedSchedule,
     ToyModel,
     count_params,
-    init_toy_model,
     logits_to_prediction,
     scripted_forward,
 )

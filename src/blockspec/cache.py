@@ -33,9 +33,6 @@ class PrefillDraft:
     eos_token_id: int
     mask_token_id: int
 
-    def greedy(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.view.greedy()
-
 
 @dataclass
 class DualCache:

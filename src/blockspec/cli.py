@@ -25,11 +25,10 @@ from .errors import ConfigError, ProgressError, RangeError, ShapeError
 from .layout import build_block_layout, build_spec_layout
 from .metrics import (
     HardwareProfile,
-    ROOFLINE_CSV_COLUMNS,
     estimate_speedup,
     phase_summary,
-    step_cost_records,
     trajectory_metrics,
+    write_cost_csv,
 )
 from .model import ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
 from .speculative import Candidate, CandidateSet, SpecSet
@@ -48,6 +47,7 @@ class TaskRecord:
     id: str
     prompt_tokens: tuple[int, ...]
     note: str = ""
+    source: str = ""                 # "path:line" the task was read from
 
 
 class CliError(Exception):
@@ -74,9 +74,15 @@ def load_tasks(path) -> list[TaskRecord]:
         for key in ("id", "prompt_tokens"):
             if key not in raw:
                 raise CliError(f"{path}:{ln}: missing field '{key}'", EXIT_PARSE)
-        if not isinstance(raw["prompt_tokens"], list) or not raw["prompt_tokens"]:
+        tokens = raw["prompt_tokens"]
+        if (
+            not isinstance(tokens, list)
+            or not tokens
+            or not all(isinstance(t, int) and not isinstance(t, bool) for t in tokens)
+        ):
             raise CliError(
-                f"{path}:{ln}: field 'prompt_tokens' must be a non-empty list", EXIT_PARSE
+                f"{path}:{ln}: field 'prompt_tokens' must be a non-empty list of integers",
+                EXIT_PARSE,
             )
         task_id = str(raw["id"])
         if task_id in seen:
@@ -85,8 +91,9 @@ def load_tasks(path) -> list[TaskRecord]:
         tasks.append(
             TaskRecord(
                 id=task_id,
-                prompt_tokens=tuple(int(t) for t in raw["prompt_tokens"]),
+                prompt_tokens=tuple(tokens),
                 note=str(raw.get("note", "")),
+                source=f"{path}:{ln}",
             )
         )
     if not tasks:
@@ -113,7 +120,7 @@ def _load_model(args):
 def _load_profile(path) -> HardwareProfile:
     try:
         return HardwareProfile.from_json(path)
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as err:
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError, TypeError) as err:
         raise CliError(f"profile {path}: {err}", EXIT_PARSE) from err
 
 
@@ -125,6 +132,8 @@ def _run_config(args, strategy: str) -> RunConfig:
                 base = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise CliError(f"run config {args.run_config}: {err}", EXIT_PARSE) from err
+        if not isinstance(base, dict):
+            raise CliError(f"run config {args.run_config}: must be a JSON object", EXIT_PARSE)
     base["strategy"] = strategy
     base.setdefault("gen_length", args.gen_length)
     base.setdefault("block_size", args.block_size)
@@ -149,12 +158,14 @@ def _decode_task(model, task: TaskRecord, config: RunConfig):
     try:
         return decode(model, list(task.prompt_tokens), config)
     except ProgressError as err:
-        raise CliError(f"task {task.id}: invariant violation: {err}", EXIT_INVARIANT) from err
+        raise CliError(
+            f"{task.source}: task {task.id}: invariant violation: {err}", EXIT_INVARIANT
+        ) from err
     except (ConfigError, RangeError, ShapeError) as err:
-        raise CliError(f"task {task.id}: {err}", EXIT_PARSE) from err
+        raise CliError(f"{task.source}: task {task.id}: {err}", EXIT_PARSE) from err
 
 
-def _dump_masks(out_dir: Path, model, config: RunConfig) -> None:
+def _dump_masks(out_dir: Path, config: RunConfig) -> None:
     """Write representative dense masks (block, stage-1, stage-2 layouts)."""
     masks = out_dir / "masks"
     masks.mkdir(exist_ok=True)
@@ -186,7 +197,7 @@ def cmd_run(args) -> int:
 
     summary = {"strategy": args.strategy, "run_config": config.to_dict(), "tasks": {}}
     metrics_rows = []
-    roofline_rows = []
+    trajectories = {}
     for task in tasks:
         traj = _decode_task(model, task, config)
         _write_json(out_dir / f"trajectory_{task.id}.json", traj.to_dict())
@@ -201,35 +212,26 @@ def cmd_run(args) -> int:
             report = trajectory_metrics(traj, profile)
             entry["metrics"] = report.to_dict()
             metrics_rows.append({"task": task.id, **report.to_dict()})
-            for i, rec in enumerate(step_cost_records(traj, profile)):
-                roofline_rows.append(
-                    [task.id, i, rec.phase, rec.t_tokens, rec.c_tokens,
-                     repr(rec.flops), repr(rec.bytes), repr(rec.arithmetic_intensity),
-                     rec.bound, repr(rec.est_time_s)]
-                )
+            trajectories[task.id] = traj
         summary["tasks"][task.id] = entry
     if profile is not None:
         summary["profile"] = profile.to_dict()
-        with open(out_dir / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            cols = ["task"] + list(metrics_rows[0].keys())[1:]
-            writer.writerow(cols)
-            for row in metrics_rows:
-                writer.writerow([_csv_cell(row[c]) for c in cols])
-        with open(out_dir / "roofline.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["task"] + list(ROOFLINE_CSV_COLUMNS))
-            writer.writerows(roofline_rows)
+        _write_rows_csv(out_dir / "metrics.csv", metrics_rows)
+        write_cost_csv(out_dir / "roofline.csv", trajectories, profile)
     _write_json(out_dir / "summary.json", summary)
     if args.dump_mask:
-        _dump_masks(out_dir, model, config)
+        _dump_masks(out_dir, config)
     return EXIT_OK
 
 
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+def _write_rows_csv(path: Path, rows: list[dict]) -> None:
+    """Dict rows as CSV under the first row's keys; floats written by repr."""
+    cols = list(rows[0])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
 
 
 def cmd_compare(args) -> int:
@@ -292,12 +294,7 @@ def cmd_compare(args) -> int:
         "speedup_columns": speedup_cols,
     }
     _write_json(out_dir / "compare.json", payload)
-    with open(out_dir / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        cols = list(table[0].keys())
-        writer.writerow(cols)
-        for row in table:
-            writer.writerow([_csv_cell(row[c]) for c in cols])
+    _write_rows_csv(out_dir / "compare.csv", table)
     return EXIT_OK
 
 
@@ -309,21 +306,13 @@ def cmd_roofline(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    trajectories = {}
     summaries = {}
     for task in tasks:
         traj = _decode_task(model, task, config)
-        for i, rec in enumerate(step_cost_records(traj, profile)):
-            rows.append(
-                [task.id, i, rec.phase, rec.t_tokens, rec.c_tokens,
-                 repr(rec.flops), repr(rec.bytes), repr(rec.arithmetic_intensity),
-                 rec.bound, repr(rec.est_time_s)]
-            )
+        trajectories[task.id] = traj
         summaries[task.id] = phase_summary(traj, profile)
-    with open(out_dir / "roofline.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task"] + list(ROOFLINE_CSV_COLUMNS))
-        writer.writerows(rows)
+    write_cost_csv(out_dir / "roofline.csv", trajectories, profile)
     _write_json(
         out_dir / "roofline_summary.json",
         {"profile": profile.to_dict(), "balance": profile.balance, "tasks": summaries},

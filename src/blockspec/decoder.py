@@ -1,14 +1,16 @@
 """Reverse-diffusion steps, confidence-threshold decoding, and the block loop.
 
-Three strategies share one state machine:
+One block-wise threshold loop serves all three strategies:
 
-* ``vanilla`` -- full-sequence forward every step, no cache.  With
-  ``tau_steps`` set it runs the reverse-transition sampler on a uniform time
-  grid; otherwise it does block-wise threshold decoding without caching.
-* ``fast``    -- DualCache block decoding: one full-sequence refresh per
-  block cycle, then cached block forwards with threshold acceptance.
+* ``vanilla`` -- no cache: every decode step is a full-sequence forward.
+* ``fast``    -- DualCache: one full-sequence refresh per block cycle, then
+  cached block forwards.
 * ``odb``     -- fast plus adaptive length prediction at each refresh and
   jump-share speculative steps once a step leaves rejected candidates.
+
+All three accept by confidence threshold with a forced top-1, so every step
+unmasks at least one token.  ``vanilla`` with ``tau_steps`` set runs the
+reverse-transition sampler on a uniform time grid instead of the loop.
 
 Decode decisions never emit the mask token: its logit is dropped before
 argmax/softmax so an acceptance always unmasks (``logits_to_prediction``
@@ -18,6 +20,7 @@ itself stays vocab-complete).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +61,6 @@ class RunConfig:
     stage2_min_decoded: int | None = None
     seed: int = 0
     tau_steps: int | None = None
-    speculation: bool = True
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -69,6 +71,10 @@ class RunConfig:
             raise ConfigError(
                 f"gen_length {self.gen_length} not a multiple of block_size {self.block_size}"
             )
+        if not (math.isfinite(self.accept_threshold) and math.isfinite(self.truncate_threshold)):
+            raise ConfigError("accept_threshold and truncate_threshold must be finite")
+        if self.truncate_threshold <= 0:
+            raise ConfigError("truncate_threshold must be positive")
         if self.tau_steps is not None:
             if self.strategy != "vanilla":
                 raise ConfigError("tau_steps applies to the vanilla strategy only")
@@ -87,8 +93,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = set(RUN_CONFIG_KEYS) | {"speculation"}
-        extra = [k for k in raw if k not in known]
+        extra = [k for k in raw if k not in RUN_CONFIG_KEYS]
         if extra:
             raise ConfigError(f"run config has unknown keys: {extra}")
         if "strategy" not in raw or "gen_length" not in raw or "block_size" not in raw:
@@ -110,7 +115,6 @@ class RunConfig:
             "stage2_min_decoded": self.stage2_threshold,
             "seed": self.seed,
             "tau_steps": self.tau_steps,
-            "speculation": self.speculation,
         }
 
 
@@ -132,6 +136,11 @@ class DecodeState:
         prompt = np.asarray(prompt_tokens, dtype=np.int64).reshape(-1)
         if prompt.size == 0:
             raise ConfigError("prompt must be non-empty")
+        hits = np.nonzero(prompt == mask_token_id)[0]
+        if hits.size:
+            raise ConfigError(
+                f"prompt_tokens[{int(hits[0])}] is the mask token {mask_token_id}"
+            )
         if gen_length % block_size != 0 or gen_length < 1:
             raise ConfigError("gen_length must be a positive multiple of block_size")
         tokens = np.concatenate(
@@ -321,11 +330,8 @@ def decode(model, prompt, config: RunConfig) -> Trajectory:
         gen_length_initial=config.gen_length,
         block_size=config.block_size,
     )
-    if config.strategy == "vanilla":
-        if config.tau_steps is not None:
-            state = _decode_vanilla_tau(model, state, config, traj)
-        else:
-            state = _decode_vanilla_threshold(model, state, config, traj)
+    if config.tau_steps is not None:
+        state = _decode_vanilla_tau(model, state, config, traj)
     else:
         state = _decode_blockwise(model, state, config, traj)
     state.check_invariants()
@@ -388,77 +394,46 @@ def _decode_vanilla_tau(model, state, config, traj):
     return state
 
 
-def _decode_vanilla_threshold(model, state, config, traj):
-    while state.active_block < state.n_blocks:
-        guard = 0
-        while state.block_masked_positions().size > 0:
-            layout = full_sequence_layout(state.seq_len)
-            view, _ = model.forward(state.tokens, layout, None, step=guard)
-            outcome = threshold_step(
-                state, _masked_block_logits(view, state), config.accept_threshold
-            )
-            apply_outcome(state, outcome)
-            _log_step(
-                traj,
-                phase="decode",
-                kind="threshold",
-                state=state,
-                t_tokens=state.seq_len,
-                c_tokens=state.seq_len,
-                epoch=0,
-                outcome=outcome,
-            )
-            guard += 1
-            if guard > state.block_size:
-                raise ProgressError("block failed to complete within block_size steps")
-        state.active_block += 1
-    return state
-
-
 def _decode_blockwise(model, state, config, traj):
     from .alp import apply_truncation, scan_eos
     from .speculative import select_candidates, spec_step
 
+    cached = config.strategy != "vanilla"
     is_odb = config.strategy == "odb"
     epoch = 0
     while state.active_block < state.n_blocks:
-        epoch += 1
         block_range = state.block_range()
-        refresh_len = state.seq_len
-        # scripted models read refresh drafts by refresh ordinal, decode
-        # steps by their in-block ordinal
-        cache, draft = refresh_dual_cache(
-            model, state, block_range, epoch=epoch, step=epoch - 1
-        )
-        _log_step(
-            traj,
-            phase="prefill",
-            kind="refresh",
-            state=state,
-            t_tokens=refresh_len,
-            c_tokens=refresh_len,
-            epoch=epoch,
-            cache_bytes=cache.nbytes(),
-        )
-        if is_odb:
-            cut = scan_eos(draft, state, config.truncate_threshold)
-            if cut is not None:
-                state, event = apply_truncation(state, cut, refresh_epoch=epoch)
-                if event is not None:
-                    traj.truncations.append(event)
-                    cache = cache.truncated(state.seq_len)
+        if cached:
+            epoch += 1
+            refresh_len = state.seq_len
+            # scripted models read refresh drafts by refresh ordinal, decode
+            # steps by their in-block ordinal
+            cache, draft = refresh_dual_cache(
+                model, state, block_range, epoch=epoch, step=epoch - 1
+            )
+            _log_step(
+                traj,
+                phase="prefill",
+                kind="refresh",
+                state=state,
+                t_tokens=refresh_len,
+                c_tokens=refresh_len,
+                epoch=epoch,
+                cache_bytes=cache.nbytes(),
+            )
+            if is_odb:
+                cut = scan_eos(draft, state, config.truncate_threshold)
+                if cut is not None:
+                    state, event = apply_truncation(state, cut, refresh_epoch=epoch)
+                    if event is not None:
+                        traj.truncations.append(event)
+                        cache = cache.truncated(state.seq_len)
 
         prev_outcome = None
         block_step = 0
         while state.block_masked_positions().size > 0:
             masked_before = int(state.masked.sum())
-            use_spec = (
-                is_odb
-                and config.speculation
-                and prev_outcome is not None
-                and len(prev_outcome.rejected_top) > 0
-            )
-            if use_spec:
+            if is_odb and prev_outcome is not None and len(prev_outcome.rejected_top) > 0:
                 decoded = state.block_decoded_positions().size
                 stage = 2 if decoded >= config.stage2_threshold else 1
                 k = 4 if stage == 2 else 2
@@ -469,17 +444,21 @@ def _decode_blockwise(model, state, config, traj):
                 )
                 kind = "spec"
             else:
-                view = cache_view(cache, epoch=epoch)
-                layout = build_block_layout(block_range, view.positions)
-                start, end = block_range
-                logits, _ = model.forward(
-                    state.tokens[start:end], layout, view, step=block_step
-                )
+                if cached:
+                    view = cache_view(cache, epoch=epoch)
+                    layout = build_block_layout(block_range, view.positions)
+                    start, end = block_range
+                    tokens = state.tokens[start:end]
+                else:
+                    view = None
+                    layout = full_sequence_layout(state.seq_len)
+                    tokens = state.tokens
+                logits, _ = model.forward(tokens, layout, view, step=block_step)
                 outcome = threshold_step(
                     state, _masked_block_logits(logits, state), config.accept_threshold
                 )
                 t_rows = layout.n_queries
-                c_keys = view.size + t_rows
+                c_keys = layout.n_keys
                 kind = "threshold"
             apply_outcome(state, outcome)
             if int(state.masked.sum()) >= masked_before:

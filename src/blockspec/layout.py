@@ -132,10 +132,6 @@ class AttentionLayout:
             fh.write("\n".join(lines) + "\n")
 
 
-def mask_allows(layout: AttentionLayout, q: int, k: int) -> bool:
-    return layout.mask_allows(q, k)
-
-
 def full_sequence_layout(seq_len: int) -> AttentionLayout:
     """All positions as queries, full bidirectional visibility, no cache."""
     if seq_len < 1:

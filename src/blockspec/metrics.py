@@ -44,6 +44,8 @@ class HardwareProfile:
     def from_json(cls, path) -> "HardwareProfile":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError("profile must be a JSON object")
         try:
             return cls(
                 name=str(raw["name"]),
@@ -194,30 +196,18 @@ def estimate_speedup(traj_a: Trajectory, traj_b: Trajectory, profile: HardwarePr
 ROOFLINE_CSV_COLUMNS = ("step", "phase", "T", "C", "flops", "bytes", "ai", "bound", "est_time_s")
 
 
-def write_cost_csv(traj: Trajectory, profile: HardwareProfile, path, task_id: str | None = None) -> None:
-    """Per-step CostRecord CSV (appends task id column when given)."""
-    records = step_cost_records(traj, profile)
+def write_cost_csv(path, trajectories: dict[str, Trajectory], profile: HardwareProfile) -> None:
+    """Per-step CostRecord CSV over {task id: trajectory}, task column first."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(ROOFLINE_CSV_COLUMNS)
-        if task_id is not None:
-            header = ["task"] + header
-        writer.writerow(header)
-        for i, rec in enumerate(records):
-            row = [
-                i,
-                rec.phase,
-                rec.t_tokens,
-                rec.c_tokens,
-                repr(rec.flops),
-                repr(rec.bytes),
-                repr(rec.arithmetic_intensity),
-                rec.bound,
-                repr(rec.est_time_s),
-            ]
-            if task_id is not None:
-                row = [task_id] + row
-            writer.writerow(row)
+        writer.writerow(["task", *ROOFLINE_CSV_COLUMNS])
+        for task_id, traj in trajectories.items():
+            for i, rec in enumerate(step_cost_records(traj, profile)):
+                writer.writerow([
+                    task_id, i, rec.phase, rec.t_tokens, rec.c_tokens,
+                    repr(rec.flops), repr(rec.bytes), repr(rec.arithmetic_intensity),
+                    rec.bound, repr(rec.est_time_s),
+                ])
 
 
 def phase_summary(traj: Trajectory, profile: HardwareProfile) -> dict:

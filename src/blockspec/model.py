@@ -161,19 +161,9 @@ class LogitsView:
             raise ShapeError(f"position {position} tag {tag}: {hits.size} rows")
         return int(hits[0])
 
-    def prediction_at(self, position: int, tag: int = 0) -> tuple[int, float]:
-        return logits_to_prediction(self.logits[self.row(position, tag)])
-
     def select(self, positions, tag: int = 0) -> "LogitsView":
         rows = [self.row(p, tag) for p in positions]
         return LogitsView(self.logits[rows], self.positions[rows], np.zeros(len(rows), dtype=np.int64))
-
-    def greedy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (tokens, confidences) over all rows."""
-        tokens = np.argmax(self.logits, axis=1)
-        probs = softmax(self.logits, axis=1)
-        confs = probs[np.arange(self.n_rows), tokens]
-        return tokens.astype(np.int64), confs.astype(np.float32)
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
@@ -304,10 +294,6 @@ class ToyModel:
         return view, new_kv
 
 
-def init_toy_model(config: ModelConfig) -> ToyModel:
-    return ToyModel(config)
-
-
 # --- scripted model ---------------------------------------------------------
 
 # Floor keeps the two-level construction's argmax on the scripted token while
@@ -403,15 +389,14 @@ def scripted_forward(schedule: ScriptedSchedule, step: int, positions) -> Logits
     """Logits reproducing the scheduled (token, confidence) pairs.
 
     Positions outside the step's entry get the default (mask token, ~0).
-    Strict on step bounds; ScriptedModel clamps instead.
+    Strict on step bounds; ScriptedModel clamps instead.  Rows carry tag 0.
     """
     entry = schedule.entry(step)
-    rows = []
-    for pos in positions:
+    rows = np.zeros((len(positions), schedule.vocab_size), dtype=np.float32)
+    for i, pos in enumerate(positions):
         tok, conf = entry.get(int(pos), (schedule.mask_token_id, 0.0))
-        rows.append(_two_level_logits(schedule.vocab_size, schedule.mask_token_id, tok, conf))
-    arr = np.stack(rows) if rows else np.zeros((0, schedule.vocab_size), dtype=np.float32)
-    return LogitsView(arr, np.asarray(list(positions), dtype=np.int64), np.zeros(len(rows), dtype=np.int64))
+        rows[i] = _two_level_logits(schedule.vocab_size, schedule.mask_token_id, tok, conf)
+    return LogitsView(rows, np.asarray(positions, dtype=np.int64), np.zeros(len(positions), dtype=np.int64))
 
 
 class ScriptedModel:
@@ -427,6 +412,8 @@ class ScriptedModel:
     def __init__(self, config: ModelConfig, schedule: ScriptedSchedule):
         if schedule.vocab_size != config.vocab_size:
             raise ConfigError("schedule vocab differs from model config")
+        if schedule.mask_token_id != config.mask_token_id:
+            raise ConfigError("schedule mask_token_id differs from model config")
         self.config = config
         self.schedule = schedule
 
@@ -437,16 +424,8 @@ class ScriptedModel:
         if tokens.shape[0] != r:
             raise ShapeError(f"{tokens.shape[0]} tokens for {r} query rows")
         clamped = min(step, len(self.schedule) - 1)
-        entry = self.schedule.entry(clamped)
-        rows = np.zeros((r, cfg.vocab_size), dtype=np.float32)
-        for i, pos in enumerate(layout.query_positions):
-            tok, conf = entry.get(int(pos), (cfg.mask_token_id, 0.0))
-            rows[i] = _two_level_logits(cfg.vocab_size, cfg.mask_token_id, tok, conf)
-        view = LogitsView(
-            rows,
-            np.asarray(layout.query_positions, dtype=np.int64),
-            np.asarray(layout.query_tags, dtype=np.int64),
-        )
+        view = scripted_forward(self.schedule, clamped, layout.query_positions)
+        view.tags = np.asarray(layout.query_tags, dtype=np.int64)
         kv_shape = (r, cfg.n_heads, cfg.d_head)
         new_kv = [
             (np.zeros(kv_shape, dtype=np.float32), np.zeros(kv_shape, dtype=np.float32))

@@ -84,6 +84,47 @@ def test_run_rejects_bad_json_line(workdir, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tokens", [["x"], [1.7, 2], [True, 2], [1, TOY["mask_token_id"]]])
+def test_run_rejects_bad_prompt_tokens(workdir, capsys, tokens):
+    tmp, model, _, _ = workdir
+    bad = tmp / "bad.jsonl"
+    bad.write_text(json.dumps({"id": "x", "prompt_tokens": tokens}) + "\n")
+    code = main(["run", *base_args(model, bad, tmp / "out"), "--strategy", "fast"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "prompt_tokens" in err and "bad.jsonl:1" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--accept-threshold", "nan"],
+    ["--accept-threshold", "inf"],
+    ["--truncate-threshold", "nan", "--strategy", "odb"],
+    ["--truncate-threshold", "0"],
+    ["--truncate-threshold", "-0.5"],
+])
+def test_run_rejects_bad_thresholds(workdir, capsys, flags):
+    tmp, model, _, tasks = workdir
+    code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast", *flags])
+    assert code == 2
+    assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,content,named", [
+    ("--run-config", "[1, 2]", "bad.json"),
+    ("--profile", "[1, 2]", "bad.json"),
+    ("--profile", '{"name": "x", "peak_flops": [1], "mem_bandwidth": 1}', "bad.json"),
+    ("--run-config", '{"speculation": false}', "speculation"),
+])
+def test_run_rejects_malformed_config_files(workdir, capsys, option, content, named):
+    tmp, model, _, tasks = workdir
+    bad = tmp / "bad.json"
+    bad.write_text(content + "\n")
+    code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast",
+                 option, str(bad)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_compare_emits_all_pair_speedups(workdir):
     tmp, model, profile, tasks = workdir
     out = tmp / "out_cmp"

@@ -170,6 +170,30 @@ def test_vanilla_every_step_full_sequence(toy_config):
     assert traj.prefill_steps == 0
 
 
+def test_vanilla_decides_like_fast_without_cache(toy_config):
+    """vanilla runs the block loop with every step a full-sequence forward:
+    the same per-block step ordinals and decisions as fast, no refreshes."""
+    positions = range(4, 68)
+    entries = [
+        {p: (10 + p % 50, 0.95 if p % 5 == 0 else 0.2 + 0.01 * (p % 13)) for p in positions},
+        {p: (10 + p % 50, 0.95 if p % 3 == 0 else 0.5 + 0.01 * (p % 7)) for p in positions},
+        constant_entry(positions, 0.95),
+    ]
+    model = make_scripted(toy_config, entries)
+    vanilla = decode(model, [1, 2, 3, 4], RunConfig(strategy="vanilla", gen_length=64, block_size=32))
+    fast = decode(model, [1, 2, 3, 4], RunConfig(strategy="fast", gen_length=64, block_size=32))
+
+    def decisions(steps):
+        return [(s.accepted, s.kind, s.block) for s in steps]
+
+    fast_decode = [s for s in fast.steps if s.kind != "refresh"]
+    assert len(vanilla.steps) == 6  # three steps per block
+    assert decisions(vanilla.steps) == decisions(fast_decode)
+    assert vanilla.final_tokens == fast.final_tokens
+    assert all(s.kind == "threshold" and s.epoch == 0 for s in vanilla.steps)
+    assert all(s.t_tokens == s.c_tokens == 68 for s in vanilla.steps)
+
+
 def test_fast_has_one_refresh_per_block(toy_config):
     entries = [constant_entry(range(4, 260), 0.95)]
     model = make_scripted(toy_config, entries)
@@ -209,20 +233,6 @@ def test_odb_equals_fast_when_alp_and_spec_idle(toy_config):
     odb = decode(model, [1, 2, 3, 4],
                  RunConfig(strategy="odb", gen_length=128, block_size=32,
                            truncate_threshold=1.1))
-    assert fast.comparable_dict() == odb.comparable_dict()
-
-
-def test_odb_equals_fast_with_speculation_disabled(toy_config):
-    """With speculation switched off and ALP idle, odb == fast even on
-    schedules that leave rejections behind."""
-    lo = constant_entry(range(4, 132), 0.5)
-    entries = [lo, constant_entry(range(4, 132), 0.95)]
-    model = make_scripted(toy_config, entries)
-    fast = decode(model, [1, 2, 3, 4],
-                  RunConfig(strategy="fast", gen_length=128, block_size=32))
-    odb = decode(model, [1, 2, 3, 4],
-                 RunConfig(strategy="odb", gen_length=128, block_size=32,
-                           truncate_threshold=1.1, speculation=False))
     assert fast.comparable_dict() == odb.comparable_dict()
 
 

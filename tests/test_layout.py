@@ -6,7 +6,6 @@ from blockspec.layout import (
     build_block_layout,
     build_spec_layout,
     full_sequence_layout,
-    mask_allows,
 )
 from blockspec.speculative import Candidate, CandidateSet, SpecSet
 
@@ -53,9 +52,9 @@ def test_stage1_layout_counts_and_isolation():
     q = int(layout.rows_of_tag(1)[0])
     k2 = int(layout.rows_of_tag(2)[0]) + layout.n_context
     k1 = int(layout.rows_of_tag(1)[1]) + layout.n_context
-    assert not mask_allows(layout, q, k2)
-    assert mask_allows(layout, q, k1)
-    assert mask_allows(layout, q, 0)  # cache key
+    assert not layout.mask_allows(q, k2)
+    assert layout.mask_allows(q, k1)
+    assert layout.mask_allows(q, 0)  # cache key
 
 
 def test_stage2_layout_row_count():
@@ -69,12 +68,12 @@ def test_stage2_shared_rows_visible_across_tags():
     shared_rows = [j for j, s in enumerate(layout.query_shared) if s]
     assert len(shared_rows) == 12
     q2 = int(layout.rows_of_tag(2)[0])
-    assert mask_allows(layout, q2, layout.n_context + shared_rows[0])
+    assert layout.mask_allows(q2, layout.n_context + shared_rows[0])
     # but not the main block's masked rows
     masked_main = [
         j for j in layout.rows_of_tag(0) if not layout.query_shared[j]
     ]
-    assert not mask_allows(layout, q2, layout.n_context + masked_main[0])
+    assert not layout.mask_allows(q2, layout.n_context + masked_main[0])
 
 
 def test_position_replication():
@@ -96,8 +95,8 @@ def test_visibility_symmetric_within_tags_and_never_across():
     rng = np.random.default_rng(0)
     for _ in range(200):
         a, b = rng.integers(0, layout.n_queries, size=2)
-        allowed = mask_allows(layout, int(a), nc + int(b))
-        reverse = mask_allows(layout, int(b), nc + int(a))
+        allowed = layout.mask_allows(int(a), nc + int(b))
+        reverse = layout.mask_allows(int(b), nc + int(a))
         assert allowed == reverse
         if layout.query_tags[a] != layout.query_tags[b]:
             assert not allowed
@@ -126,9 +125,9 @@ def test_isolate_stage2_appends_shared_context():
 def test_mask_allows_bounds():
     layout = build_block_layout((0, 4), [])
     with pytest.raises(IndexError):
-        mask_allows(layout, 0, 99)
+        layout.mask_allows(0, 99)
     with pytest.raises(IndexError):
-        mask_allows(layout, 99, 0)
+        layout.mask_allows(99, 0)
 
 
 def test_stage2_requires_decoded_positions():

@@ -222,11 +222,11 @@ def test_cost_csv_columns(toy_config, tmp_path):
         toy_config, [("prefill", 68, 68), ("decode", 32, 68)]
     )
     path = tmp_path / "roofline.csv"
-    write_cost_csv(traj, PROFILE, path)
+    write_cost_csv(path, {"t0": traj}, PROFILE)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,phase,T,C,flops,bytes,ai,bound,est_time_s"
+    assert lines[0] == "task,step,phase,T,C,flops,bytes,ai,bound,est_time_s"
     assert len(lines) == 3
-    assert lines[1].split(",")[1] == "prefill"
+    assert lines[1].split(",")[2] == "prefill"
 
 
 def test_phase_summary_contrast(toy_model, toy_config):

@@ -10,8 +10,8 @@ from blockspec import (
     ScriptedModel,
     ScriptedSchedule,
     ShapeError,
+    ToyModel,
     count_params,
-    init_toy_model,
     logits_to_prediction,
     scripted_forward,
 )
@@ -60,10 +60,10 @@ def test_param_count_matches_hand_computation(toy_config, toy_model):
 
 
 def test_init_is_deterministic(toy_config):
-    a = init_toy_model(toy_config)
-    b = init_toy_model(toy_config)
+    a = ToyModel(toy_config)
+    b = ToyModel(toy_config)
     assert a.weight_checksum() == b.weight_checksum()
-    other = init_toy_model(ModelConfig(**{**TOY, "seed": 8}))
+    other = ToyModel(ModelConfig(**{**TOY, "seed": 8}))
     assert a.weight_checksum() != other.weight_checksum()
 
 
@@ -221,7 +221,12 @@ def test_scripted_model_repeats_last_entry(toy_config):
     model = ScriptedModel(toy_config, sched)
     layout = full_sequence_layout(5)
     view, _ = model.forward([0, 1, 2, 3, 4], layout, step=40)
-    assert view.prediction_at(3)[0] == 17
+    assert logits_to_prediction(view.logits[view.row(3)])[0] == 17
+
+
+def test_scripted_model_rejects_schedule_with_other_mask_token(toy_config):
+    with pytest.raises(ConfigError):
+        ScriptedModel(toy_config, _schedule([{3: (17, 0.95)}], mask_id=125))
 
 
 def test_scripted_schedule_validates_confidence():
