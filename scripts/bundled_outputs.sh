@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Run a fixed list of CLI commands over the bundled configs and write every
+# output under one directory, so two source trees can be compared with
+# `diff -r`.
+#
+# Usage: scripts/bundled_outputs.sh TREE OUT
+#   TREE  a checkout of this repository; its src/ and configs/ are used
+#   OUT   output directory (created; must not exist yet)
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 TREE OUT" >&2
+    exit 2
+fi
+tree=$(cd "$1" && pwd)
+out=$2
+if [ -e "$out" ]; then
+    echo "$0: $out already exists" >&2
+    exit 2
+fi
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+cfg="$tree/configs"
+cli() {
+    PYTHONPATH="$tree/src" python3 -m blockspec.cli "$@" \
+        --model-config "$cfg/toy_model.json" --tasks "$cfg/tasks_demo.jsonl"
+}
+profile=(--profile "$cfg/profile_a100.json")
+scripted=(--scripted "$cfg/schedule_eos87.json")
+
+for strategy in vanilla fast odb; do
+    cli run --strategy "$strategy" "${profile[@]}" --dump-mask --out "$out/run_toy_$strategy"
+    cli run --strategy "$strategy" "${profile[@]}" --dump-mask "${scripted[@]}" \
+        --out "$out/run_scripted_$strategy"
+done
+cli run --strategy odb --out "$out/run_toy_odb_noprofile"
+cli run --strategy odb "${scripted[@]}" --out "$out/run_scripted_odb_noprofile"
+for strategy in odb vanilla; do
+    cli roofline --strategy "$strategy" "${profile[@]}" --out "$out/roofline_toy_$strategy"
+done
+cli compare --strategies vanilla fast odb "${profile[@]}" --out "$out/compare_toy"
+cli run --strategy vanilla --tau-steps 20 --out "$out/run_toy_vanilla_tau20"

@@ -8,8 +8,6 @@ from .cache import (
     CacheView,
     DualCache,
     PrefillDraft,
-    SharedKV,
-    build_shared_kv,
     cache_view,
     refresh_dual_cache,
 )
@@ -25,7 +23,6 @@ from .errors import (
     BlockCompleteError,
     ConfigError,
     DegenerateInputError,
-    EmptySharedError,
     NoCandidatesError,
     ProgressError,
     RangeError,

@@ -1,4 +1,4 @@
-"""DualCache (prefix + suffix KV) and the shared decoded-token KV store.
+"""DualCache: prefix + suffix KV from one full-sequence refresh.
 
 A refresh runs one full-sequence forward, keeps the K/V of every position
 outside the active block, and hands back the full-sequence logits draft so
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySharedError, RangeError, ShapeError, StaleCacheError
-from .layout import CACHE, SHARED, AttentionLayout, build_block_layout, full_sequence_layout
+from .errors import RangeError, ShapeError, StaleCacheError
+from .layout import AttentionLayout, full_sequence_layout
 from .model import LogitsView
 
 
@@ -87,30 +87,11 @@ class DualCache:
 
 
 @dataclass
-class SharedKV:
-    """K/V of the active block's decoded positions, computed once in the main
-    block's context and shared read-only by every speculative block."""
-
-    positions: np.ndarray
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
-    epoch: int
-
-    @property
-    def size(self) -> int:
-        return int(self.positions.shape[0])
-
-
-@dataclass
 class CacheView:
-    """Concatenated key/value context for one forward.
-
-    Entries are ordered cache (ascending position) then shared; indexing is
-    what matters, nothing is copied out of band.
-    """
+    """Key/value context for one forward, ordered like the layout's context
+    positions."""
 
     positions: np.ndarray
-    sources: tuple[str, ...]
     keys: list[np.ndarray]
     values: list[np.ndarray]
     epoch: int
@@ -126,8 +107,6 @@ class CacheView:
             )
         if tuple(int(p) for p in self.positions) != layout.context_positions:
             raise ShapeError("context positions disagree between layout and cache view")
-        if self.sources != layout.context_sources:
-            raise ShapeError("context sources disagree between layout and cache view")
         if len(self.keys) != config.n_layers:
             raise ShapeError(
                 f"cache has {len(self.keys)} layers, model has {config.n_layers}"
@@ -168,53 +147,17 @@ def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 
     )
 
 
-def build_shared_kv(model, state, block_range: tuple[int, int], cache: DualCache, step: int = 0) -> SharedKV:
-    """K/V of the block's decoded positions from one main-block forward.
-
-    Decoded tokens attend to the dual cache plus all block positions, exactly
-    as they do inside the main block; the extracted K/V can then stand in for
-    those rows in any speculative block's context.
-    """
-    start, end = block_range
-    block_positions = np.arange(start, end, dtype=np.int64)
-    decoded = block_positions[~state.masked[start:end]]
-    if decoded.size == 0:
-        raise EmptySharedError("no decoded positions in the active block")
-    layout = build_block_layout(block_range, cache.positions)
-    view = cache_view(cache, epoch=cache.refresh_epoch)
-    _, new_kv = model.forward(state.tokens[start:end], layout, view, step=step)
-    rows = decoded - start
-    return SharedKV(
-        positions=decoded,
-        keys=[k[rows] for k, _ in new_kv],
-        values=[v[rows] for _, v in new_kv],
-        epoch=cache.refresh_epoch,
-    )
-
-
-def cache_view(cache: DualCache, shared: SharedKV | None = None, *, epoch: int | None = None) -> CacheView:
-    """Assemble the key/value context: cache entries then shared entries.
+def cache_view(cache: DualCache, *, epoch: int | None = None) -> CacheView:
+    """The cache's entries as the context of a block-cycle forward.
 
     `epoch` is the caller's current block-cycle epoch; a mismatch with the
-    cache (or shared) stamp raises StaleCacheError so views never leak across
-    refreshes.
+    cache stamp raises StaleCacheError so views never leak across refreshes.
     """
     expected = cache.refresh_epoch if epoch is None else epoch
     if cache.refresh_epoch != expected:
         raise StaleCacheError(
             f"cache epoch {cache.refresh_epoch} != current epoch {expected}"
         )
-    if shared is not None and shared.epoch != expected:
-        raise StaleCacheError(
-            f"shared KV epoch {shared.epoch} != current epoch {expected}"
-        )
-    positions = cache.positions
-    sources: tuple[str, ...] = (CACHE,) * cache.size
-    keys = list(cache.keys)
-    values = list(cache.values)
-    if shared is not None:
-        positions = np.concatenate([positions, shared.positions])
-        sources = sources + (SHARED,) * shared.size
-        keys = [np.concatenate([c, s], axis=0) for c, s in zip(keys, shared.keys)]
-        values = [np.concatenate([c, s], axis=0) for c, s in zip(values, shared.values)]
-    return CacheView(positions=positions, sources=sources, keys=keys, values=values, epoch=expected)
+    return CacheView(
+        positions=cache.positions, keys=list(cache.keys), values=list(cache.values), epoch=expected
+    )

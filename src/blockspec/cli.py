@@ -71,6 +71,8 @@ def load_tasks(path) -> list[TaskRecord]:
             raw = json.loads(line)
         except json.JSONDecodeError as err:
             raise CliError(f"{path}:{ln}: invalid JSON: {err}", EXIT_PARSE) from err
+        if not isinstance(raw, dict):
+            raise CliError(f"{path}:{ln}: a task must be a JSON object", EXIT_PARSE)
         for key in ("id", "prompt_tokens"):
             if key not in raw:
                 raise CliError(f"{path}:{ln}: missing field '{key}'", EXIT_PARSE)

@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     ProgressError,
     RangeError,
-    ShapeError,
 )
 from .layout import build_block_layout, full_sequence_layout
 from .model import LogitsView, softmax
@@ -63,6 +62,16 @@ class RunConfig:
     tau_steps: int | None = None
 
     def __post_init__(self):
+        for name in ("gen_length", "block_size", "stage2_min_decoded", "seed", "tau_steps"):
+            value = getattr(self, name)
+            if value is None and name in ("stage2_min_decoded", "tau_steps"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("accept_threshold", "truncate_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.gen_length < 1 or self.block_size < 1:
@@ -71,8 +80,6 @@ class RunConfig:
             raise ConfigError(
                 f"gen_length {self.gen_length} not a multiple of block_size {self.block_size}"
             )
-        if not (math.isfinite(self.accept_threshold) and math.isfinite(self.truncate_threshold)):
-            raise ConfigError("accept_threshold and truncate_threshold must be finite")
         if self.truncate_threshold <= 0:
             raise ConfigError("truncate_threshold must be positive")
         if self.tau_steps is not None:
@@ -251,24 +258,27 @@ def threshold_decide(entries: list[tuple[int, int, float]], threshold: float):
     return accepted, rejected
 
 
+def decide(view: LogitsView, mask_token_id: int, threshold: float) -> StepOutcome:
+    """Greedy prediction plus threshold acceptance over every row of `view`."""
+    tokens, confs = masked_greedy(view, mask_token_id)
+    entries = [
+        (int(p), int(tok), float(c)) for p, tok, c in zip(view.positions, tokens, confs)
+    ]
+    accepted, rejected = threshold_decide(entries, threshold)
+    return StepOutcome(accepted=accepted, rejected_top=rejected)
+
+
 def threshold_step(state: DecodeState, logits: LogitsView, threshold: float) -> StepOutcome:
     """Confidence-threshold parallel decoding over the active block.
 
-    `logits` must cover exactly the block's masked positions; unmasked block
-    tokens contribute context in the forward, never decisions.
+    `logits` must hold a tag-0 row for every masked block position; other
+    rows (decoded block tokens, the rest of a full sequence) contribute
+    context in the forward, never decisions.
     """
     masked_pos = state.block_masked_positions()
     if masked_pos.size == 0:
         raise BlockCompleteError("active block has no masked positions")
-    if set(int(p) for p in logits.positions) != set(int(p) for p in masked_pos):
-        raise ShapeError("logits must cover exactly the masked block positions")
-    ordered = logits.select(masked_pos)
-    tokens, confs = masked_greedy(ordered, state.mask_token_id)
-    entries = [
-        (int(p), int(tok), float(c)) for p, tok, c in zip(masked_pos, tokens, confs)
-    ]
-    accepted, rejected = threshold_decide(entries, threshold)
-    return StepOutcome(accepted=accepted, rejected_top=rejected)
+    return decide(logits.select(masked_pos), state.mask_token_id, threshold)
 
 
 def apply_outcome(state: DecodeState, outcome: StepOutcome) -> None:
@@ -311,10 +321,6 @@ def tau_leaping_step(state: DecodeState, logits: LogitsView, s: float, rng) -> D
             new_state.tokens[pos] = int(tok)
             new_state.masked[pos] = False
     return new_state
-
-
-def _masked_block_logits(view: LogitsView, state: DecodeState) -> LogitsView:
-    return view.select(state.block_masked_positions())
 
 
 def decode(model, prompt, config: RunConfig) -> Trajectory:
@@ -454,9 +460,7 @@ def _decode_blockwise(model, state, config, traj):
                     layout = full_sequence_layout(state.seq_len)
                     tokens = state.tokens
                 logits, _ = model.forward(tokens, layout, view, step=block_step)
-                outcome = threshold_step(
-                    state, _masked_block_logits(logits, state), config.accept_threshold
-                )
+                outcome = threshold_step(state, logits, config.accept_threshold)
                 t_rows = layout.n_queries
                 c_keys = layout.n_keys
                 kind = "threshold"

@@ -17,10 +17,6 @@ class StaleCacheError(RuntimeError):
     """A cache view was requested for a refresh epoch that has passed."""
 
 
-class EmptySharedError(ValueError):
-    """Shared-KV extraction requires at least one decoded position."""
-
-
 class BlockCompleteError(RuntimeError):
     """A decode decision was requested for a block with no masked positions."""
 

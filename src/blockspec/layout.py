@@ -3,23 +3,19 @@
 A layout describes one forward pass: which rows are computed (queries), which
 key/value slots they may attend to, and the absolute position ID carried by
 every row.  Keys come in two groups: *context* entries supplied by a cache
-view (sources ``"cache"`` and ``"shared"``), followed by one key per query row
-(the fresh K/V computed in the same forward).  Speculative layouts replicate
-the main block's absolute position IDs into every speculative block and keep
-sibling blocks mutually invisible.
+view, followed by one key per query row (the fresh K/V computed in the same
+forward).  Speculative layouts replicate the main block's absolute position
+IDs into every speculative block and keep sibling blocks mutually invisible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import RangeError, ShapeError
-
-CACHE = "cache"
-SHARED = "shared"
 
 
 @dataclass(frozen=True)
@@ -35,19 +31,13 @@ class AttentionLayout:
     query_tags: tuple[int, ...]
     query_shared: tuple[bool, ...]
     context_positions: tuple[int, ...] = ()
-    context_sources: tuple[str, ...] = ()
     stage: int = 0
-    block_range: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not self.query_positions:
             raise RangeError("layout needs at least one query row")
         if not (len(self.query_positions) == len(self.query_tags) == len(self.query_shared)):
             raise ShapeError("query field lengths disagree")
-        if len(self.context_positions) != len(self.context_sources):
-            raise ShapeError("context field lengths disagree")
-        if any(s not in (CACHE, SHARED) for s in self.context_sources):
-            raise ShapeError("context sources must be 'cache' or 'shared'")
 
     @property
     def n_queries(self) -> int:
@@ -64,9 +54,9 @@ class AttentionLayout:
     def mask_allows(self, q: int, k: int) -> bool:
         """Visibility predicate over (query row, key slot).
 
-        Context keys (cache + shared) are visible to every query.  A fresh key
-        produced by query row j is visible to row q iff j is a shared row or
-        both rows carry the same block tag.
+        Context keys are visible to every query.  A fresh key produced by
+        query row j is visible to row q iff j is a shared row or both rows
+        carry the same block tag.
         """
         if not (0 <= q < self.n_queries):
             raise IndexError(f"query index {q} out of range")
@@ -85,44 +75,10 @@ class AttentionLayout:
         ctx = np.ones((self.n_queries, self.n_context), dtype=bool)
         return np.concatenate([ctx, rows], axis=1)
 
-    def rows_of_tag(self, tag: int) -> np.ndarray:
-        return np.nonzero(np.asarray(self.query_tags) == tag)[0]
-
-    def isolate(self, tag: int) -> tuple["AttentionLayout", np.ndarray]:
-        """Single-block layout equivalent to running `tag` on its own.
-
-        The isolated layout keeps the original context and, for stage-2
-        speculative tags, appends the shared rows' positions as explicit
-        shared-source context entries (to be supplied from a SharedKV).
-        Returns the layout and the original row indices of the kept queries.
-        """
-        rows = self.rows_of_tag(tag)
-        if rows.size == 0:
-            raise RangeError(f"no rows with tag {tag}")
-        ctx_pos = list(self.context_positions)
-        ctx_src = list(self.context_sources)
-        if self.stage == 2 and tag != 0:
-            for j, is_shared in enumerate(self.query_shared):
-                if is_shared:
-                    ctx_pos.append(self.query_positions[j])
-                    ctx_src.append(SHARED)
-        return (
-            AttentionLayout(
-                query_positions=tuple(self.query_positions[j] for j in rows),
-                query_tags=(0,) * rows.size,
-                query_shared=(False,) * rows.size,
-                context_positions=tuple(ctx_pos),
-                context_sources=tuple(ctx_src),
-                stage=self.stage,
-                block_range=self.block_range,
-            ),
-            rows,
-        )
-
     def dump_mask_csv(self, path) -> None:
         """Write the dense mask as a 0/1 CSV grid for visual inspection."""
         grid = self.dense_mask().astype(int)
-        header = [f"{src}:{pos}" for src, pos in zip(self.context_sources, self.context_positions)]
+        header = [f"cache:{pos}" for pos in self.context_positions]
         header += [f"t{t}:{p}" for t, p in zip(self.query_tags, self.query_positions)]
         lines = ["query," + ",".join(header)]
         for q in range(self.n_queries):
@@ -143,26 +99,18 @@ def full_sequence_layout(seq_len: int) -> AttentionLayout:
     )
 
 
-def build_block_layout(
-    block_range: tuple[int, int],
-    context_positions: Sequence[int],
-    context_sources: Sequence[str] | None = None,
-) -> AttentionLayout:
+def build_block_layout(block_range: tuple[int, int], context_positions: Sequence[int]) -> AttentionLayout:
     """Plain block-decoding layout: block positions as queries over a cached
     context, everything mutually visible."""
     start, end = block_range
     if end <= start:
         raise RangeError(f"empty block range [{start}, {end})")
     n = end - start
-    ctx = tuple(int(p) for p in context_positions)
-    src = tuple(context_sources) if context_sources is not None else (CACHE,) * len(ctx)
     return AttentionLayout(
         query_positions=tuple(range(start, end)),
         query_tags=(0,) * n,
         query_shared=(False,) * n,
-        context_positions=ctx,
-        context_sources=src,
-        block_range=(start, end),
+        context_positions=tuple(int(p) for p in context_positions),
     )
 
 
@@ -221,7 +169,5 @@ def build_spec_layout(
         query_tags=tuple(tags),
         query_shared=tuple(shared),
         context_positions=tuple(int(p) for p in context_positions),
-        context_sources=(CACHE,) * len(context_positions),
         stage=stage,
-        block_range=(start, end),
     )

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, DegenerateInputError, RangeError
 from .model import ModelConfig, count_params
@@ -33,8 +34,10 @@ class HardwareProfile:
     mem_bandwidth: float
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.mem_bandwidth <= 0:
-            raise ConfigError("peak_flops and mem_bandwidth must be positive")
+        for name in ("peak_flops", "mem_bandwidth"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def balance(self) -> float:
@@ -107,22 +110,10 @@ def cost_of_forward(model_cfg: ModelConfig, t: int, c: int, profile: HardwarePro
 def step_cost_records(traj: Trajectory, profile: HardwareProfile) -> list[CostRecord]:
     """One CostRecord per trajectory step, phase-labelled."""
     cfg = ModelConfig.from_dict(traj.model_config)
-    records = []
-    for step in traj.steps:
-        rec = cost_of_forward(cfg, step.t_tokens, step.c_tokens, profile)
-        records.append(
-            CostRecord(
-                phase=step.phase,
-                t_tokens=rec.t_tokens,
-                c_tokens=rec.c_tokens,
-                flops=rec.flops,
-                bytes=rec.bytes,
-                arithmetic_intensity=rec.arithmetic_intensity,
-                est_time_s=rec.est_time_s,
-                bound=rec.bound,
-            )
-        )
-    return records
+    return [
+        replace(cost_of_forward(cfg, step.t_tokens, step.c_tokens, profile), phase=step.phase)
+        for step in traj.steps
+    ]
 
 
 @dataclass

@@ -51,6 +51,10 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
+        for name in MODEL_CONFIG_KEYS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -71,13 +75,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("model config must be a JSON object")
         missing = [k for k in MODEL_CONFIG_KEYS if k not in raw]
         extra = [k for k in raw if k not in MODEL_CONFIG_KEYS]
         if missing:
             raise ConfigError(f"model config missing keys: {missing}")
         if extra:
             raise ConfigError(f"model config has unknown keys: {extra}")
-        return cls(**{k: int(raw[k]) for k in MODEL_CONFIG_KEYS})
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "ModelConfig":
@@ -318,6 +324,8 @@ class ScriptedSchedule:
     eos_token_id: int | None = None
 
     def __post_init__(self):
+        if not self.steps:
+            raise ConfigError("schedule has no steps")
         for n, entry in enumerate(self.steps):
             for pos, (tok, conf) in entry.items():
                 if not (0.0 <= conf <= 1.0):
@@ -341,19 +349,33 @@ class ScriptedSchedule:
 
     @classmethod
     def from_dict(cls, raw: dict, vocab_size: int, mask_token_id: int, eos_token_id: int | None = None) -> "ScriptedSchedule":
+        """Parse ``{"<step>": {"positions": {"<pos>": [token, conf]},
+        "eos": [[pos, conf], ...]}}`` with step keys exactly 0..n-1."""
         if not isinstance(raw, dict):
             raise ConfigError("schedule document must be an object keyed by step index")
+        keys = {_int_key(k, "step key"): k for k in raw}
+        if sorted(keys) != list(range(len(raw))):
+            raise ConfigError(f"step keys must be exactly 0..{len(raw) - 1}, got {sorted(raw)}")
         steps = []
-        for idx in sorted(raw, key=int):
-            entry_raw = raw[idx]
-            entry: dict[int, tuple[int, float]] = {}
-            for pos, pair in entry_raw.get("positions", {}).items():
-                entry[int(pos)] = (int(pair[0]), float(pair[1]))
+        for n in range(len(raw)):
+            where = f"step {keys[n]!r}"
+            entry_raw = raw[keys[n]]
+            if not isinstance(entry_raw, dict):
+                raise ConfigError(f"{where}: must be an object, got {entry_raw!r}")
+            positions = entry_raw.get("positions", {})
             eos_entries = entry_raw.get("eos", [])
+            if not isinstance(positions, dict) or not isinstance(eos_entries, list):
+                raise ConfigError(f"{where}: 'positions' must be an object and 'eos' a list")
+            entry: dict[int, tuple[int, float]] = {}
+            for pos, pair in positions.items():
+                entry[_int_key(pos, f"{where} position")] = _scripted_pair(
+                    pair, f"{where} position {pos!r}", "token"
+                )
             if eos_entries and eos_token_id is None:
                 raise ConfigError("schedule has eos entries but no eos_token_id was given")
-            for pos, conf in eos_entries:
-                entry[int(pos)] = (int(eos_token_id), float(conf))
+            for pair in eos_entries:
+                pos, conf = _scripted_pair(pair, f"{where} eos entry", "position")
+                entry[pos] = (int(eos_token_id), conf)
             steps.append(entry)
         return cls(
             steps=steps,
@@ -361,6 +383,24 @@ class ScriptedSchedule:
             mask_token_id=mask_token_id,
             eos_token_id=eos_token_id,
         )
+
+
+def _int_key(key, where: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"{where} {key!r} is not an integer") from None
+
+
+def _scripted_pair(value, where: str, first: str) -> tuple[int, float]:
+    """(integer, number) from a two-item list, else a ConfigError naming `where`."""
+    if (
+        isinstance(value, (list, tuple)) and len(value) == 2
+        and isinstance(value[0], int) and not isinstance(value[0], bool)
+        and isinstance(value[1], (int, float)) and not isinstance(value[1], bool)
+    ):
+        return value[0], float(value[1])
+    raise ConfigError(f"{where}: expected [{first}, confidence], got {value!r}")
 
 
 def _two_level_logits(vocab_size: int, mask_token_id: int, token: int, conf: float) -> np.ndarray:

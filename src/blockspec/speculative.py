@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import cache_view
-from .decoder import DecodeState, RunConfig, StepOutcome, masked_greedy, threshold_decide
+from .decoder import DecodeState, RunConfig, StepOutcome, decide
 from .errors import ConfigError, NoCandidatesError, RangeError
 from .layout import build_spec_layout
-from .model import LogitsView
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,10 @@ class SpecSet:
     """The lattice of speculative blocks evaluated in one forward.
 
     ``blocks`` lists (tag, subset) with subsets as 1-based candidate ordinals:
-    {c1}, then for each further candidate cj the singleton {cj} and the
-    prefix {c1..cj}.  Two candidates give the 3-block stage-1 lattice; four
-    give the 7-block stage-2 lattice.  The main block (empty subset, tag 0)
-    is implicit.
+    {c1} is tag 1, then for each further candidate cj the singleton {cj} is
+    tag 2j-2 and the prefix {c1..cj} is tag 2j-1.  Two candidates give the
+    3-block stage-1 lattice; four give the 7-block stage-2 lattice.  The main
+    block (empty subset, tag 0) is implicit.
     """
 
     stage: int
@@ -94,13 +93,9 @@ class SpecSet:
         limit = 2 if stage == 1 else 4
         if m > limit:
             raise ConfigError(f"stage {stage} allows at most {limit} candidates, got {m}")
-        blocks: list[tuple[int, tuple[int, ...]]] = [(1, (1,))]
-        tag = 2
+        blocks = [(1, (1,))]
         for j in range(2, m + 1):
-            blocks.append((tag, (j,)))
-            tag += 1
-            blocks.append((tag, tuple(range(1, j + 1))))
-            tag += 1
+            blocks += [(2 * j - 2, (j,)), (2 * j - 1, tuple(range(1, j + 1)))]
         return cls(stage=stage, candidates=candidate_set.candidates, blocks=tuple(blocks))
 
     @property
@@ -110,24 +105,17 @@ class SpecSet:
     def subset_of(self, tag: int) -> tuple[int, ...]:
         if tag == 0:
             return ()
-        for t, subset in self.blocks:
-            if t == tag:
-                return subset
-        raise RangeError(f"no speculative block with tag {tag}")
-
-    def tag_of(self, subset: tuple[int, ...]) -> int | None:
-        wanted = tuple(sorted(subset))
-        for t, s in self.blocks:
-            if tuple(sorted(s)) == wanted:
-                return t
-        return None
+        if not 1 <= tag <= len(self.blocks):
+            raise RangeError(f"no speculative block with tag {tag}")
+        return self.blocks[tag - 1][1]
 
 
 def resolve_jump(block_results: dict[int, StepOutcome], spec_set: SpecSet) -> tuple[int, int]:
     """Ladder resolution over per-block threshold outcomes.
 
     A candidate is "accepted in block X" when X's threshold acceptance
-    unmasked the candidate's position to the candidate's exact token.
+    unmasked the candidate's position to the candidate's exact token.  The
+    walk tracks the ladder rung j, i.e. the prefix block {c1..cj} (tag 2j-1).
     Returns (adopted tag, jump count).
     """
     m = len(spec_set.candidates)
@@ -139,48 +127,22 @@ def resolve_jump(block_results: dict[int, StepOutcome], spec_set: SpecSet) -> tu
             for p, t, _ in block_results[tag].accepted
         )
 
-    a0 = {j for j in range(1, m + 1) if accepted_in(0, j)}
-
-    def prefix_tag(j: int) -> int | None:
-        return spec_set.tag_of(tuple(range(1, j + 1)))
-
-    current: frozenset[int] | None = None
-    current_tag = 0
-    jumps = 0
-    for j in range(m, 0, -1):
-        if set(range(1, j + 1)) <= a0 and prefix_tag(j) is not None:
-            current = frozenset(range(1, j + 1))
-            current_tag = prefix_tag(j)
-            jumps = 1
-            break
-    if current is None:
-        for i in range(2, m + 1):
-            tag = spec_set.tag_of((i,))
-            if i in a0 and tag is not None:
-                current = frozenset({i})
-                current_tag = tag
-                jumps = 1
-                break
-    if current is None:
-        return 0, 0
-
-    while True:
-        top = max(current)
-        j_next = top if frozenset(range(1, top + 1)) != current else top + 1
-        if j_next > m:
-            break
-        nxt_tag = prefix_tag(j_next)
-        if nxt_tag is None:
-            break
-        missing = frozenset(range(1, j_next + 1)) - current
-        if len(missing) != 1:
-            break
-        if not accepted_in(current_tag, next(iter(missing))):
-            break
-        current = frozenset(range(1, j_next + 1))
-        current_tag = nxt_tag
+    j = 0
+    while j < m and accepted_in(0, j + 1):
+        j += 1
+    jumps = 1
+    if j == 0:
+        single = next((i for i in range(2, m + 1) if accepted_in(0, i)), None)
+        if single is None:
+            return 0, 0
+        # only {c2} (tag 2) reaches the ladder, through its one missing c1
+        if single > 2 or not accepted_in(2, 1):
+            return 2 * single - 2, 1
+        j, jumps = 2, 2
+    while j < m and accepted_in(2 * j - 1, j + 1):
+        j += 1
         jumps += 1
-    return current_tag, jumps
+    return 2 * j - 1, jumps
 
 
 def spec_step(
@@ -204,12 +166,10 @@ def spec_step(
     if len(candidates) == 0:
         raise NoCandidatesError("speculative step needs at least one candidate")
     block_range = state.block_range()
-    start, end = block_range
     masked_abs = state.block_masked_positions()
     decoded_abs = state.block_decoded_positions()
-    masked_set = {int(p) for p in masked_abs}
     for cand in candidates.candidates:
-        if cand.position not in masked_set:
+        if cand.position not in masked_abs:
             raise RangeError(f"candidate position {cand.position} is not masked")
     if stage == 2 and decoded_abs.size < config.stage2_threshold:
         raise RangeError(
@@ -223,40 +183,22 @@ def spec_step(
     cand_token = {c.position: c.token for c in spec_set.candidates}
     subset_positions = {
         tag: {spec_set.candidates[j - 1].position for j in subset}
-        for tag, subset in spec_set.blocks
+        for tag, subset in ((0, ()), *spec_set.blocks)
     }
     tokens = np.empty(layout.n_queries, dtype=np.int64)
     for i, (pos, tag) in enumerate(zip(layout.query_positions, layout.query_tags)):
-        if tag != 0 and pos in subset_positions[tag]:
-            tokens[i] = cand_token[pos]
-        else:
-            tokens[i] = state.tokens[pos]
+        tokens[i] = cand_token[pos] if pos in subset_positions[tag] else state.tokens[pos]
 
     logits, _ = model.forward(tokens, layout, view, step=step)
 
-    results: dict[int, StepOutcome] = {}
-    for tag in [0] + [t for t, _ in spec_set.blocks]:
-        if tag == 0:
-            decision_pos = [int(p) for p in masked_abs]
-        else:
-            decision_pos = [int(p) for p in masked_abs if int(p) not in subset_positions[tag]]
-        if not decision_pos:
-            results[tag] = StepOutcome(accepted=[], rejected_top=[])
-            continue
-        rows = [logits.row(p, tag) for p in decision_pos]
-        sub = logits.logits[rows]
-        sub_view = LogitsView(
-            sub,
-            np.asarray(decision_pos, dtype=np.int64),
-            np.zeros(len(decision_pos), dtype=np.int64),
+    results = {
+        tag: decide(
+            logits.select([p for p in masked_abs if p not in subset], tag),
+            state.mask_token_id,
+            config.accept_threshold,
         )
-        toks, confs = masked_greedy(sub_view, state.mask_token_id)
-        entries = [
-            (p, int(t), float(c)) for p, t, c in zip(decision_pos, toks, confs)
-        ]
-        accepted, rejected = threshold_decide(entries, config.accept_threshold)
-        results[tag] = StepOutcome(accepted=accepted, rejected_top=rejected)
-
+        for tag, subset in subset_positions.items()
+    }
     adopted_tag, jump_count = resolve_jump(results, spec_set)
     adopted = results[adopted_tag]
     subset = spec_set.subset_of(adopted_tag)

@@ -22,13 +22,14 @@ from blockspec import (
     tau_leaping_step,
     trajectory_metrics,
 )
-from blockspec.cache import build_shared_kv, cache_view, refresh_dual_cache
+from blockspec.cache import cache_view, refresh_dual_cache
 from blockspec.decoder import masked_greedy, threshold_decide
 from blockspec.layout import build_block_layout, build_spec_layout, full_sequence_layout
 from blockspec.model import LogitsView, scripted_forward
 from blockspec.speculative import Candidate, CandidateSet, SpecSet, resolve_jump
 
 from conftest import TOY, random_state, rel_err
+from shared_kv import SharedKV, build_shared_kv, isolate, shared_view
 from test_speculative import oracle_chain_enumeration, oracle_two_candidate_cases, outcome_accepting
 
 PROFILE = HardwareProfile(name="a100-80gb-sxm", peak_flops=312e12, mem_bandwidth=2.039e12)
@@ -121,8 +122,8 @@ def test_criterion_2_mask_isolation(toy_config):
         batched, _ = model.forward(tokens, layout, view)
         shared = build_shared_kv(model, state, block, cache) if stage == 2 else None
         for tag in [0] + [t for t, _ in spec_set.blocks]:
-            iso_layout, rows = layout.isolate(tag)
-            iso_view = (cache_view(cache, shared=shared, epoch=1)
+            iso_layout, rows = isolate(layout, tag)
+            iso_view = (shared_view(cache, shared, epoch=1)
                         if stage == 2 and tag != 0 else cache_view(cache, epoch=1))
             iso, _ = model.forward(tokens[rows], iso_layout, iso_view)
             worst = max(worst, rel_err(iso.logits, batched.logits[rows]))
@@ -146,8 +147,6 @@ def test_criterion_3_shared_kv_correctness(toy_config):
     """Stage-2 speculative rows computed against a SharedKV equal the same
     rows with decoded-token K/V substituted by hand from the main block's
     forward, <= 1e-5 relative, 50 seeds."""
-    from blockspec.cache import SharedKV
-
     model = ToyModel(toy_config)
     worst = 0.0
     for seed in range(50):
@@ -183,8 +182,8 @@ def test_criterion_3_shared_kv_correctness(toy_config):
             epoch=1,
         )
         for tag, _subset in spec_set.blocks:
-            iso_layout, rows = layout.isolate(tag)
-            iso_view = cache_view(cache, shared=by_hand, epoch=1)
+            iso_layout, rows = isolate(layout, tag)
+            iso_view = shared_view(cache, by_hand, epoch=1)
             iso, _ = model.forward(tokens[rows], iso_layout, iso_view)
             worst = max(worst, rel_err(iso.logits, batched.logits[rows]))
         # and the packaged builder agrees with the by-hand harvest

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from blockspec import EmptySharedError, StaleCacheError
-from blockspec.cache import build_shared_kv, cache_view, refresh_dual_cache
+from blockspec import StaleCacheError
+from blockspec.cache import cache_view, refresh_dual_cache
 from blockspec.layout import build_block_layout, full_sequence_layout
 
 from conftest import random_state, rel_err
+from shared_kv import EmptySharedError, build_shared_kv, shared_view
 
 
 @pytest.fixture
@@ -108,12 +109,12 @@ def test_shared_kv_matches_explicit_substitution(refreshed, toy_model):
 def test_cache_view_counts(refreshed, toy_model):
     state, cache, _ = refreshed
     shared = build_shared_kv(toy_model, state, state.block_range(), cache)
-    with_shared = cache_view(cache, shared=shared, epoch=1)
+    with_shared = shared_view(cache, shared, epoch=1)
     assert with_shared.size == 20 + 96 + 10
     plain = cache_view(cache, epoch=1)
     assert plain.size == 116
-    assert plain.sources == ("cache",) * 116
-    assert with_shared.sources[-10:] == ("shared",) * 10
+    assert np.array_equal(plain.positions, cache.positions)
+    assert np.array_equal(with_shared.positions[-10:], shared.positions)
 
 
 def test_cache_view_rejects_stale_epoch(refreshed):

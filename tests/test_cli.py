@@ -114,6 +114,15 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     ("--profile", "[1, 2]", "bad.json"),
     ("--profile", '{"name": "x", "peak_flops": [1], "mem_bandwidth": 1}', "bad.json"),
     ("--run-config", '{"speculation": false}', "speculation"),
+    ("--run-config", '{"gen_length": 128.0}', "gen_length"),
+    ("--run-config", '{"seed": "x", "tau_steps": 3}', "seed"),
+    ("--run-config", '{"stage2_min_decoded": 2.5}', "stage2_min_decoded"),
+    ("--run-config", '{"accept_threshold": "x"}', "accept_threshold"),
+    ("--model-config", json.dumps({**TOY, "d_model": 64.5}), "d_model"),
+    ("--model-config", json.dumps({**TOY, "n_layers": True}), "n_layers"),
+    ("--model-config", json.dumps({**TOY, "vocab_size": "128"}), "vocab_size"),
+    ("--model-config", "5", "JSON object"),
+    ("--profile", '{"name": "x", "peak_flops": NaN, "mem_bandwidth": 1}', "peak_flops"),
 ])
 def test_run_rejects_malformed_config_files(workdir, capsys, option, content, named):
     tmp, model, _, tasks = workdir
@@ -123,6 +132,33 @@ def test_run_rejects_malformed_config_files(workdir, capsys, option, content, na
                  option, str(bad)])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule,named", [
+    ({"x": {}}, "'x'"),
+    ({"0": {}, "7": {}}, "'7'"),
+    ({"0": 5}, "step '0'"),
+    ({"0": {"positions": {"20": [5]}}}, "position '20'"),
+    ({}, "no steps"),
+])
+def test_run_rejects_malformed_schedule(workdir, capsys, schedule, named):
+    tmp, model, _, tasks = workdir
+    bad = tmp / "sched.json"
+    bad.write_text(json.dumps(schedule) + "\n")
+    code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast",
+                 "--scripted", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sched.json" in err and named in err
+
+
+def test_run_rejects_non_object_task_line(workdir, capsys):
+    tmp, model, _, _ = workdir
+    bad = tmp / "bad.jsonl"
+    bad.write_text('{"id": "a", "prompt_tokens": [1, 2]}\n5\n')
+    code = main(["run", *base_args(model, bad, tmp / "out"), "--strategy", "fast"])
+    assert code == 2
+    assert "bad.jsonl:2" in capsys.readouterr().err
 
 
 def test_compare_emits_all_pair_speedups(workdir):

@@ -9,6 +9,8 @@ from blockspec.layout import (
 )
 from blockspec.speculative import Candidate, CandidateSet, SpecSet
 
+from shared_kv import isolate, rows_of_tag
+
 
 def _candidates(block_start, n):
     return CandidateSet(tuple(
@@ -49,9 +51,9 @@ def test_stage1_layout_counts_and_isolation():
     assert spec.n_blocks == 3
     assert layout.n_queries == 128  # 4 blocks of 32
     # a tag-1 query must not see a tag-2 key
-    q = int(layout.rows_of_tag(1)[0])
-    k2 = int(layout.rows_of_tag(2)[0]) + layout.n_context
-    k1 = int(layout.rows_of_tag(1)[1]) + layout.n_context
+    q = int(rows_of_tag(layout, 1)[0])
+    k2 = int(rows_of_tag(layout, 2)[0]) + layout.n_context
+    k1 = int(rows_of_tag(layout, 1)[1]) + layout.n_context
     assert not layout.mask_allows(q, k2)
     assert layout.mask_allows(q, k1)
     assert layout.mask_allows(q, 0)  # cache key
@@ -67,25 +69,25 @@ def test_stage2_shared_rows_visible_across_tags():
     layout, _ = _spec_layout(stage=2, n_candidates=4, n_decoded=12)
     shared_rows = [j for j, s in enumerate(layout.query_shared) if s]
     assert len(shared_rows) == 12
-    q2 = int(layout.rows_of_tag(2)[0])
+    q2 = int(rows_of_tag(layout, 2)[0])
     assert layout.mask_allows(q2, layout.n_context + shared_rows[0])
     # but not the main block's masked rows
     masked_main = [
-        j for j in layout.rows_of_tag(0) if not layout.query_shared[j]
+        j for j in rows_of_tag(layout, 0) if not layout.query_shared[j]
     ]
     assert not layout.mask_allows(q2, layout.n_context + masked_main[0])
 
 
 def test_position_replication():
     layout, _ = _spec_layout(stage=1, n_candidates=2)
-    main = [layout.query_positions[j] for j in layout.rows_of_tag(0)]
+    main = [layout.query_positions[j] for j in rows_of_tag(layout, 0)]
     for tag in (1, 2, 3):
-        spec_pos = [layout.query_positions[j] for j in layout.rows_of_tag(tag)]
+        spec_pos = [layout.query_positions[j] for j in rows_of_tag(layout, tag)]
         assert spec_pos == main
     stage2, _ = _spec_layout(stage=2, n_candidates=4, n_decoded=12)
-    main2 = [stage2.query_positions[j] for j in stage2.rows_of_tag(0)]
+    main2 = [stage2.query_positions[j] for j in rows_of_tag(stage2, 0)]
     for tag in range(1, 8):
-        spec_pos = [stage2.query_positions[j] for j in stage2.rows_of_tag(tag)]
+        spec_pos = [stage2.query_positions[j] for j in rows_of_tag(stage2, tag)]
         assert set(spec_pos) <= set(main2)
 
 
@@ -106,7 +108,7 @@ def test_isolate_matches_block_layout():
     """The main block of a speculative layout, isolated, is the plain block
     layout (degenerate no-speculation case)."""
     layout, _ = _spec_layout(stage=1, n_candidates=2)
-    iso, rows = layout.isolate(0)
+    iso, rows = isolate(layout, 0)
     plain = build_block_layout((20, 52), layout.context_positions)
     assert iso.query_positions == plain.query_positions
     assert iso.context_positions == plain.context_positions
@@ -116,9 +118,10 @@ def test_isolate_matches_block_layout():
 
 def test_isolate_stage2_appends_shared_context():
     layout, _ = _spec_layout(stage=2, n_candidates=4, n_decoded=12)
-    iso, rows = layout.isolate(3)
+    iso, rows = isolate(layout, 3)
     assert iso.n_queries == 20
-    assert iso.context_sources[-12:] == ("shared",) * 12
+    shared = tuple(p for p, s in zip(layout.query_positions, layout.query_shared) if s)
+    assert iso.context_positions[-12:] == shared
     assert iso.dense_mask().all()
 
 
