@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,6 +330,15 @@ def cmd_gen_tasks(args) -> int:
         raise CliError(f"model config {args.model_config}: {err}", EXIT_PARSE) from err
     if args.count < 1 or args.prompt_len < 1:
         raise CliError("count and prompt-len must be positive", EXIT_USAGE)
+    for flag, value in (("--eos-confidence", args.eos_confidence),
+                        ("--fill-confidence", args.fill_confidence)):
+        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            raise CliError(f"{flag} must be a finite confidence in [0, 1], got {value}", EXIT_PARSE)
+    if args.schedule_out:
+        if args.eos_offset is None:
+            raise CliError("--schedule-out requires --eos-offset", EXIT_USAGE)
+        if not (0 <= args.eos_offset < args.gen_length):
+            raise CliError("--eos-offset must lie inside the generation window", EXIT_USAGE)
     rng = np.random.default_rng(args.seed)
     special = {cfg.mask_token_id, cfg.eos_token_id}
     ordinary = [t for t in range(cfg.vocab_size) if t not in special]
@@ -348,10 +358,6 @@ def cmd_gen_tasks(args) -> int:
     Path(args.out).write_text("\n".join(lines) + "\n")
 
     if args.schedule_out:
-        if args.eos_offset is None:
-            raise CliError("--schedule-out requires --eos-offset", EXIT_USAGE)
-        if not (0 <= args.eos_offset < args.gen_length):
-            raise CliError("--eos-offset must lie inside the generation window", EXIT_USAGE)
         positions = {}
         for off in range(args.gen_length):
             pos = args.prompt_len + off

@@ -34,10 +34,19 @@ class HardwareProfile:
     mem_bandwidth: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
         for name in ("peak_flops", "mem_bandwidth"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if not (math.isfinite(number) and number > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, number)
 
     @property
     def balance(self) -> float:
@@ -51,9 +60,9 @@ class HardwareProfile:
             raise ConfigError("profile must be a JSON object")
         try:
             return cls(
-                name=str(raw["name"]),
-                peak_flops=float(raw["peak_flops"]),
-                mem_bandwidth=float(raw["mem_bandwidth"]),
+                name=raw["name"],
+                peak_flops=raw["peak_flops"],
+                mem_bandwidth=raw["mem_bandwidth"],
             )
         except KeyError as err:
             raise ConfigError(f"profile missing key: {err}") from err

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,12 +135,15 @@ class LogitsView:
 
     Rows correspond 1:1 to the forward layout's query rows; ``positions`` and
     ``tags`` identify them.  Speculative layouts repeat a position across
-    tags, so lookups take (position, tag).
+    tags, so lookups take (position, tag).  The first lookup indexes every
+    row, so ``positions`` and ``tags`` must not be reassigned after it.
     """
 
     logits: np.ndarray
     positions: np.ndarray
     tags: np.ndarray
+    # (position, tag) -> row, or -(number of rows) for a duplicated pair.
+    _rows: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float32)
@@ -162,10 +165,15 @@ class LogitsView:
         return self.logits.shape[1]
 
     def row(self, position: int, tag: int = 0) -> int:
-        hits = np.nonzero((self.positions == position) & (self.tags == tag))[0]
-        if hits.size != 1:
-            raise ShapeError(f"position {position} tag {tag}: {hits.size} rows")
-        return int(hits[0])
+        if self._rows is None:
+            self._rows = {}
+            for i, key in enumerate(zip(self.positions.tolist(), self.tags.tolist())):
+                prev = self._rows.get(key)
+                self._rows[key] = i if prev is None else -2 if prev >= 0 else prev - 1
+        hit = self._rows.get((position, tag))
+        if hit is None or hit < 0:
+            raise ShapeError(f"position {position} tag {tag}: {0 if hit is None else -hit} rows")
+        return hit
 
     def select(self, positions, tag: int = 0) -> "LogitsView":
         rows = [self.row(p, tag) for p in positions]
@@ -175,35 +183,50 @@ class LogitsView:
 def _layer_norm(x: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
     var = x.var(axis=-1, keepdims=True, dtype=np.float32)
-    return ((x - mean) / np.sqrt(var + _LN_EPS)).astype(np.float32)
+    out = x - mean
+    out /= np.sqrt(var + _LN_EPS)
+    return out
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    c = np.float32(math.sqrt(2.0 / math.pi))
-    return (np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))).astype(np.float32)
+    """Tanh GELU, overwriting and returning `x`.
+
+    Evaluates 0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x))) with the same
+    float32 rounding at every step as the one-line expression, in two
+    buffers instead of eight.
+    """
+    t = np.float32(0.044715) * x
+    t *= x
+    t *= x
+    t += x
+    t *= np.float32(math.sqrt(2.0 / math.pi))
+    np.tanh(t, out=t)
+    t += np.float32(1.0)
+    x *= np.float32(0.5)
+    x *= t
+    return x
 
 
-def _rope_tables(positions: np.ndarray, d_head: int) -> tuple[np.ndarray, np.ndarray]:
+def _rope_tables(positions: np.ndarray, n_heads: int, d_head: int):
+    """Rotary tables over the `n_heads * d_head` columns of q or k.
+
+    Returns (cos, sin, swap): [rows, n_heads * d_head] tables and a column
+    permutation such that ``x * cos + x[..., swap] * sin`` rotates the
+    leading even span of each head, (x1, x2) -> (x1*cos - x2*sin,
+    x2*cos + x1*sin), and passes an odd last dim through.  Each output is
+    the same two products and one add as rotating the halves separately,
+    so the result is bitwise equal, but every pass runs over whole rows.
+    """
     half = d_head // 2
     inv_freq = (10000.0 ** (-np.arange(half, dtype=np.float64) / max(half, 1))).astype(np.float32)
     angles = positions.astype(np.float32)[:, None] * inv_freq[None, :]
-    return np.cos(angles), np.sin(angles)
-
-
-def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary encoding over the leading even span of each head dim.
-
-    x: [rows, heads, d_head]; cos/sin: [rows, d_head // 2].
-    """
-    half = cos.shape[1]
-    x1 = x[:, :, :half]
-    x2 = x[:, :, half : 2 * half]
-    rot1 = x1 * cos[:, None, :] - x2 * sin[:, None, :]
-    rot2 = x1 * sin[:, None, :] + x2 * cos[:, None, :]
-    out = x.copy()
-    out[:, :, :half] = rot1
-    out[:, :, half : 2 * half] = rot2
-    return out
+    c, s = np.cos(angles), np.sin(angles)
+    tail = (len(positions), d_head - 2 * half)
+    cos = np.tile(np.concatenate([c, c, np.ones(tail, np.float32)], axis=1), n_heads)
+    sin = np.tile(np.concatenate([-s, s, np.zeros(tail, np.float32)], axis=1), n_heads)
+    head_swap = np.r_[half : 2 * half, 0:half, 2 * half : d_head]
+    swap = (np.arange(n_heads)[:, None] * d_head + head_swap).reshape(-1)
+    return cos, sin, swap
 
 
 class ToyModel:
@@ -227,9 +250,7 @@ class ToyModel:
         for _ in range(config.n_layers):
             self.layers.append(
                 {
-                    "wq": mat(d, d),
-                    "wk": mat(d, d),
-                    "wv": mat(d, d),
+                    "wqkv": np.stack([mat(d, d), mat(d, d), mat(d, d)]),
                     "wo": mat(d, d),
                     "w1": mat(d, dff),
                     "w2": mat(dff, d),
@@ -242,12 +263,13 @@ class ToyModel:
         return count_params(self.config)
 
     def weight_checksum(self) -> int:
-        """CRC over all weights in init order; determinism probe."""
+        """CRC over all weights in init order (Wq, Wk, Wv, Wo, W1, W2 per
+        layer); determinism probe."""
         crc = 0
         crc = zlib.crc32(self.emb.tobytes(), crc)
         for layer in self.layers:
-            for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-                crc = zlib.crc32(layer[name].tobytes(), crc)
+            for w in (*layer["wqkv"], layer["wo"], layer["w1"], layer["w2"]):
+                crc = zlib.crc32(w.tobytes(), crc)
         return zlib.crc32(self.wout.tobytes(), crc)
 
     def forward(self, tokens, layout: AttentionLayout, cache=None, step: int = 0):
@@ -269,32 +291,47 @@ class ToyModel:
             if cache is None:
                 raise ShapeError("layout has context entries but no cache view given")
             cache.check_compatible(cfg, layout)
-        h_dim, dh = cfg.n_heads, cfg.d_head
+        h_dim, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
 
         qpos = np.asarray(layout.query_positions, dtype=np.int64)
-        cos, sin = _rope_tables(qpos, dh)
+        cos, sin, swap = _rope_tables(qpos, h_dim, dh)
         mask = layout.dense_mask()
+        blocked = None if mask.all() else ~mask
 
         x = self.emb[tokens]
         new_kv = []
         inv_sqrt = np.float32(1.0 / math.sqrt(dh))
         for li, layer in enumerate(self.layers):
-            h = _layer_norm(x)
-            q = _apply_rope((h @ layer["wq"]).reshape(r, h_dim, dh), cos, sin)
-            k = _apply_rope((h @ layer["wk"]).reshape(r, h_dim, dh), cos, sin)
-            v = (h @ layer["wv"]).reshape(r, h_dim, dh)
+            # One batched matmul over the stacked [3, d, d] weights runs the
+            # same three GEMMs as separate Wq/Wk/Wv products; a single
+            # d x 3d GEMM can round differently on some BLAS kernels.
+            qkv = np.matmul(_layer_norm(x), layer["wqkv"])
+            qk = qkv[:2] * cos
+            qk += qkv[:2, :, swap] * sin
+            q, k = (a.reshape(r, h_dim, dh) for a in qk)
+            v = qkv[2].reshape(r, h_dim, dh)
             new_kv.append((k, v))
             if n_ctx:
                 keys = np.concatenate([cache.keys[li], k], axis=0)
                 values = np.concatenate([cache.values[li], v], axis=0)
             else:
                 keys, values = k, v
-            scores = np.einsum("rhd,mhd->rhm", q, keys, optimize=True) * inv_sqrt
-            scores = np.where(mask[:, None, :], scores, np.float32(-np.inf))
-            weights = softmax(scores, axis=-1)
-            ctx_out = np.einsum("rhm,mhd->rhd", weights, values, optimize=True)
-            x = x + ctx_out.reshape(r, cfg.d_model) @ layer["wo"]
-            x = x + _gelu(_layer_norm(x) @ layer["w1"]) @ layer["w2"]
+            # Scores as K·Qᵀ per head [h, m, r]: the operand order that
+            # einsum("rhd,mhd->rhm") hands BLAS, whose rounding can depend on
+            # it.  Scaling copies them head-major to [h, r, m], where each
+            # row's keys are contiguous: the masked softmax then runs in
+            # place with the reductions in row-major order.
+            kq = np.matmul(keys.transpose(1, 0, 2), q.transpose(1, 2, 0))
+            scores = np.multiply(kq.transpose(0, 2, 1), inv_sqrt, order="C")
+            if blocked is not None:
+                np.copyto(scores, np.float32(-np.inf), where=blocked)
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            # Vᵀ·Wᵀ per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
+            ctx_out = np.matmul(values.transpose(1, 2, 0), scores.transpose(0, 2, 1))
+            x += ctx_out.transpose(2, 0, 1).reshape(r, d) @ layer["wo"]
+            x += _gelu(_layer_norm(x) @ layer["w1"]) @ layer["w2"]
         logits = _layer_norm(x) @ self.wout
         view = LogitsView(logits, qpos, np.asarray(layout.query_tags, dtype=np.int64))
         return view, new_kv

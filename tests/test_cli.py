@@ -123,6 +123,12 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     ("--model-config", json.dumps({**TOY, "vocab_size": "128"}), "vocab_size"),
     ("--model-config", "5", "JSON object"),
     ("--profile", '{"name": "x", "peak_flops": NaN, "mem_bandwidth": 1}', "peak_flops"),
+    ("--profile", '{"name": 5, "peak_flops": 1e12, "mem_bandwidth": 1e12}', "name"),
+    ("--profile", '{"name": "x", "peak_flops": true, "mem_bandwidth": 1e12}', "peak_flops"),
+    ("--profile", '{"name": "x", "peak_flops": "1e12", "mem_bandwidth": 1e12}', "peak_flops"),
+    ("--profile", '{"name": "x", "peak_flops": 1e12, "mem_bandwidth": "2e12"}', "mem_bandwidth"),
+    ("--profile", '{"name": "x", "peak_flops": 1e12, "mem_bandwidth": false}', "mem_bandwidth"),
+    ("--profile", '{"name": "x", "peak_flops": 1' + "0" * 400 + ', "mem_bandwidth": 1}', "peak_flops"),
 ])
 def test_run_rejects_malformed_config_files(workdir, capsys, option, content, named):
     tmp, model, _, tasks = workdir
@@ -255,6 +261,23 @@ def test_gen_tasks_and_schedule(workdir):
           "--prompt-len", "8", "--seed", "5", "--out", str(tasks_out2),
           "--gen-length", "128"])
     assert tasks_out.read_text() == tasks_out2.read_text()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--eos-confidence", "1.5"),
+    ("--eos-confidence", "nan"),
+    ("--fill-confidence", "-0.1"),
+    ("--fill-confidence", "inf"),
+])
+def test_gen_tasks_rejects_bad_confidence_before_writing(workdir, capsys, flag, value):
+    tmp, model, _, _ = workdir
+    tasks_out = tmp / "gen.jsonl"
+    sched_out = tmp / "sched.json"
+    code = main(["gen-tasks", "--model-config", str(model), "--out", str(tasks_out),
+                 "--eos-offset", "5", "--schedule-out", str(sched_out), flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not tasks_out.exists() and not sched_out.exists()
 
 
 def test_scripted_alp_compare_consistency(workdir):

@@ -108,6 +108,23 @@ def test_softmax_normalizes():
         assert 0.0 < conf <= 1.0
 
 
+def test_logits_view_row_lookup():
+    from blockspec.model import LogitsView
+
+    logits = np.arange(15, dtype=np.float32).reshape(5, 3)
+    view = LogitsView(logits, [5, 6, 5, 7, 7], [0, 0, 1, 0, 0])
+    assert view.row(5) == 0 and view.row(np.int64(5), 1) == 2 and view.row(6) == 1
+    picked = view.select([6, 5])
+    assert picked.logits.tolist() == [[3, 4, 5], [0, 1, 2]]
+    assert picked.positions.tolist() == [6, 5] and picked.tags.tolist() == [0, 0]
+    with pytest.raises(ShapeError, match="position 8 tag 0: 0 rows"):
+        view.row(8)
+    with pytest.raises(ShapeError, match="position 6 tag 1: 0 rows"):
+        view.select([5, 6], tag=1)
+    with pytest.raises(ShapeError, match="position 7 tag 0: 2 rows"):
+        view.row(7)
+
+
 # --- toy forward ---------------------------------------------------------------
 
 def test_forward_single_token_shape(toy_model):
@@ -170,6 +187,53 @@ def test_cache_equivalence_dense_vs_cached(toy_model, toy_config):
         dense, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
         rows = [dense.row(p) for p in range(block[0], block[1])]
         assert rel_err(cached.logits, dense.logits[rows]) <= 1e-5
+
+
+def test_forward_matches_dense_reference_bitwise(toy_model, toy_config):
+    """The head-major in-place attention path equals the dense einsum /
+    np.where / softmax forward bit for bit, logits and every layer's K/V,
+    over the full, block, stage-1 and stage-2 layouts of a live decode."""
+    from blockspec import DecodeState
+    from blockspec.cache import cache_view, refresh_dual_cache
+    from blockspec.decoder import apply_outcome, threshold_step
+    from blockspec.layout import build_block_layout, build_spec_layout
+    from blockspec.speculative import SpecSet, select_candidates
+    from dense_forward import dense_forward
+
+    rng = np.random.default_rng(23)
+    cases = []
+    for prompt_len in (19, 40):
+        prompt = rng.integers(0, 120, size=prompt_len)
+        state = DecodeState.new(prompt, 96, 32, toy_config.mask_token_id)
+        block = state.block_range()
+        cache, _ = refresh_dual_cache(toy_model, state, block, epoch=1)
+        view = cache_view(cache, epoch=1)
+        cases.append((state.tokens.copy(), full_sequence_layout(state.seq_len), None))
+        block_layout = build_block_layout(block, view.positions)
+        while state.block_decoded_positions().size < 8:
+            tokens = state.tokens[block[0]:block[1]].copy()
+            cases.append((tokens, block_layout, view))
+            logits, _ = toy_model.forward(tokens, block_layout, view)
+            outcome = threshold_step(state, logits, 0.9)
+            apply_outcome(state, outcome)
+        for stage, k in ((1, 2), (2, 4)):
+            spec_set = SpecSet.build(select_candidates(outcome, k), stage)
+            layout = build_spec_layout(block, spec_set, stage,
+                                       state.block_decoded_positions(), view.positions)
+            cand = {c.position: c.token for c in spec_set.candidates}
+            subsets = {tag: {spec_set.candidates[j - 1].position for j in subset}
+                       for tag, subset in spec_set.blocks}
+            tokens = np.array([cand[p] if p in subsets.get(t, ()) else state.tokens[p]
+                               for p, t in zip(layout.query_positions, layout.query_tags)])
+            cases.append((tokens, layout, view))
+    assert {layout.stage for _, layout, _ in cases} == {0, 1, 2}
+    for tokens, layout, ctx in cases:
+        got, got_kv = toy_model.forward(tokens, layout, ctx)
+        want, want_kv = dense_forward(toy_model, tokens, layout, ctx)
+        assert np.array_equal(got.logits, want.logits)
+        assert len(got_kv) == len(want_kv) == toy_config.n_layers
+        for (gk, gv), (wk, wv) in zip(got_kv, want_kv):
+            assert np.array_equal(gk, wk) and np.array_equal(gv, wv)
 
 
 # --- scripted model -------------------------------------------------------------
