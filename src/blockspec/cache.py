@@ -9,7 +9,7 @@ frozen (the deliberate staleness of block-wise decoding); a new cycle bumps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +45,12 @@ class DualCache:
     block_range: tuple[int, int]
     refresh_epoch: int
     snapshot_len: int
+    # `positions` as Python ints, converted once per refresh or truncation
+    # and shared by every layout and compatibility check of the cycle.
+    position_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.position_ids = tuple(self.positions.tolist())
         start, end = self.block_range
         inside = (self.positions >= start) & (self.positions < end)
         if np.any(inside):
@@ -95,6 +99,7 @@ class CacheView:
     keys: list[np.ndarray]
     values: list[np.ndarray]
     epoch: int
+    position_ids: tuple[int, ...] = field(repr=False, compare=False)  # `positions` as ints
 
     @property
     def size(self) -> int:
@@ -105,7 +110,7 @@ class CacheView:
             raise ShapeError(
                 f"layout expects {layout.n_context} context keys, view has {self.size}"
             )
-        if tuple(int(p) for p in self.positions) != layout.context_positions:
+        if self.position_ids != layout.context_positions:
             raise ShapeError("context positions disagree between layout and cache view")
         if len(self.keys) != config.n_layers:
             raise ShapeError(
@@ -159,5 +164,9 @@ def cache_view(cache: DualCache, *, epoch: int | None = None) -> CacheView:
             f"cache epoch {cache.refresh_epoch} != current epoch {expected}"
         )
     return CacheView(
-        positions=cache.positions, keys=list(cache.keys), values=list(cache.values), epoch=expected
+        positions=cache.positions,
+        keys=list(cache.keys),
+        values=list(cache.values),
+        epoch=expected,
+        position_ids=cache.position_ids,
     )

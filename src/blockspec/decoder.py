@@ -139,7 +139,17 @@ class DecodeState:
     mask_token_id: int = 0
 
     @classmethod
-    def new(cls, prompt_tokens, gen_length: int, block_size: int, mask_token_id: int) -> "DecodeState":
+    def new(cls, prompt_tokens, gen_length: int, block_size: int, mask_token_id: int,
+            vocab_size: int | None = None) -> "DecodeState":
+        """Prompt then `gen_length` mask tokens.  Every prompt token must lie
+        in [0, vocab_size) when `vocab_size` is given, and none may be the
+        mask token."""
+        if vocab_size is not None:
+            for i, tok in enumerate(np.ravel(prompt_tokens).tolist()):
+                if not 0 <= tok < vocab_size:
+                    raise ConfigError(
+                        f"prompt_tokens[{i}] = {tok} outside vocab [0, {vocab_size})"
+                    )
         prompt = np.asarray(prompt_tokens, dtype=np.int64).reshape(-1)
         if prompt.size == 0:
             raise ConfigError("prompt must be non-empty")
@@ -224,17 +234,22 @@ class StepOutcome:
     candidates: list = field(default_factory=list)
 
 
-def masked_greedy(view: LogitsView, mask_token_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy (tokens, confidences) with the mask token removed from the
-    distribution, so committed tokens always unmask."""
-    logits = view.logits.copy()
+def masked_greedy(view: LogitsView, mask_token_id: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy (tokens, confidences) of the given rows of `view`, all rows by
+    default, with the mask token removed from the distribution, so committed
+    tokens always unmask.
+
+    The argmax entry's shifted logit is exactly 0, so its ``exp`` is exactly
+    1 and its softmax probability is ``1 / sum(exp(shifted))``: bitwise the
+    value the full [rows, vocab] softmax holds there, without dividing it.
+    """
+    logits = view.logits.copy() if rows is None else view.logits[rows]
     logits[:, mask_token_id] = -np.inf
     tokens = np.argmax(logits, axis=1)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(shifted, dtype=np.float32)
-    probs = e / np.sum(e, axis=1, keepdims=True)
-    confs = probs[np.arange(logits.shape[0]), tokens]
-    return tokens.astype(np.int64), confs.astype(np.float32)
+    logits -= np.max(logits, axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    confs = np.float32(1.0) / np.sum(logits, axis=1)
+    return tokens.astype(np.int64), confs
 
 
 def threshold_decide(entries: list[tuple[int, int, float]], threshold: float):
@@ -258,12 +273,11 @@ def threshold_decide(entries: list[tuple[int, int, float]], threshold: float):
     return accepted, rejected
 
 
-def decide(view: LogitsView, mask_token_id: int, threshold: float) -> StepOutcome:
-    """Greedy prediction plus threshold acceptance over every row of `view`."""
-    tokens, confs = masked_greedy(view, mask_token_id)
-    entries = [
-        (int(p), int(tok), float(c)) for p, tok, c in zip(view.positions, tokens, confs)
-    ]
+def decide(positions: list[int], tokens: np.ndarray, confidences: np.ndarray,
+           threshold: float) -> StepOutcome:
+    """Threshold acceptance over parallel positions, greedy tokens and
+    confidences."""
+    entries = list(zip(positions, tokens.tolist(), confidences.tolist()))
     accepted, rejected = threshold_decide(entries, threshold)
     return StepOutcome(accepted=accepted, rejected_top=rejected)
 
@@ -273,12 +287,14 @@ def threshold_step(state: DecodeState, logits: LogitsView, threshold: float) -> 
 
     `logits` must hold a tag-0 row for every masked block position; other
     rows (decoded block tokens, the rest of a full sequence) contribute
-    context in the forward, never decisions.
+    context in the forward, never decisions, and get no greedy pass.
     """
-    masked_pos = state.block_masked_positions()
-    if masked_pos.size == 0:
+    masked_pos = state.block_masked_positions().tolist()
+    if not masked_pos:
         raise BlockCompleteError("active block has no masked positions")
-    return decide(logits.select(masked_pos), state.mask_token_id, threshold)
+    rows = [logits.row(p) for p in masked_pos]
+    tokens, confs = masked_greedy(logits, state.mask_token_id, rows)
+    return decide(masked_pos, tokens, confs, threshold)
 
 
 def apply_outcome(state: DecodeState, outcome: StepOutcome) -> None:
@@ -327,7 +343,9 @@ def decode(model, prompt, config: RunConfig) -> Trajectory:
     """Run one request under the configured strategy; returns the full
     trajectory including per-step (T, C) cost inputs."""
     cfg = model.config
-    state = DecodeState.new(prompt, config.gen_length, config.block_size, cfg.mask_token_id)
+    state = DecodeState.new(
+        prompt, config.gen_length, config.block_size, cfg.mask_token_id, cfg.vocab_size
+    )
     traj = Trajectory(
         strategy=config.strategy,
         run_config=config.to_dict(),
@@ -452,7 +470,7 @@ def _decode_blockwise(model, state, config, traj):
             else:
                 if cached:
                     view = cache_view(cache, epoch=epoch)
-                    layout = build_block_layout(block_range, view.positions)
+                    layout = build_block_layout(block_range, view.position_ids)
                     start, end = block_range
                     tokens = state.tokens[start:end]
                 else:

@@ -88,6 +88,14 @@ class AttentionLayout:
             fh.write("\n".join(lines) + "\n")
 
 
+def _position_tuple(positions: Sequence[int]) -> tuple[int, ...]:
+    """Positions as a tuple of ints; a tuple is taken as already converted
+    (``DualCache.position_ids``), so a block cycle converts its context once."""
+    if isinstance(positions, tuple):
+        return positions
+    return tuple(int(p) for p in positions)
+
+
 def full_sequence_layout(seq_len: int) -> AttentionLayout:
     """All positions as queries, full bidirectional visibility, no cache."""
     if seq_len < 1:
@@ -110,7 +118,7 @@ def build_block_layout(block_range: tuple[int, int], context_positions: Sequence
         query_positions=tuple(range(start, end)),
         query_tags=(0,) * n,
         query_shared=(False,) * n,
-        context_positions=tuple(int(p) for p in context_positions),
+        context_positions=_position_tuple(context_positions),
     )
 
 
@@ -168,6 +176,6 @@ def build_spec_layout(
         query_positions=tuple(positions),
         query_tags=tuple(tags),
         query_shared=tuple(shared),
-        context_positions=tuple(int(p) for p in context_positions),
+        context_positions=_position_tuple(context_positions),
         stage=stage,
     )

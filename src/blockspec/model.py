@@ -440,40 +440,36 @@ def _scripted_pair(value, where: str, first: str) -> tuple[int, float]:
     raise ConfigError(f"{where}: expected [{first}, confidence], got {value!r}")
 
 
-def _two_level_logits(vocab_size: int, mask_token_id: int, token: int, conf: float) -> np.ndarray:
-    """Logit vector whose softmax puts `conf` on `token`, uniform elsewhere.
+def scripted_forward(schedule: ScriptedSchedule, step: int, positions) -> LogitsView:
+    """Logits whose softmax puts each scheduled confidence on its token,
+    uniform elsewhere.
+
+    Positions outside the step's entry get the default (mask token, ~0).
+    Strict on step bounds; ScriptedModel clamps instead.  Rows carry tag 0.
 
     The mask token gets a huge negative logit (unless it is the target), so
     the confidence reads the same whether or not the decode path strips the
     mask token before deciding.  Inverting the two-level softmax with n
     uniform competitors: p = e^a / (e^a + n), so a = ln(p n / (1 - p)).
-    Confidence is clamped to keep the argmax on the target.
-    """
-    floor = _conf_floor(vocab_size)
-    c = min(max(conf, floor), 1.0 - 1e-9)
-    row = np.zeros(vocab_size, dtype=np.float32)
-    if token == mask_token_id:
-        n = vocab_size - 1
-    else:
-        n = vocab_size - 2
-        row[mask_token_id] = np.float32(-1e30)
-    a = math.log(c * n / (1.0 - c))
-    row[token] = np.float32(a)
-    return row
-
-
-def scripted_forward(schedule: ScriptedSchedule, step: int, positions) -> LogitsView:
-    """Logits reproducing the scheduled (token, confidence) pairs.
-
-    Positions outside the step's entry get the default (mask token, ~0).
-    Strict on step bounds; ScriptedModel clamps instead.  Rows carry tag 0.
+    Confidence is clamped to keep the argmax on the target.  The logarithm
+    is ``math.log`` row by row: numpy's vectorized ``log`` need not round
+    like the C library's.
     """
     entry = schedule.entry(step)
-    rows = np.zeros((len(positions), schedule.vocab_size), dtype=np.float32)
-    for i, pos in enumerate(positions):
-        tok, conf = entry.get(int(pos), (schedule.mask_token_id, 0.0))
-        rows[i] = _two_level_logits(schedule.vocab_size, schedule.mask_token_id, tok, conf)
-    return LogitsView(rows, np.asarray(positions, dtype=np.int64), np.zeros(len(positions), dtype=np.int64))
+    vocab, mask_id = schedule.vocab_size, schedule.mask_token_id
+    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+    default = (mask_id, 0.0)
+    pairs = np.array(
+        [entry.get(p, default) for p in positions.tolist()], dtype=np.float64
+    ).reshape(-1, 2)
+    tokens = pairs[:, 0].astype(np.int64)
+    c = np.minimum(np.maximum(pairs[:, 1], _conf_floor(vocab)), 1.0 - 1e-9)
+    n = np.where(tokens == mask_id, vocab - 1, vocab - 2)
+    peaks = np.array([math.log(x) for x in (c * n / (1.0 - c)).tolist()], dtype=np.float32)
+    rows = np.zeros((positions.size, vocab), dtype=np.float32)
+    rows[:, mask_id] = np.float32(-1e30)
+    rows[np.arange(positions.size), tokens] = peaks
+    return LogitsView(rows, positions, np.zeros(positions.size, dtype=np.int64))
 
 
 class ScriptedModel:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import cache_view
-from .decoder import DecodeState, RunConfig, StepOutcome, decide
+from .decoder import DecodeState, RunConfig, StepOutcome, decide, masked_greedy
 from .errors import ConfigError, NoCandidatesError, RangeError
 from .layout import build_spec_layout
 
@@ -178,27 +178,34 @@ def spec_step(
 
     spec_set = SpecSet.build(candidates, stage)
     view = cache_view(cache, epoch=epoch)
-    layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.positions)
+    layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.position_ids)
 
-    cand_token = {c.position: c.token for c in spec_set.candidates}
     subset_positions = {
         tag: {spec_set.candidates[j - 1].position for j in subset}
         for tag, subset in ((0, ()), *spec_set.blocks)
     }
-    tokens = np.empty(layout.n_queries, dtype=np.int64)
-    for i, (pos, tag) in enumerate(zip(layout.query_positions, layout.query_tags)):
-        tokens[i] = cand_token[pos] if pos in subset_positions[tag] else state.tokens[pos]
+    # Every row reads the current token, except that each speculative block
+    # fills its subset's positions with the candidate tokens.
+    query_positions = np.asarray(layout.query_positions)
+    query_tags = np.asarray(layout.query_tags)
+    tokens = state.tokens[query_positions]
+    for tag, subset in spec_set.blocks:
+        for cand in (spec_set.candidates[j - 1] for j in subset):
+            tokens[(query_tags == tag) & (query_positions == cand.position)] = cand.token
 
     logits, _ = model.forward(tokens, layout, view, step=step)
 
-    results = {
-        tag: decide(
-            logits.select([p for p in masked_abs if p not in subset], tag),
-            state.mask_token_id,
-            config.accept_threshold,
+    # One greedy pass over the whole forward; each block then reads its
+    # still-masked, non-candidate rows out of it.
+    greedy_tokens, greedy_confs = masked_greedy(logits, state.mask_token_id)
+    masked_list = masked_abs.tolist()
+    results = {}
+    for tag, subset in subset_positions.items():
+        positions = [p for p in masked_list if p not in subset]
+        rows = [logits.row(p, tag) for p in positions]
+        results[tag] = decide(
+            positions, greedy_tokens[rows], greedy_confs[rows], config.accept_threshold
         )
-        for tag, subset in subset_positions.items()
-    }
     adopted_tag, jump_count = resolve_jump(results, spec_set)
     adopted = results[adopted_tag]
     subset = spec_set.subset_of(adopted_tag)

@@ -71,11 +71,13 @@ def shared_view(cache: DualCache, shared: SharedKV, *, epoch: int | None = None)
     view = cache_view(cache, epoch=epoch)
     if shared.epoch != view.epoch:
         raise StaleCacheError(f"shared KV epoch {shared.epoch} != current epoch {view.epoch}")
+    positions = np.concatenate([view.positions, shared.positions])
     return CacheView(
-        positions=np.concatenate([view.positions, shared.positions]),
+        positions=positions,
         keys=[np.concatenate([c, s], axis=0) for c, s in zip(view.keys, shared.keys)],
         values=[np.concatenate([c, s], axis=0) for c, s in zip(view.values, shared.values)],
         epoch=view.epoch,
+        position_ids=tuple(positions.tolist()),
     )
 
 

@@ -95,6 +95,30 @@ def test_run_rejects_bad_prompt_tokens(workdir, capsys, tokens):
     assert "prompt_tokens" in err and "bad.jsonl:1" in err
 
 
+@pytest.mark.parametrize("scripted", [False, True], ids=["toy", "scripted"])
+@pytest.mark.parametrize("tokens,index", [
+    ([5, 999, 3], 1),
+    ([5, -4, 3], 1),
+    ([5, 3, TOY["vocab_size"]], 2),
+    ([5, 3, 2**70], 2),
+])
+def test_run_rejects_prompt_tokens_outside_vocab(workdir, capsys, tokens, index, scripted):
+    tmp, model, _, _ = workdir
+    bad = tmp / "bad.jsonl"
+    bad.write_text(json.dumps({"id": "x", "prompt_tokens": tokens}) + "\n")
+    extra = []
+    if scripted:
+        schedule = tmp / "schedule.json"
+        schedule.write_text(json.dumps({"0": {"positions": {"3": [17, 0.95]}}}))
+        extra = ["--scripted", str(schedule)]
+    code = main(["run", *base_args(model, bad, tmp / "out", extra), "--strategy", "odb"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"prompt_tokens[{index}] = {tokens[index]} outside vocab" in err
+    assert "bad.jsonl:1" in err
+    assert not (tmp / "out" / "trajectory_x.json").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--accept-threshold", "nan"],
     ["--accept-threshold", "inf"],

@@ -1,0 +1,146 @@
+"""The one-pass decision path against its per-row reference, bitwise."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import blockspec.alp
+import blockspec.decoder
+import blockspec.speculative
+import reference_decide
+from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
+from blockspec.decoder import masked_greedy
+from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
+
+from conftest import TOY
+
+
+def _rising_schedule(prompt_len, gen_length, seed=11):
+    """Confidences that rise by step and cross the threshold at different
+    steps, so odb keeps rejected candidates and reaches both spec stages."""
+    rng = np.random.default_rng(seed)
+    positions = range(prompt_len, prompt_len + gen_length)
+    tokens = rng.integers(1, 100, size=gen_length)
+    start = rng.uniform(0.0, 0.6, size=gen_length)
+    rise = rng.uniform(0.08, 0.2, size=gen_length)
+    steps = [
+        {p: (int(t), float(min(s + k * r, 0.99)))
+         for p, t, s, r in zip(positions, tokens, start, rise)}
+        for k in range(12)
+    ]
+    # a confident EOS in the second block cuts the length to two blocks
+    steps[0][prompt_len + 45] = (TOY["eos_token_id"], 0.97)
+    return ScriptedSchedule(steps=steps, vocab_size=TOY["vocab_size"],
+                            mask_token_id=TOY["mask_token_id"],
+                            eos_token_id=TOY["eos_token_id"])
+
+
+@pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
+@pytest.mark.parametrize("kind", ["toy", "scripted"])
+def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind, strategy):
+    prompt = [3, 14, 15, 92, 65, 35, 89, 79, 32]
+    if kind == "toy":
+        model = ToyModel(toy_config)
+    else:
+        model = ScriptedModel(toy_config, _rising_schedule(len(prompt), 96))
+    seen = {"threshold": 0, "greedy": 0, "stages": set()}
+    real_threshold = blockspec.decoder.threshold_step
+    real_spec = blockspec.speculative.spec_step
+    real_greedy = blockspec.alp.masked_greedy
+
+    def checked_threshold(state, logits, threshold):
+        got = real_threshold(state, logits, threshold)
+        assert got == reference_decide.threshold_step(state, logits, threshold)
+        seen["threshold"] += 1
+        return got
+
+    def checked_spec(model, state, cache, candidates, stage, config, *, epoch, step=0):
+        before = state.copy()
+        got = real_spec(model, state, cache, candidates, stage, config, epoch=epoch, step=step)
+        want = reference_decide.spec_step(
+            model, before, cache, candidates, stage, config, epoch=epoch, step=step
+        )
+        assert got == want
+        seen["stages"].add(stage)
+        return got
+
+    def checked_greedy(view, mask_token_id, rows=None):
+        got = real_greedy(view, mask_token_id, rows)
+        want = reference_decide.masked_greedy(view, mask_token_id)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        seen["greedy"] += 1
+        return got
+
+    monkeypatch.setattr(blockspec.decoder, "threshold_step", checked_threshold)
+    monkeypatch.setattr(blockspec.speculative, "spec_step", checked_spec)
+    monkeypatch.setattr(blockspec.alp, "masked_greedy", checked_greedy)
+    traj = decode(model, prompt, RunConfig(strategy, 64 if kind == "toy" else 96, 32))
+    assert traj.completed and seen["threshold"] > 0
+    if strategy == "odb":
+        assert seen["stages"] == {1, 2} and seen["greedy"] > 0
+        if kind == "scripted":
+            assert traj.truncations and traj.total_jumps > 0
+
+
+_TIE_VALUES = [-3.0, 0.0, 0.5, 2.0, 7.25]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_masked_greedy_confidence_is_full_softmax_at_argmax(data):
+    n_rows = data.draw(st.integers(1, 6))
+    vocab = data.draw(st.integers(2, 40))
+    mask_id = data.draw(st.integers(0, vocab - 1))
+    value = st.one_of(
+        st.sampled_from(_TIE_VALUES),
+        st.floats(-60, 60, allow_nan=False, width=32),
+    )
+    logits = np.asarray(
+        data.draw(st.lists(st.lists(value, min_size=vocab, max_size=vocab),
+                           min_size=n_rows, max_size=n_rows)),
+        dtype=np.float32,
+    )
+    if data.draw(st.booleans()):
+        logits[:, mask_id] = logits.max() + 1.0
+    view = LogitsView(logits, np.arange(n_rows), np.zeros(n_rows))
+
+    tokens, confs = masked_greedy(view, mask_id)
+    ref_tokens, ref_confs = reference_decide.masked_greedy(view, mask_id)
+    assert tokens.dtype == np.int64 and confs.dtype == np.float32
+    assert tokens.tobytes() == ref_tokens.tobytes()
+    assert confs.tobytes() == ref_confs.tobytes()
+    assert not np.any(tokens == mask_id)
+    without_mask = logits.copy()
+    without_mask[:, mask_id] = -np.inf
+    full = softmax(without_mask, axis=1)[np.arange(n_rows), tokens]
+    assert confs.tobytes() == full.tobytes()
+
+    rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=8))
+    sub_tokens, sub_confs = masked_greedy(view, mask_id, rows)
+    assert sub_tokens.tobytes() == tokens[rows].tobytes()
+    assert sub_confs.tobytes() == confs[rows].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scripted_forward_equals_stacked_two_level_rows(data):
+    vocab = data.draw(st.integers(3, 200))
+    mask_id = data.draw(st.integers(0, vocab - 1))
+    floor = _conf_floor(vocab)
+    conf = st.one_of(
+        st.sampled_from([0.0, 1.0, floor, floor / 2, min(2 * floor, 1.0), 1.0 - 1e-9, 0.5]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 1),
+    )
+    token = st.one_of(st.just(mask_id), st.integers(0, vocab - 1))
+    entry = data.draw(st.dictionaries(st.integers(0, 30), st.tuples(token, conf), max_size=12))
+    positions = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=20))
+    schedule = ScriptedSchedule(steps=[entry], vocab_size=vocab, mask_token_id=mask_id)
+
+    got = scripted_forward(schedule, 0, positions)
+    want = reference_decide.scripted_forward(schedule, 0, positions)
+    assert got.logits.dtype == np.float32
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.positions.tolist() == positions and not got.tags.any()
