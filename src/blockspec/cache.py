@@ -66,10 +66,6 @@ class DualCache:
     def n_prefix(self) -> int:
         return int(np.sum(self.positions < self.block_range[0]))
 
-    @property
-    def n_suffix(self) -> int:
-        return self.size - self.n_prefix
-
     def nbytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self.keys, self.values))
 

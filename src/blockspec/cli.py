@@ -87,7 +87,18 @@ def load_tasks(path) -> list[TaskRecord]:
                 f"{path}:{ln}: field 'prompt_tokens' must be a non-empty list of integers",
                 EXIT_PARSE,
             )
-        task_id = str(raw["id"])
+        task_id = raw["id"]
+        # the id names the task's output files, so it must be one path part
+        if (
+            not isinstance(task_id, str)
+            or task_id in ("", ".", "..")
+            or any(c in task_id for c in "/\\\0")
+        ):
+            raise CliError(
+                f"{path}:{ln}: field 'id' must be a non-empty string without '/', '\\' "
+                f"or NUL and not '.' or '..', got {task_id!r}",
+                EXIT_PARSE,
+            )
         if task_id in seen:
             raise CliError(f"{path}:{ln}: duplicate task id '{task_id}'", EXIT_PARSE)
         seen.add(task_id)

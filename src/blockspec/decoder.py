@@ -239,47 +239,58 @@ def masked_greedy(view: LogitsView, mask_token_id: int, rows=None) -> tuple[np.n
     default, with the mask token removed from the distribution, so committed
     tokens always unmask.
 
-    The argmax entry's shifted logit is exactly 0, so its ``exp`` is exactly
-    1 and its softmax probability is ``1 / sum(exp(shifted))``: bitwise the
-    value the full [rows, vocab] softmax holds there, without dividing it.
+    The row maximum is read at the argmax rather than reduced again; it can
+    differ from ``max`` only in the sign of a zero, which no shifted logit's
+    ``exp`` sees.  The argmax entry's shifted logit is exactly 0, so its
+    ``exp`` is exactly 1 and its softmax probability is
+    ``1 / sum(exp(shifted))``: bitwise the value the full [rows, vocab]
+    softmax holds there, without dividing it.
     """
     logits = view.logits.copy() if rows is None else view.logits[rows]
     logits[:, mask_token_id] = -np.inf
-    tokens = np.argmax(logits, axis=1)
-    logits -= np.max(logits, axis=1, keepdims=True)
+    tokens = logits.argmax(axis=1)
+    logits -= logits[np.arange(len(logits)), tokens][:, None]
     np.exp(logits, out=logits)
-    confs = np.float32(1.0) / np.sum(logits, axis=1)
+    confs = np.float32(1.0) / logits.sum(axis=1)
     return tokens.astype(np.int64), confs
 
 
-def threshold_decide(entries: list[tuple[int, int, float]], threshold: float):
-    """Split (position, token, confidence) entries into accepted/rejected.
+def threshold_decide(confidences: np.ndarray, threshold: float,
+                     valid: np.ndarray | None = None) -> np.ndarray:
+    """Accepted cells of a [blocks, positions] confidence table.
 
-    Accept strictly above the threshold; when nothing clears it, accept the
-    single highest-confidence entry so every step makes progress.  Ties break
-    to the lower position.
+    Positions ascend along each row, and `valid` (all cells by default)
+    marks the cells a block decides.  A valid cell is accepted when its
+    confidence is strictly above the threshold; a row where none is accepts
+    its first maximum among valid cells, the lowest position on a tie, so
+    every block makes progress.  A row without valid cells accepts nothing.
+
+    The comparison runs in float64: numpy compares a float32 array with a
+    Python float in float32, where ``float32(0.1) > 0.1`` is false, but the
+    float32 value itself lies above 0.1.
     """
-    if not entries:
-        return [], []
-    above = [e for e in entries if e[2] > threshold]
-    if above:
-        accepted = sorted(above, key=lambda e: e[0])
+    if valid is None:
+        conf = confidences.astype(np.float64)
     else:
-        accepted = [min(entries, key=lambda e: (-e[2], e[0]))]
-    taken = {e[0] for e in accepted}
-    rejected = sorted(
-        (e for e in entries if e[0] not in taken), key=lambda e: (-e[2], e[0])
-    )
-    return accepted, rejected
+        conf = np.where(valid, confidences, np.float64(-np.inf))
+    accept = conf > threshold
+    if conf.size:
+        forced = ~accept.any(axis=1)
+        if valid is not None:
+            forced &= valid.any(axis=1)
+        accept[np.arange(len(conf)), conf.argmax(axis=1)] |= forced
+    return accept
 
 
-def decide(positions: list[int], tokens: np.ndarray, confidences: np.ndarray,
-           threshold: float) -> StepOutcome:
-    """Threshold acceptance over parallel positions, greedy tokens and
-    confidences."""
-    entries = list(zip(positions, tokens.tolist(), confidences.tolist()))
-    accepted, rejected = threshold_decide(entries, threshold)
-    return StepOutcome(accepted=accepted, rejected_top=rejected)
+def decision_entries(positions: np.ndarray, tokens: np.ndarray, confidences: np.ndarray,
+                     cells: np.ndarray, ranked: bool = False) -> list:
+    """(position, token, confidence) of the `cells` of one block's row, in
+    position order, or by confidence descending (ties to the lower
+    position) when `ranked`."""
+    idx = np.flatnonzero(cells)
+    if ranked:
+        idx = idx[np.argsort(-confidences[idx], kind="stable")]
+    return list(zip(positions[idx].tolist(), tokens[idx].tolist(), confidences[idx].tolist()))
 
 
 def threshold_step(state: DecodeState, logits: LogitsView, threshold: float) -> StepOutcome:
@@ -287,14 +298,18 @@ def threshold_step(state: DecodeState, logits: LogitsView, threshold: float) -> 
 
     `logits` must hold a tag-0 row for every masked block position; other
     rows (decoded block tokens, the rest of a full sequence) contribute
-    context in the forward, never decisions, and get no greedy pass.
+    context in the forward, never decisions, and get no greedy pass.  This
+    is the one-block case of ``threshold_decide``.
     """
-    masked_pos = state.block_masked_positions().tolist()
-    if not masked_pos:
+    masked = state.block_masked_positions()
+    if not masked.size:
         raise BlockCompleteError("active block has no masked positions")
-    rows = [logits.row(p) for p in masked_pos]
-    tokens, confs = masked_greedy(logits, state.mask_token_id, rows)
-    return decide(masked_pos, tokens, confs, threshold)
+    tokens, confs = masked_greedy(logits, state.mask_token_id, logits.rows(masked))
+    accept = threshold_decide(confs[None], threshold)[0]
+    return StepOutcome(
+        accepted=decision_entries(masked, tokens, confs, accept),
+        rejected_top=decision_entries(masked, tokens, confs, ~accept, ranked=True),
+    )
 
 
 def apply_outcome(state: DecodeState, outcome: StepOutcome) -> None:

@@ -129,6 +129,43 @@ def logits_to_prediction(logits: np.ndarray) -> tuple[int, float]:
     return token, float(probs[token])
 
 
+class RowIndex:
+    """Rows of parallel (position, tag) arrays, looked up by sorted keys.
+
+    Each row's key is ``tag * span + (position - base)``, where positions
+    span [base, base + span); the keys are sorted once and every lookup is
+    two ``searchsorted`` calls, however many pairs it asks for.  Positions
+    are sequence positions and tags block tags, so no key nears the int64
+    range.
+    """
+
+    def __init__(self, positions, tags):
+        positions = np.asarray(positions, dtype=np.int64)
+        tags = np.asarray(tags, dtype=np.int64)
+        self._base = int(positions.min()) if positions.size else 0
+        self._span = int(positions.max()) - self._base + 1 if positions.size else 1
+        keys = tags * self._span + (positions - self._base)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+
+    def rows(self, positions, tag=0) -> np.ndarray:
+        """Row of each (position, tag) pair, `positions` and `tag`
+        broadcast together (a [tags, 1] column of tags against positions
+        gives a [tags, positions] table).  A missing or duplicated pair
+        raises ShapeError naming it and its row count."""
+        offsets = np.asarray(positions, dtype=np.int64) - self._base
+        keys = np.asarray(tag, dtype=np.int64) * self._span + offsets
+        lo = self._keys.searchsorted(keys)
+        counts = self._keys.searchsorted(keys, "right") - lo
+        counts *= (offsets >= 0) & (offsets < self._span)
+        if (counts != 1).any():
+            bad = np.argwhere(counts != 1)[0]
+            pair = np.broadcast_arrays(np.asarray(positions), np.asarray(tag))
+            position, tag = (int(a[tuple(bad)]) for a in pair)
+            raise ShapeError(f"position {position} tag {tag}: {counts[tuple(bad)]} rows")
+        return self._order[lo]
+
+
 @dataclass
 class LogitsView:
     """Per-row score vectors with the map back to absolute positions.
@@ -142,8 +179,7 @@ class LogitsView:
     logits: np.ndarray
     positions: np.ndarray
     tags: np.ndarray
-    # (position, tag) -> row, or -(number of rows) for a duplicated pair.
-    _rows: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _index: RowIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float32)
@@ -164,27 +200,35 @@ class LogitsView:
     def vocab_size(self) -> int:
         return self.logits.shape[1]
 
+    def rows(self, positions, tag=0) -> np.ndarray:
+        """Row indices of (position, tag) pairs (see ``RowIndex.rows``)."""
+        if self._index is None:
+            self._index = RowIndex(self.positions, self.tags)
+        return self._index.rows(positions, tag)
+
     def row(self, position: int, tag: int = 0) -> int:
-        if self._rows is None:
-            self._rows = {}
-            for i, key in enumerate(zip(self.positions.tolist(), self.tags.tolist())):
-                prev = self._rows.get(key)
-                self._rows[key] = i if prev is None else -2 if prev >= 0 else prev - 1
-        hit = self._rows.get((position, tag))
-        if hit is None or hit < 0:
-            raise ShapeError(f"position {position} tag {tag}: {0 if hit is None else -hit} rows")
-        return hit
+        return int(self.rows((position,), tag)[0])
 
     def select(self, positions, tag: int = 0) -> "LogitsView":
-        rows = [self.row(p, tag) for p in positions]
+        rows = self.rows(positions, tag)
         return LogitsView(self.logits[rows], self.positions[rows], np.zeros(len(rows), dtype=np.int64))
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True, dtype=np.float32)
-    var = x.var(axis=-1, keepdims=True, dtype=np.float32)
+    """(x - mean) / sqrt(var + eps) over the last axis, bitwise as
+    ``x.mean``/``x.var`` with ``dtype=float32``: numpy's ``_var`` sums the
+    same values as ``_mean`` and subtracts the same mean, so both are done
+    once.  Each sum is divided by the ``intp`` count in place with unsafe
+    casting, as numpy does.
+    """
+    n = np.intp(x.shape[-1])
+    mean = x.sum(axis=-1, keepdims=True, dtype=np.float32)
+    np.true_divide(mean, n, out=mean, casting="unsafe")
     out = x - mean
-    out /= np.sqrt(var + _LN_EPS)
+    var = np.square(out).sum(axis=-1, keepdims=True, dtype=np.float32)
+    np.true_divide(var, n, out=var, casting="unsafe")
+    var += _LN_EPS
+    out /= np.sqrt(var, out=var)
     return out
 
 
@@ -257,10 +301,6 @@ class ToyModel:
                 }
             )
         self.wout = mat(d, v)
-
-    @property
-    def n_params(self) -> int:
-        return count_params(self.config)
 
     def weight_checksum(self) -> int:
         """CRC over all weights in init order (Wq, Wk, Wv, Wo, W1, W2 per

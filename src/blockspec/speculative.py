@@ -29,9 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import cache_view
-from .decoder import DecodeState, RunConfig, StepOutcome, decide, masked_greedy
-from .errors import ConfigError, NoCandidatesError, RangeError
+from .decoder import (
+    DecodeState,
+    RunConfig,
+    StepOutcome,
+    decision_entries,
+    masked_greedy,
+    threshold_decide,
+)
+from .errors import ConfigError, NoCandidatesError, RangeError, ShapeError
 from .layout import build_spec_layout
+from .model import RowIndex
 
 
 @dataclass(frozen=True)
@@ -168,8 +176,9 @@ def spec_step(
     block_range = state.block_range()
     masked_abs = state.block_masked_positions()
     decoded_abs = state.block_decoded_positions()
+    column = {p: i for i, p in enumerate(masked_abs.tolist())}
     for cand in candidates.candidates:
-        if cand.position not in masked_abs:
+        if cand.position not in column:
             raise RangeError(f"candidate position {cand.position} is not masked")
     if stage == 2 and decoded_abs.size < config.stage2_threshold:
         raise RangeError(
@@ -180,43 +189,56 @@ def spec_step(
     view = cache_view(cache, epoch=epoch)
     layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.position_ids)
 
-    subset_positions = {
-        tag: {spec_set.candidates[j - 1].position for j in subset}
-        for tag, subset in ((0, ()), *spec_set.blocks)
-    }
-    # Every row reads the current token, except that each speculative block
-    # fills its subset's positions with the candidate tokens.
+    # The decision table: row `tag` holds that block's query row for every
+    # masked position (tags run 0..n_blocks).  A block's candidate cells are
+    # committed, not decided: they are invalid, and their rows read the
+    # candidate tokens; every other row reads the current token.
     query_positions = np.asarray(layout.query_positions)
     query_tags = np.asarray(layout.query_tags)
+    n_tags = 1 + spec_set.n_blocks
+    table = RowIndex(query_positions, query_tags).rows(masked_abs, np.arange(n_tags)[:, None])
+    cell_tags, cell_cols, cell_tokens = zip(*(
+        (tag, column[c.position], c.token)
+        for tag, subset in spec_set.blocks
+        for c in (spec_set.candidates[j - 1] for j in subset)
+    ))
+    valid = np.ones(table.shape, dtype=bool)
+    valid[cell_tags, cell_cols] = False
     tokens = state.tokens[query_positions]
-    for tag, subset in spec_set.blocks:
-        for cand in (spec_set.candidates[j - 1] for j in subset):
-            tokens[(query_tags == tag) & (query_positions == cand.position)] = cand.token
+    tokens[table[cell_tags, cell_cols]] = cell_tokens
 
     logits, _ = model.forward(tokens, layout, view, step=step)
+    if not (logits.n_rows == layout.n_queries and (logits.positions == query_positions).all()
+            and (logits.tags == query_tags).all()):
+        raise ShapeError("forward rows differ from the speculative layout's query rows")
 
-    # One greedy pass over the whole forward; each block then reads its
-    # still-masked, non-candidate rows out of it.
-    greedy_tokens, greedy_confs = masked_greedy(logits, state.mask_token_id)
-    masked_list = masked_abs.tolist()
-    results = {}
-    for tag, subset in subset_positions.items():
-        positions = [p for p in masked_list if p not in subset]
-        rows = [logits.row(p, tag) for p in positions]
-        results[tag] = decide(
-            positions, greedy_tokens[rows], greedy_confs[rows], config.accept_threshold
-        )
+    greedy_tokens, greedy_confs = masked_greedy(logits, state.mask_token_id, table.ravel())
+    greedy_tokens = greedy_tokens.reshape(table.shape)
+    greedy_confs = greedy_confs.reshape(table.shape)
+    accept = threshold_decide(greedy_confs, config.accept_threshold, valid)
+    results = {tag: StepOutcome(accepted=[], rejected_top=[]) for tag in range(n_tags)}
+    hit_tags, hit_cols = np.nonzero(accept)
+    hits = zip(
+        masked_abs[hit_cols].tolist(),
+        greedy_tokens[hit_tags, hit_cols].tolist(),
+        greedy_confs[hit_tags, hit_cols].tolist(),
+    )
+    for tag, entry in zip(hit_tags.tolist(), hits):
+        results[tag].accepted.append(entry)
     adopted_tag, jump_count = resolve_jump(results, spec_set)
-    adopted = results[adopted_tag]
     subset = spec_set.subset_of(adopted_tag)
     committed = [
         (c.position, c.token, c.confidence)
         for c in (spec_set.candidates[j - 1] for j in subset)
     ]
-    accepted_all = sorted(committed + list(adopted.accepted), key=lambda e: e[0])
+    accepted_all = sorted(committed + results[adopted_tag].accepted, key=lambda e: e[0])
+    rejected = valid[adopted_tag] & ~accept[adopted_tag]
     outcome = StepOutcome(
         accepted=accepted_all,
-        rejected_top=list(adopted.rejected_top),
+        rejected_top=decision_entries(
+            masked_abs, greedy_tokens[adopted_tag], greedy_confs[adopted_tag], rejected,
+            ranked=True,
+        ),
         jump_count=jump_count,
         adopted_tag=adopted_tag,
         stage=stage,

@@ -95,11 +95,3 @@ class Trajectory:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def comparable_dict(self) -> dict:
-        """Trajectory content with the strategy/config labels stripped, for
-        bit-identity checks between strategies that should coincide."""
-        d = self.to_dict()
-        d.pop("strategy")
-        d.pop("run_config")
-        return d

@@ -44,6 +44,20 @@ def random_state(rng, config, prompt_len=12, gen_length=64, block_size=32,
     return state
 
 
+def comparable_dict(traj):
+    """Trajectory content with the strategy/config labels stripped, for
+    bit-identity checks between strategies that should coincide."""
+    d = traj.to_dict()
+    d.pop("strategy")
+    d.pop("run_config")
+    return d
+
+
+def n_suffix(cache):
+    """Cached entries at or after the active block's end."""
+    return cache.size - cache.n_prefix
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -1,12 +1,14 @@
 """Per-row reference decision path and scripted logits for the tests.
 
 ``masked_greedy`` in the program runs one greedy pass per forward and reads
-each confidence as ``1 / sum(exp(shifted))``; ``spec_step`` indexes that
-pass per speculative block, and ``scripted_forward`` fills its rows from
-arrays.  This module keeps the forms they replaced: a ``LogitsView.select``
-copy per block, a greedy pass that divides the whole [rows, vocab] softmax,
-and one ``_two_level_logits`` row at a time.  Tests hold the program to
-bitwise equality with them.
+each confidence as ``1 / sum(exp(shifted))``; ``spec_step`` decides every
+speculative block at once from a [blocks, masked positions] table with the
+array rule ``threshold_decide``, and ``scripted_forward`` fills its rows
+from arrays.  This module keeps the forms they replaced: a
+``LogitsView.select`` copy and a list-form ``threshold_decide`` per block, a
+greedy pass that divides the whole [rows, vocab] softmax, and one
+``_two_level_logits`` row at a time.  Tests hold the program to bitwise
+equality with them.
 """
 
 import math
@@ -14,11 +16,32 @@ import math
 import numpy as np
 
 from blockspec.cache import cache_view
-from blockspec.decoder import StepOutcome, threshold_decide
+from blockspec.decoder import StepOutcome
 from blockspec.errors import BlockCompleteError, NoCandidatesError, RangeError
 from blockspec.layout import build_spec_layout
 from blockspec.model import LogitsView, _conf_floor
 from blockspec.speculative import SpecSet, resolve_jump
+
+
+def threshold_decide(entries, threshold):
+    """Split (position, token, confidence) entries into accepted/rejected.
+
+    Accept strictly above the threshold; when nothing clears it, accept the
+    single highest-confidence entry so every step makes progress.  Ties break
+    to the lower position.
+    """
+    if not entries:
+        return [], []
+    above = [e for e in entries if e[2] > threshold]
+    if above:
+        accepted = sorted(above, key=lambda e: e[0])
+    else:
+        accepted = [min(entries, key=lambda e: (-e[2], e[0]))]
+    taken = {e[0] for e in accepted}
+    rejected = sorted(
+        (e for e in entries if e[0] not in taken), key=lambda e: (-e[2], e[0])
+    )
+    return accepted, rejected
 
 
 def masked_greedy(view, mask_token_id):

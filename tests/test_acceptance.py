@@ -23,12 +23,13 @@ from blockspec import (
     trajectory_metrics,
 )
 from blockspec.cache import cache_view, refresh_dual_cache
-from blockspec.decoder import masked_greedy, threshold_decide
+from blockspec.decoder import masked_greedy
 from blockspec.layout import build_block_layout, build_spec_layout, full_sequence_layout
 from blockspec.model import LogitsView, scripted_forward
 from blockspec.speculative import Candidate, CandidateSet, SpecSet, resolve_jump
 
-from conftest import TOY, random_state, rel_err
+from conftest import TOY, comparable_dict, random_state, rel_err
+from reference_decide import threshold_decide
 from shared_kv import SharedKV, build_shared_kv, isolate, shared_view
 from test_speculative import oracle_chain_enumeration, oracle_two_candidate_cases, outcome_accepting
 
@@ -292,7 +293,7 @@ def test_criterion_6_alp_behavior(toy_config):
                                            block_size=32))
     odb_idle = decode(model, prompt, RunConfig(strategy="odb", gen_length=gen,
                                                block_size=32, truncate_threshold=1.1))
-    assert odb_idle.comparable_dict() == fast.comparable_dict()
+    assert comparable_dict(odb_idle) == comparable_dict(fast)
     print(f"\n[criterion 6] PASS - adaptive length prediction: 1024 -> "
           f"{odb.gen_length_final}; monotone truncations {lengths}; "
           f"idle threshold reproduces fast exactly")

@@ -182,6 +182,18 @@ def test_run_rejects_malformed_schedule(workdir, capsys, schedule, named):
     assert "sched.json" in err and named in err
 
 
+@pytest.mark.parametrize("task_id", ["a/b", "../x", None, 5, "", "a\\b", "..", "a\0b"])
+def test_run_rejects_unsafe_task_id(workdir, capsys, task_id):
+    tmp, model, _, _ = workdir
+    bad = tmp / "bad.jsonl"
+    bad.write_text(json.dumps({"id": task_id, "prompt_tokens": [1, 2]}) + "\n")
+    code = main(["run", *base_args(model, bad, tmp / "out"), "--strategy", "fast"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad.jsonl:1" in err and "'id'" in err
+    assert not (tmp / "out").exists()
+
+
 def test_run_rejects_non_object_task_line(workdir, capsys):
     tmp, model, _, _ = workdir
     bad = tmp / "bad.jsonl"

@@ -10,7 +10,7 @@ import blockspec.decoder
 import blockspec.speculative
 import reference_decide
 from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
-from blockspec.decoder import masked_greedy
+from blockspec.decoder import decision_entries, masked_greedy, threshold_decide
 from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
 
 from conftest import TOY
@@ -144,3 +144,56 @@ def test_scripted_forward_equals_stacked_two_level_rows(data):
     assert got.logits.dtype == np.float32
     assert got.logits.tobytes() == want.logits.tobytes()
     assert got.positions.tolist() == positions and not got.tags.any()
+
+
+# Confidences a float32 comparison would misjudge next to a Python-float
+# threshold: float32(0.1) and float32(0.3) lie just above 0.1 and 0.3, but
+# each equals its threshold once the threshold is rounded to float32.
+_EDGE_CONFIDENCES = [0.0, 1.0, float(np.float32(0.1)), float(np.float32(0.3)), 0.5, 0.95]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_threshold_decide_matches_list_oracle(data):
+    n_blocks = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 12))
+    positions = np.asarray(sorted(data.draw(
+        st.sets(st.integers(0, 200), min_size=n, max_size=n))), dtype=np.int64)
+    conf = st.one_of(st.sampled_from(_EDGE_CONFIDENCES), st.floats(0.0, 1.0, width=32))
+    confs = np.asarray(data.draw(st.lists(
+        st.lists(conf, min_size=n, max_size=n), min_size=n_blocks, max_size=n_blocks)),
+        dtype=np.float32)
+    tokens = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n),
+        min_size=n_blocks, max_size=n_blocks)), dtype=np.int64)
+    valid = np.asarray(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        min_size=n_blocks, max_size=n_blocks)), dtype=bool)
+    if data.draw(st.booleans()):
+        valid[data.draw(st.integers(0, n_blocks - 1))] = False
+    threshold = data.draw(st.sampled_from([0.0, 1.0, 0.1, 0.3, 0.9, 0.5]))
+
+    accept = threshold_decide(confs, threshold, valid)
+    assert accept.shape == confs.shape and not np.any(accept & ~valid)
+    for b in range(n_blocks):
+        entries = [
+            (int(p), int(t), float(c))
+            for p, t, c, ok in zip(positions, tokens[b], confs[b], valid[b]) if ok
+        ]
+        want_accepted, want_rejected = reference_decide.threshold_decide(entries, threshold)
+        assert decision_entries(positions, tokens[b], confs[b], accept[b]) == want_accepted
+        rest = valid[b] & ~accept[b]
+        assert decision_entries(
+            positions, tokens[b], confs[b], rest, ranked=True
+        ) == want_rejected
+    if valid.all():
+        assert np.array_equal(threshold_decide(confs, threshold), accept)
+
+
+@pytest.mark.parametrize("threshold", [0.1, 0.3])
+def test_threshold_decide_compares_float32_confidences_exactly(threshold):
+    # a higher second cell, so the edge cell can only be accepted by the
+    # threshold, not as the forced top-1
+    confs = np.float32([[threshold, threshold + 0.05]])
+    assert float(confs[0, 0]) > threshold and not confs[0, 0] > threshold
+    assert threshold_decide(confs, threshold)[0].tolist() == [True, True]

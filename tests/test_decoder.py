@@ -13,11 +13,11 @@ from blockspec import (
     tau_leaping_step,
     threshold_step,
 )
-from blockspec.decoder import threshold_decide
+from blockspec.decoder import decision_entries, threshold_decide
 from blockspec.layout import full_sequence_layout
 from blockspec.model import scripted_forward
 
-from conftest import random_state
+from conftest import comparable_dict, random_state
 
 
 def make_scripted(toy_config, entries):
@@ -152,10 +152,14 @@ def test_threshold_step_requires_masked_positions(toy_config):
 
 
 def test_threshold_decide_tie_breaks_to_lower_position():
-    entries = [(9, 1, 0.7), (5, 2, 0.7), (7, 3, 0.2)]
-    accepted, rejected = threshold_decide(entries, 0.9)
-    assert accepted == [(5, 2, 0.7)]
-    assert rejected == [(9, 1, 0.7), (7, 3, 0.2)]
+    positions, tokens = np.array([5, 7, 9]), np.array([2, 3, 1])
+    confs = np.float32([0.7, 0.2, 0.7])
+    high, low = float(confs[0]), float(confs[1])
+    accept = threshold_decide(confs[None], 0.9)[0]
+    assert accept.tolist() == [True, False, False]
+    assert decision_entries(positions, tokens, confs, accept) == [(5, 2, high)]
+    rejected = decision_entries(positions, tokens, confs, ~accept, ranked=True)
+    assert rejected == [(9, 1, high), (7, 3, low)]
 
 
 # --- decode loops ---------------------------------------------------------------
@@ -233,7 +237,7 @@ def test_odb_equals_fast_when_alp_and_spec_idle(toy_config):
     odb = decode(model, [1, 2, 3, 4],
                  RunConfig(strategy="odb", gen_length=128, block_size=32,
                            truncate_threshold=1.1))
-    assert fast.comparable_dict() == odb.comparable_dict()
+    assert comparable_dict(fast) == comparable_dict(odb)
 
 
 def test_decode_is_deterministic(toy_model):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspec import (
     ConfigError,
@@ -125,6 +127,47 @@ def test_logits_view_row_lookup():
         view.row(7)
 
 
+def _shape_error(call):
+    with pytest.raises(ShapeError) as err:
+        call()
+    return str(err.value)
+
+
+def test_logits_view_rows_raise_like_row():
+    from blockspec.model import LogitsView
+
+    view = LogitsView(np.zeros((5, 3), np.float32), [5, 6, 5, 7, 7], [0, 0, 1, 0, 0])
+    assert view.rows([6, 5]).tolist() == [1, 0]
+    assert view.rows([5], np.array([[0], [1]])).tolist() == [[0], [2]]
+    for position, tag in [(8, 0), (6, 1), (4, 1), (7, 0)]:
+        want = _shape_error(lambda: view.row(position, tag))
+        assert _shape_error(lambda: view.rows([5, position], tag)) == want
+        assert _shape_error(lambda: view.rows([[position, 5]], [[tag], [0]])) == want
+    assert "2 rows" in _shape_error(lambda: view.rows([6, 7]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_logits_view_rows_equal_pairwise_lookup(data):
+    from blockspec.model import LogitsView
+
+    pairs = data.draw(st.lists(st.tuples(st.integers(-5, 40), st.integers(0, 7)), min_size=1,
+                               max_size=30))
+    positions, tags = (np.array(a, dtype=np.int64) for a in zip(*pairs))
+    view = LogitsView(np.zeros((len(pairs), 2), np.float32), positions, tags)
+    query = data.draw(st.lists(st.integers(-8, 45), min_size=1, max_size=12))
+    tag = data.draw(st.integers(-1, 8))
+    hits = [[i for i, pair in enumerate(pairs) if pair == (p, tag)] for p in query]
+    bad = [(p, len(h)) for p, h in zip(query, hits) if len(h) != 1]
+    if bad:
+        position, count = bad[0]
+        want = f"position {position} tag {tag}: {count} rows"
+        assert _shape_error(lambda: view.rows(query, tag)) == want
+    else:
+        assert view.rows(query, tag).tolist() == [h[0] for h in hits]
+        assert [view.row(p, tag) for p in query] == [h[0] for h in hits]
+
+
 # --- toy forward ---------------------------------------------------------------
 
 def test_forward_single_token_shape(toy_model):
@@ -187,6 +230,17 @@ def test_cache_equivalence_dense_vs_cached(toy_model, toy_config):
         dense, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
         rows = [dense.row(p) for p in range(block[0], block[1])]
         assert rel_err(cached.logits, dense.logits[rows]) <= 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 130), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_layer_norm_matches_mean_var_form_bitwise(rows, width, scale, seed):
+    import dense_forward
+    from blockspec.model import _layer_norm
+
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((rows, width)) * scale).astype(np.float32)
+    assert _layer_norm(x).tobytes() == dense_forward._layer_norm(x).tobytes()
 
 
 def test_forward_matches_dense_reference_bitwise(toy_model, toy_config):
