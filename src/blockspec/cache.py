@@ -62,10 +62,6 @@ class DualCache:
     def size(self) -> int:
         return int(self.positions.shape[0])
 
-    @property
-    def n_prefix(self) -> int:
-        return int(np.sum(self.positions < self.block_range[0]))
-
     def nbytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self.keys, self.values))
 

@@ -42,6 +42,10 @@ EXIT_INVARIANT = 4
 
 EPILOG = __doc__
 
+# A task id becomes part of file names, the longest being
+# trajectory_<id>_<strategy>.json, and file systems cap a name at 255 bytes.
+MAX_TASK_ID_BYTES = 255 - len("trajectory__.json") - max(map(len, STRATEGIES))
+
 
 @dataclass(frozen=True)
 class TaskRecord:
@@ -97,6 +101,16 @@ def load_tasks(path) -> list[TaskRecord]:
             raise CliError(
                 f"{path}:{ln}: field 'id' must be a non-empty string without '/', '\\' "
                 f"or NUL and not '.' or '..', got {task_id!r}",
+                EXIT_PARSE,
+            )
+        try:
+            fits = len(task_id.encode("utf-8")) <= MAX_TASK_ID_BYTES
+        except UnicodeEncodeError:  # a lone surrogate
+            fits = False
+        if not fits:
+            raise CliError(
+                f"{path}:{ln}: field 'id' must be valid UTF-8 of at most "
+                f"{MAX_TASK_ID_BYTES} bytes",
                 EXIT_PARSE,
             )
         if task_id in seen:

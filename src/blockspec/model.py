@@ -385,6 +385,13 @@ def _conf_floor(vocab_size: int) -> float:
     return 2.0 / vocab_size
 
 
+# Scheduled positions are sequence positions.  A compiled step costs 8 bytes
+# per position of its span, so positions are bounded far beyond any sequence
+# a forward can attend over (full attention at 2**16 positions would need
+# 2**32 scores per head).
+MAX_SCHEDULE_POSITION = 1 << 16
+
+
 @dataclass
 class ScriptedSchedule:
     """Deterministic per-step (token, confidence) assignments.
@@ -392,19 +399,27 @@ class ScriptedSchedule:
     `steps[n]` maps absolute position -> (token id, confidence).  Positions
     absent from a step fall back to (mask_token_id, ~0), which no threshold
     ever accepts.  EOS entries in the JSON form are folded into the position
-    map at load time.
+    map at load time.  Each step is compiled to arrays on its first forward
+    (``compiled``), so a step's entry must not change after that.
     """
 
     steps: list[dict[int, tuple[int, float]]]
     vocab_size: int
     mask_token_id: int
     eos_token_id: int | None = None
+    _compiled: dict[int, tuple[int, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.steps:
             raise ConfigError("schedule has no steps")
         for n, entry in enumerate(self.steps):
             for pos, (tok, conf) in entry.items():
+                if not (0 <= pos < MAX_SCHEDULE_POSITION):
+                    raise ConfigError(
+                        f"step {n} pos {pos}: position outside [0, {MAX_SCHEDULE_POSITION})"
+                    )
                 if not (0.0 <= conf <= 1.0):
                     raise ConfigError(f"step {n} pos {pos}: confidence {conf} outside [0,1]")
                 if not (0 <= tok < self.vocab_size):
@@ -417,6 +432,21 @@ class ScriptedSchedule:
         if not (0 <= step < len(self.steps)):
             raise RangeError(f"step {step} outside schedule of length {len(self.steps)}")
         return self.steps[step]
+
+    def compiled(self, step: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(base, tokens, peaks) of `step`, built on first use.
+
+        Slot ``i`` of the int32 ``tokens`` and float32 ``peaks`` holds the
+        target token and its logit at position ``base + i``, over the span
+        of the step's scheduled positions; the last slot holds the default
+        (mask token, ~0) for every position outside it.  A step outside the
+        schedule raises RangeError and compiles nothing.
+        """
+        entry = self.entry(step)
+        hit = self._compiled.get(step)
+        if hit is None:
+            hit = self._compiled[step] = _compile_step(entry, self.vocab_size, self.mask_token_id)
+        return hit
 
     @classmethod
     def from_json(cls, path, vocab_size: int, mask_token_id: int, eos_token_id: int | None = None) -> "ScriptedSchedule":
@@ -480,6 +510,28 @@ def _scripted_pair(value, where: str, first: str) -> tuple[int, float]:
     raise ConfigError(f"{where}: expected [{first}, confidence], got {value!r}")
 
 
+def _compile_step(entry, vocab: int, mask_id: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Span arrays of one schedule step (see ``ScriptedSchedule.compiled``).
+
+    Inverting the two-level softmax with n uniform competitors:
+    p = e^a / (e^a + n), so a = ln(p n / (1 - p)).  Confidence is clamped to
+    keep the argmax on the target.  The logarithm is ``math.log`` slot by
+    slot: numpy's vectorized ``log`` need not round like the C library's.
+    """
+    positions = np.fromiter(entry, dtype=np.int64, count=len(entry))
+    base = int(positions.min()) if entry else 0
+    span = int(positions.max()) - base + 1 if entry else 0
+    pairs = np.empty((span + 1, 2), dtype=np.float64)
+    pairs[:] = (mask_id, 0.0)
+    if entry:
+        pairs[positions - base] = list(entry.values())
+    tokens = pairs[:, 0].astype(np.int32)
+    c = np.minimum(np.maximum(pairs[:, 1], _conf_floor(vocab)), 1.0 - 1e-9)
+    n = np.where(tokens == mask_id, vocab - 1, vocab - 2)
+    peaks = np.array([math.log(x) for x in (c * n / (1.0 - c)).tolist()], dtype=np.float32)
+    return base, tokens, peaks
+
+
 def scripted_forward(schedule: ScriptedSchedule, step: int, positions) -> LogitsView:
     """Logits whose softmax puts each scheduled confidence on its token,
     uniform elsewhere.
@@ -489,26 +541,17 @@ def scripted_forward(schedule: ScriptedSchedule, step: int, positions) -> Logits
 
     The mask token gets a huge negative logit (unless it is the target), so
     the confidence reads the same whether or not the decode path strips the
-    mask token before deciding.  Inverting the two-level softmax with n
-    uniform competitors: p = e^a / (e^a + n), so a = ln(p n / (1 - p)).
-    Confidence is clamped to keep the argmax on the target.  The logarithm
-    is ``math.log`` row by row: numpy's vectorized ``log`` need not round
-    like the C library's.
+    mask token before deciding.  Each row's token and logit are gathered
+    from the step's compiled span arrays by position offset.
     """
-    entry = schedule.entry(step)
-    vocab, mask_id = schedule.vocab_size, schedule.mask_token_id
+    base, tokens, peaks = schedule.compiled(step)
     positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-    default = (mask_id, 0.0)
-    pairs = np.array(
-        [entry.get(p, default) for p in positions.tolist()], dtype=np.float64
-    ).reshape(-1, 2)
-    tokens = pairs[:, 0].astype(np.int64)
-    c = np.minimum(np.maximum(pairs[:, 1], _conf_floor(vocab)), 1.0 - 1e-9)
-    n = np.where(tokens == mask_id, vocab - 1, vocab - 2)
-    peaks = np.array([math.log(x) for x in (c * n / (1.0 - c)).tolist()], dtype=np.float32)
-    rows = np.zeros((positions.size, vocab), dtype=np.float32)
-    rows[:, mask_id] = np.float32(-1e30)
-    rows[np.arange(positions.size), tokens] = peaks
+    default = tokens.size - 1
+    slots = positions - base
+    slots[(slots < 0) | (slots > default)] = default
+    rows = np.zeros((positions.size, schedule.vocab_size), dtype=np.float32)
+    rows[:, schedule.mask_token_id] = np.float32(-1e30)
+    rows[np.arange(positions.size), tokens[slots]] = peaks[slots]
     return LogitsView(rows, positions, np.zeros(positions.size, dtype=np.int64))
 
 
@@ -518,8 +561,9 @@ class ScriptedModel:
     The decode loop passes `step` as the in-block decode ordinal (refreshes
     pass their refresh ordinal), and steps beyond the schedule's length
     repeat the final entry, so short schedules describe steady-state
-    behavior.  K/V outputs are zeros of the configured shape; the cache
-    machinery runs unchanged but carries no information.
+    behavior.  K/V outputs are one read-only zero array of the configured
+    shape, shared by every layer; the cache machinery copies it and runs
+    unchanged but carries no information.
     """
 
     def __init__(self, config: ModelConfig, schedule: ScriptedSchedule):
@@ -539,9 +583,6 @@ class ScriptedModel:
         clamped = min(step, len(self.schedule) - 1)
         view = scripted_forward(self.schedule, clamped, layout.query_positions)
         view.tags = np.asarray(layout.query_tags, dtype=np.int64)
-        kv_shape = (r, cfg.n_heads, cfg.d_head)
-        new_kv = [
-            (np.zeros(kv_shape, dtype=np.float32), np.zeros(kv_shape, dtype=np.float32))
-            for _ in range(cfg.n_layers)
-        ]
-        return view, new_kv
+        zeros = np.zeros((r, cfg.n_heads, cfg.d_head), dtype=np.float32)
+        zeros.flags.writeable = False
+        return view, [(zeros, zeros)] * cfg.n_layers

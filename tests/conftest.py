@@ -53,9 +53,14 @@ def comparable_dict(traj):
     return d
 
 
+def n_prefix(cache):
+    """Cached entries before the active block's start."""
+    return int(np.sum(cache.positions < cache.block_range[0]))
+
+
 def n_suffix(cache):
     """Cached entries at or after the active block's end."""
-    return cache.size - cache.n_prefix
+    return cache.size - n_prefix(cache)
 
 
 def rel_err(a, b):

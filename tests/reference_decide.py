@@ -3,12 +3,13 @@
 ``masked_greedy`` in the program runs one greedy pass per forward and reads
 each confidence as ``1 / sum(exp(shifted))``; ``spec_step`` decides every
 speculative block at once from a [blocks, masked positions] table with the
-array rule ``threshold_decide``, and ``scripted_forward`` fills its rows
-from arrays.  This module keeps the forms they replaced: a
-``LogitsView.select`` copy and a list-form ``threshold_decide`` per block, a
-greedy pass that divides the whole [rows, vocab] softmax, and one
-``_two_level_logits`` row at a time.  Tests hold the program to bitwise
-equality with them.
+array rule ``threshold_decide``, and ``scripted_forward`` gathers its rows
+from each schedule step's compiled span arrays.  This module keeps the
+forms they replaced: a ``LogitsView.select`` copy and a list-form
+``threshold_decide`` per block, a greedy pass that divides the whole
+[rows, vocab] softmax, and one ``two_level_logits`` row at a time, with its
+logarithm taken per row.  Tests hold the program to bitwise equality with
+them.
 """
 
 import math

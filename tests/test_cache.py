@@ -5,7 +5,7 @@ from blockspec import StaleCacheError
 from blockspec.cache import cache_view, refresh_dual_cache
 from blockspec.layout import build_block_layout, full_sequence_layout
 
-from conftest import n_suffix, random_state, rel_err
+from conftest import n_prefix, n_suffix, random_state, rel_err
 from shared_kv import EmptySharedError, build_shared_kv, shared_view
 
 
@@ -20,7 +20,7 @@ def refreshed(toy_model, toy_config):
 
 def test_refresh_region_sizes(refreshed):
     state, cache, draft = refreshed
-    assert cache.n_prefix == 20
+    assert n_prefix(cache) == 20
     assert n_suffix(cache) == 96
     assert cache.size == 20 + 96
     assert draft.seq_len == state.seq_len
@@ -127,7 +127,7 @@ def test_truncated_cache_drops_tail(refreshed):
     state, cache, _ = refreshed
     cut = cache.truncated(state.prompt_len + 64)
     assert cut.positions.max() < state.prompt_len + 64
-    assert cut.n_prefix == 20
+    assert n_prefix(cut) == 20
     assert n_suffix(cut) == 32
     assert cut.refresh_epoch == cache.refresh_epoch
     for k in cut.keys:

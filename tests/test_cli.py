@@ -170,6 +170,8 @@ def test_run_rejects_malformed_config_files(workdir, capsys, option, content, na
     ({"0": 5}, "step '0'"),
     ({"0": {"positions": {"20": [5]}}}, "position '20'"),
     ({}, "no steps"),
+    ({"0": {"positions": {"-1": [5, 0.5]}}}, "pos -1"),
+    ({"0": {"eos": [[65536, 0.5]]}}, "pos 65536"),
 ])
 def test_run_rejects_malformed_schedule(workdir, capsys, schedule, named):
     tmp, model, _, tasks = workdir
@@ -192,6 +194,28 @@ def test_run_rejects_unsafe_task_id(workdir, capsys, task_id):
     err = capsys.readouterr().err
     assert "bad.jsonl:1" in err and "'id'" in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("task_id,code", [
+    pytest.param("x" * 300, 2, id="300-ascii-chars"),
+    pytest.param("\u00e9" * 116, 2, id="116-chars-232-bytes"),
+    pytest.param("a\ud800b", 2, id="lone-surrogate"),
+    pytest.param("\u00e9" * 115 + "x", 0, id="231-bytes"),
+])
+def test_compare_bounds_task_id_bytes(workdir, capsys, task_id, code):
+    """trajectory_<id>_vanilla.json is the longest name an id goes into."""
+    tmp, model, profile, _ = workdir
+    tasks = tmp / "ids.jsonl"
+    tasks.write_text(json.dumps({"id": task_id, "prompt_tokens": [1, 2]}) + "\n")
+    out = tmp / "out"
+    assert main(["compare", *base_args(model, tasks, out),
+                 "--strategies", "vanilla", "fast", "--profile", str(profile)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "ids.jsonl:1" in err and "'id'" in err
+        assert not out.exists()
+    else:
+        assert (out / f"trajectory_{task_id}_vanilla.json").is_file()
 
 
 def test_run_rejects_non_object_task_line(workdir, capsys):

@@ -135,15 +135,21 @@ def test_scripted_forward_equals_stacked_two_level_rows(data):
         st.integers(0, 1),
     )
     token = st.one_of(st.just(mask_id), st.integers(0, vocab - 1))
-    entry = data.draw(st.dictionaries(st.integers(0, 30), st.tuples(token, conf), max_size=12))
-    positions = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=20))
-    schedule = ScriptedSchedule(steps=[entry], vocab_size=vocab, mask_token_id=mask_id)
-
-    got = scripted_forward(schedule, 0, positions)
-    want = reference_decide.scripted_forward(schedule, 0, positions)
-    assert got.logits.dtype == np.float32
-    assert got.logits.tobytes() == want.logits.tobytes()
-    assert got.positions.tolist() == positions and not got.tags.any()
+    # scheduled positions lie in [5, 30]; queries reach below and above that
+    entry = st.dictionaries(st.integers(5, 30), st.tuples(token, conf), max_size=12)
+    steps = data.draw(st.lists(entry, min_size=1, max_size=3))
+    schedule = ScriptedSchedule(steps=steps, vocab_size=vocab, mask_token_id=mask_id)
+    # each step is asked twice, the second time from its compiled arrays
+    order = data.draw(st.permutations(range(len(steps))))
+    for step in [*order, *order]:
+        block = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=20))
+        # a spec layout repeats a block's positions once per tag
+        positions = block * data.draw(st.integers(1, 4))
+        got = scripted_forward(schedule, step, positions)
+        want = reference_decide.scripted_forward(schedule, step, positions)
+        assert got.logits.dtype == np.float32
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.positions.tolist() == positions and not got.tags.any()
 
 
 # Confidences a float32 comparison would misjudge next to a Python-float

@@ -321,6 +321,16 @@ def test_scripted_is_deterministic_and_bounded():
         scripted_forward(sched, 2, [3])
 
 
+def test_scripted_out_of_range_step_compiles_nothing():
+    sched = _schedule([{3: (17, 0.95)}, {3: (17, 0.99)}])
+    for step in (2, -1):
+        with pytest.raises(RangeError):
+            scripted_forward(sched, step, [3])
+    assert not sched._compiled
+    scripted_forward(sched, 1, [3])
+    assert list(sched._compiled) == [1]
+
+
 def test_scripted_confidence_survives_mask_suppression(toy_config):
     """The decode path drops the mask token before decisions; scripted rows
     are built so that does not move their confidence."""
@@ -340,6 +350,18 @@ def test_scripted_model_repeats_last_entry(toy_config):
     layout = full_sequence_layout(5)
     view, _ = model.forward([0, 1, 2, 3, 4], layout, step=40)
     assert logits_to_prediction(view.logits[view.row(3)])[0] == 17
+
+
+def test_scripted_model_kv_is_read_only_zeros(toy_config):
+    model = ScriptedModel(toy_config, _schedule([{3: (17, 0.95)}]))
+    _, new_kv = model.forward([0, 1, 2, 3, 4], full_sequence_layout(5))
+    assert len(new_kv) == toy_config.n_layers
+    for k, v in new_kv:
+        for a in (k, v):
+            assert a.shape == (5, toy_config.n_heads, toy_config.d_head)
+            assert a.dtype == np.float32 and not a.any()
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 def test_scripted_model_rejects_schedule_with_other_mask_token(toy_config):
