@@ -50,7 +50,6 @@ from .model import (
     ScriptedSchedule,
     ToyModel,
     count_params,
-    logits_to_prediction,
     scripted_forward,
 )
 from .speculative import (

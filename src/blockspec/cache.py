@@ -9,7 +9,7 @@ frozen (the deliberate staleness of block-wise decoding); a new cycle bumps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,10 @@ class DualCache:
     block_range: tuple[int, int]
     refresh_epoch: int
     snapshot_len: int
-    # `positions` as Python ints, converted once per refresh or truncation
-    # and shared by every layout and compatibility check of the cycle.
-    position_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.position_ids = tuple(self.positions.tolist())
+        # read-only, so layouts built over the cache hold this very array
+        self.positions.setflags(write=False)
         start, end = self.block_range
         inside = (self.positions >= start) & (self.positions < end)
         if np.any(inside):
@@ -91,7 +89,6 @@ class CacheView:
     keys: list[np.ndarray]
     values: list[np.ndarray]
     epoch: int
-    position_ids: tuple[int, ...] = field(repr=False, compare=False)  # `positions` as ints
 
     @property
     def size(self) -> int:
@@ -102,14 +99,16 @@ class CacheView:
             raise ShapeError(
                 f"layout expects {layout.n_context} context keys, view has {self.size}"
             )
-        if self.position_ids != layout.context_positions:
+        context = layout.context_positions
+        if context is not self.positions and not np.array_equal(self.positions, context):
             raise ShapeError("context positions disagree between layout and cache view")
         if len(self.keys) != config.n_layers:
             raise ShapeError(
                 f"cache has {len(self.keys)} layers, model has {config.n_layers}"
             )
+        head_shape = (config.n_heads, config.d_head)
         for k in self.keys:
-            if k.shape[1:] != (config.n_heads, config.d_head):
+            if k.shape[1:] != head_shape:
                 raise ShapeError("cache head dims disagree with model config")
 
 
@@ -160,5 +159,4 @@ def cache_view(cache: DualCache, *, epoch: int | None = None) -> CacheView:
         keys=list(cache.keys),
         values=list(cache.values),
         epoch=expected,
-        position_ids=cache.position_ids,
     )

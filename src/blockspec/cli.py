@@ -142,7 +142,10 @@ def _load_model(args):
         except (ConfigError, RangeError, OSError, json.JSONDecodeError) as err:
             raise CliError(f"schedule {args.scripted}: {err}", EXIT_PARSE) from err
         return ScriptedModel(cfg, schedule)
-    return ToyModel(cfg)
+    try:
+        return ToyModel(cfg)
+    except ConfigError as err:
+        raise CliError(f"model config {args.model_config}: {err}", EXIT_PARSE) from err
 
 
 def _load_profile(path) -> HardwareProfile:

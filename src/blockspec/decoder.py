@@ -13,8 +13,7 @@ unmasks at least one token.  ``vanilla`` with ``tau_steps`` set runs the
 reverse-transition sampler on a uniform time grid instead of the loop.
 
 Decode decisions never emit the mask token: its logit is dropped before
-argmax/softmax so an acceptance always unmasks (``logits_to_prediction``
-itself stays vocab-complete).
+argmax/softmax so an acceptance always unmasks.
 """
 
 from __future__ import annotations
@@ -339,9 +338,9 @@ def tau_leaping_step(state: DecodeState, logits: LogitsView, s: float, rng) -> D
     masked_pos = state.masked_positions()
     if masked_pos.size == 0:
         return new_state
-    rows = logits.select(masked_pos)
+    rows = logits.logits[logits.rows(masked_pos)]
     stay = rng.random(masked_pos.size) < (s / t)
-    probs = softmax(rows.logits, axis=1).astype(np.float64)
+    probs = softmax(rows, axis=1).astype(np.float64)
     probs[:, state.mask_token_id] = 0.0
     probs /= probs.sum(axis=1, keepdims=True)
     draws = rng.random(masked_pos.size)
@@ -485,7 +484,7 @@ def _decode_blockwise(model, state, config, traj):
             else:
                 if cached:
                     view = cache_view(cache, epoch=epoch)
-                    layout = build_block_layout(block_range, view.position_ids)
+                    layout = build_block_layout(block_range, view.positions)
                     start, end = block_range
                     tokens = state.tokens[start:end]
                 else:

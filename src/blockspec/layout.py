@@ -11,30 +11,39 @@ IDs into every speculative block and keep sibling blocks mutually invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import RangeError, ShapeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class AttentionLayout:
     """Immutable description of queries, keys and their visibility.
 
+    Positions and tags are int64 arrays and ``query_shared`` a bool array,
+    each converted once and read-only: a read-only array is kept as given
+    (a cache view's positions), a writable one is viewed, never flagged.
     query_shared marks rows whose fresh K/V double as shared keys: they are
     visible to every block tag, not just their own (stage-2 decoded rows of
     the main block).
     """
 
-    query_positions: tuple[int, ...]
-    query_tags: tuple[int, ...]
-    query_shared: tuple[bool, ...]
-    context_positions: tuple[int, ...] = ()
+    query_positions: np.ndarray
+    query_tags: np.ndarray
+    query_shared: np.ndarray
+    context_positions: np.ndarray = ()
     stage: int = 0
 
     def __post_init__(self):
-        if not self.query_positions:
+        for name in ("query_positions", "query_tags", "query_shared", "context_positions"):
+            array = np.asarray(getattr(self, name), dtype=bool if name == "query_shared" else np.int64)
+            if array.flags.writeable:
+                array = array.view()
+                array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if not self.query_positions.size:
             raise RangeError("layout needs at least one query row")
         if not (len(self.query_positions) == len(self.query_tags) == len(self.query_shared)):
             raise ShapeError("query field lengths disagree")
@@ -51,27 +60,15 @@ class AttentionLayout:
     def n_keys(self) -> int:
         return self.n_context + self.n_queries
 
-    def mask_allows(self, q: int, k: int) -> bool:
-        """Visibility predicate over (query row, key slot).
+    def dense_mask(self) -> np.ndarray:
+        """Boolean [n_queries, n_keys] visibility over (query row, key slot).
 
         Context keys are visible to every query.  A fresh key produced by
         query row j is visible to row q iff j is a shared row or both rows
         carry the same block tag.
         """
-        if not (0 <= q < self.n_queries):
-            raise IndexError(f"query index {q} out of range")
-        if not (0 <= k < self.n_keys):
-            raise IndexError(f"key index {k} out of range")
-        if k < self.n_context:
-            return True
-        j = k - self.n_context
-        return self.query_shared[j] or self.query_tags[j] == self.query_tags[q]
-
-    def dense_mask(self) -> np.ndarray:
-        """Boolean [n_queries, n_keys] materialization of mask_allows."""
-        tags = np.asarray(self.query_tags)
-        shared = np.asarray(self.query_shared, dtype=bool)
-        rows = shared[None, :] | (tags[:, None] == tags[None, :])
+        tags = self.query_tags
+        rows = self.query_shared[None, :] | (tags[:, None] == tags[None, :])
         ctx = np.ones((self.n_queries, self.n_context), dtype=bool)
         return np.concatenate([ctx, rows], axis=1)
 
@@ -88,37 +85,28 @@ class AttentionLayout:
             fh.write("\n".join(lines) + "\n")
 
 
-def _position_tuple(positions: Sequence[int]) -> tuple[int, ...]:
-    """Positions as a tuple of ints; a tuple is taken as already converted
-    (``DualCache.position_ids``), so a block cycle converts its context once."""
-    if isinstance(positions, tuple):
-        return positions
-    return tuple(int(p) for p in positions)
-
-
 def full_sequence_layout(seq_len: int) -> AttentionLayout:
     """All positions as queries, full bidirectional visibility, no cache."""
     if seq_len < 1:
         raise RangeError("sequence must be non-empty")
     return AttentionLayout(
-        query_positions=tuple(range(seq_len)),
-        query_tags=(0,) * seq_len,
-        query_shared=(False,) * seq_len,
+        query_positions=np.arange(seq_len, dtype=np.int64),
+        query_tags=np.zeros(seq_len, dtype=np.int64),
+        query_shared=np.zeros(seq_len, dtype=bool),
     )
 
 
-def build_block_layout(block_range: tuple[int, int], context_positions: Sequence[int]) -> AttentionLayout:
+def build_block_layout(block_range: tuple[int, int], context_positions: ArrayLike) -> AttentionLayout:
     """Plain block-decoding layout: block positions as queries over a cached
     context, everything mutually visible."""
     start, end = block_range
     if end <= start:
         raise RangeError(f"empty block range [{start}, {end})")
-    n = end - start
     return AttentionLayout(
-        query_positions=tuple(range(start, end)),
-        query_tags=(0,) * n,
-        query_shared=(False,) * n,
-        context_positions=_position_tuple(context_positions),
+        query_positions=np.arange(start, end, dtype=np.int64),
+        query_tags=np.zeros(end - start, dtype=np.int64),
+        query_shared=np.zeros(end - start, dtype=bool),
+        context_positions=context_positions,
     )
 
 
@@ -126,8 +114,8 @@ def build_spec_layout(
     block_range: tuple[int, int],
     spec_set,
     stage: int,
-    decoded_positions: Sequence[int],
-    context_positions: Sequence[int],
+    decoded_positions: ArrayLike,
+    context_positions: ArrayLike,
 ) -> AttentionLayout:
     """Multi-block speculative layout (main block tag 0 plus one tag per
     speculative block).
@@ -145,37 +133,25 @@ def build_spec_layout(
         raise RangeError("speculative set is empty")
     if stage not in (1, 2):
         raise RangeError(f"stage must be 1 or 2, got {stage}")
-    decoded = sorted(int(p) for p in decoded_positions)
-    if stage == 2 and not decoded:
+    decoded = np.asarray(decoded_positions, dtype=np.int64)
+    if stage == 2 and not decoded.size:
         raise RangeError("stage 2 requires decoded positions")
-    if any(not (start <= p < end) for p in decoded):
+    if ((decoded < start) | (decoded >= end)).any():
         raise RangeError("decoded positions outside block")
-    decoded_set = frozenset(decoded)
 
-    positions: list[int] = []
-    tags: list[int] = []
-    shared: list[bool] = []
-
-    block_positions = list(range(start, end))
-    masked_positions = [p for p in block_positions if p not in decoded_set]
-
-    positions.extend(block_positions)
-    tags.extend([0] * len(block_positions))
+    block = np.arange(start, end, dtype=np.int64)
+    shared = np.zeros(block.size, dtype=bool)  # stage 2's decoded rows
     if stage == 2:
-        shared.extend([p in decoded_set for p in block_positions])
-    else:
-        shared.extend([False] * len(block_positions))
-
-    spec_rows = block_positions if stage == 1 else masked_positions
-    for tag, _subset in spec_set.blocks:
-        positions.extend(spec_rows)
-        tags.extend([tag] * len(spec_rows))
-        shared.extend([False] * len(spec_rows))
-
+        shared[decoded - start] = True
+    spec_rows = block[~shared]
+    spec_tags = np.array([tag for tag, _subset in spec_set.blocks], dtype=np.int64)
+    n_spec_rows = spec_tags.size * spec_rows.size
     return AttentionLayout(
-        query_positions=tuple(positions),
-        query_tags=tuple(tags),
-        query_shared=tuple(shared),
-        context_positions=_position_tuple(context_positions),
+        query_positions=np.concatenate([block] + [spec_rows] * spec_tags.size),
+        query_tags=np.concatenate(
+            [np.zeros(block.size, dtype=np.int64), spec_tags.repeat(spec_rows.size)]
+        ),
+        query_shared=np.concatenate([shared, np.zeros(n_spec_rows, dtype=bool)]),
+        context_positions=context_positions,
         stage=stage,
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,9 @@ MODEL_CONFIG_KEYS = (
 )
 
 _LN_EPS = np.float32(1e-5)
+
+# Largest toy model that may be materialized: 1 GiB of float32 weights.
+MAX_TOY_PARAMS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -113,24 +115,8 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def logits_to_prediction(logits: np.ndarray) -> tuple[int, float]:
-    """Greedy (token, confidence) from one score vector.
-
-    Confidence is the softmax probability of the argmax token; ties break to
-    the lowest token id (np.argmax returns the first maximum).
-    """
-    logits = np.asarray(logits, dtype=np.float32).reshape(-1)
-    if logits.size == 0:
-        raise ShapeError("empty logit vector")
-    if not np.all(np.isfinite(logits)):
-        raise ShapeError("non-finite logits")
-    token = int(np.argmax(logits))
-    probs = softmax(logits)
-    return token, float(probs[token])
-
-
 class RowIndex:
-    """Rows of parallel (position, tag) arrays, looked up by sorted keys.
+    """Rows of parallel int64 (position, tag) arrays, looked up by sorted keys.
 
     Each row's key is ``tag * span + (position - base)``, where positions
     span [base, base + span); the keys are sorted once and every lookup is
@@ -139,9 +125,7 @@ class RowIndex:
     range.
     """
 
-    def __init__(self, positions, tags):
-        positions = np.asarray(positions, dtype=np.int64)
-        tags = np.asarray(tags, dtype=np.int64)
+    def __init__(self, positions: np.ndarray, tags: np.ndarray):
         self._base = int(positions.min()) if positions.size else 0
         self._span = int(positions.max()) - self._base + 1 if positions.size else 1
         keys = tags * self._span + (positions - self._base)
@@ -208,10 +192,6 @@ class LogitsView:
 
     def row(self, position: int, tag: int = 0) -> int:
         return int(self.rows((position,), tag)[0])
-
-    def select(self, positions, tag: int = 0) -> "LogitsView":
-        rows = self.rows(positions, tag)
-        return LogitsView(self.logits[rows], self.positions[rows], np.zeros(len(rows), dtype=np.int64))
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
@@ -281,6 +261,11 @@ class ToyModel:
     """
 
     def __init__(self, config: ModelConfig):
+        n_params = count_params(config)
+        if n_params > MAX_TOY_PARAMS:
+            raise ConfigError(
+                f"toy model has {n_params} parameters, more than {MAX_TOY_PARAMS} (1 GiB of float32)"
+            )
         self.config = config
         rng = np.random.default_rng(config.seed)
         scale = np.float32(1.0 / math.sqrt(config.d_model))
@@ -301,16 +286,6 @@ class ToyModel:
                 }
             )
         self.wout = mat(d, v)
-
-    def weight_checksum(self) -> int:
-        """CRC over all weights in init order (Wq, Wk, Wv, Wo, W1, W2 per
-        layer); determinism probe."""
-        crc = 0
-        crc = zlib.crc32(self.emb.tobytes(), crc)
-        for layer in self.layers:
-            for w in (*layer["wqkv"], layer["wo"], layer["w1"], layer["w2"]):
-                crc = zlib.crc32(w.tobytes(), crc)
-        return zlib.crc32(self.wout.tobytes(), crc)
 
     def forward(self, tokens, layout: AttentionLayout, cache=None, step: int = 0):
         """Run the batched forward described by `layout`.
@@ -333,8 +308,7 @@ class ToyModel:
             cache.check_compatible(cfg, layout)
         h_dim, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
 
-        qpos = np.asarray(layout.query_positions, dtype=np.int64)
-        cos, sin, swap = _rope_tables(qpos, h_dim, dh)
+        cos, sin, swap = _rope_tables(layout.query_positions, h_dim, dh)
         mask = layout.dense_mask()
         blocked = None if mask.all() else ~mask
 
@@ -373,7 +347,7 @@ class ToyModel:
             x += ctx_out.transpose(2, 0, 1).reshape(r, d) @ layer["wo"]
             x += _gelu(_layer_norm(x) @ layer["w1"]) @ layer["w2"]
         logits = _layer_norm(x) @ self.wout
-        view = LogitsView(logits, qpos, np.asarray(layout.query_tags, dtype=np.int64))
+        view = LogitsView(logits, layout.query_positions, layout.query_tags)
         return view, new_kv
 
 
@@ -582,7 +556,7 @@ class ScriptedModel:
             raise ShapeError(f"{tokens.shape[0]} tokens for {r} query rows")
         clamped = min(step, len(self.schedule) - 1)
         view = scripted_forward(self.schedule, clamped, layout.query_positions)
-        view.tags = np.asarray(layout.query_tags, dtype=np.int64)
+        view.tags = layout.query_tags
         zeros = np.zeros((r, cfg.n_heads, cfg.d_head), dtype=np.float32)
         zeros.flags.writeable = False
         return view, [(zeros, zeros)] * cfg.n_layers

@@ -187,16 +187,16 @@ def spec_step(
 
     spec_set = SpecSet.build(candidates, stage)
     view = cache_view(cache, epoch=epoch)
-    layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.position_ids)
+    layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.positions)
 
     # The decision table: row `tag` holds that block's query row for every
     # masked position (tags run 0..n_blocks).  A block's candidate cells are
     # committed, not decided: they are invalid, and their rows read the
     # candidate tokens; every other row reads the current token.
-    query_positions = np.asarray(layout.query_positions)
-    query_tags = np.asarray(layout.query_tags)
     n_tags = 1 + spec_set.n_blocks
-    table = RowIndex(query_positions, query_tags).rows(masked_abs, np.arange(n_tags)[:, None])
+    table = RowIndex(layout.query_positions, layout.query_tags).rows(
+        masked_abs, np.arange(n_tags)[:, None]
+    )
     cell_tags, cell_cols, cell_tokens = zip(*(
         (tag, column[c.position], c.token)
         for tag, subset in spec_set.blocks
@@ -204,12 +204,12 @@ def spec_step(
     ))
     valid = np.ones(table.shape, dtype=bool)
     valid[cell_tags, cell_cols] = False
-    tokens = state.tokens[query_positions]
+    tokens = state.tokens[layout.query_positions]
     tokens[table[cell_tags, cell_cols]] = cell_tokens
 
     logits, _ = model.forward(tokens, layout, view, step=step)
-    if not (logits.n_rows == layout.n_queries and (logits.positions == query_positions).all()
-            and (logits.tags == query_tags).all()):
+    if not (np.array_equal(logits.positions, layout.query_positions)
+            and np.array_equal(logits.tags, layout.query_tags)):
         raise ShapeError("forward rows differ from the speculative layout's query rows")
 
     greedy_tokens, greedy_confs = masked_greedy(logits, state.mask_token_id, table.ravel())

@@ -1,7 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from blockspec import DecodeState, ModelConfig, ToyModel
+from blockspec import DecodeState, LogitsView, ModelConfig, ShapeError, ToyModel
+from blockspec.model import softmax
 
 
 TOY = dict(
@@ -67,3 +70,36 @@ def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
+
+
+def logits_to_prediction(logits):
+    """Greedy (token, confidence) from one score vector.
+
+    Confidence is the softmax probability of the argmax token; ties break to
+    the lowest token id (np.argmax returns the first maximum).
+    """
+    logits = np.asarray(logits, dtype=np.float32).reshape(-1)
+    if logits.size == 0:
+        raise ShapeError("empty logit vector")
+    if not np.all(np.isfinite(logits)):
+        raise ShapeError("non-finite logits")
+    token = int(np.argmax(logits))
+    probs = softmax(logits)
+    return token, float(probs[token])
+
+
+def weight_checksum(model):
+    """CRC over all of a ToyModel's weights in init order (Wq, Wk, Wv, Wo,
+    W1, W2 per layer); determinism probe."""
+    crc = zlib.crc32(model.emb.tobytes())
+    for layer in model.layers:
+        for w in (*layer["wqkv"], layer["wo"], layer["w1"], layer["w2"]):
+            crc = zlib.crc32(w.tobytes(), crc)
+    return zlib.crc32(model.wout.tobytes(), crc)
+
+
+def select(view, positions, tag=0):
+    """Copy of the (position, tag) rows of `view`, in the order asked, as a
+    tag-0 view."""
+    rows = view.rows(positions, tag)
+    return LogitsView(view.logits[rows], view.positions[rows], np.zeros(len(rows), dtype=np.int64))

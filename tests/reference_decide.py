@@ -5,7 +5,7 @@ each confidence as ``1 / sum(exp(shifted))``; ``spec_step`` decides every
 speculative block at once from a [blocks, masked positions] table with the
 array rule ``threshold_decide``, and ``scripted_forward`` gathers its rows
 from each schedule step's compiled span arrays.  This module keeps the
-forms they replaced: a ``LogitsView.select`` copy and a list-form
+forms they replaced: a ``conftest.select`` copy of the view and a list-form
 ``threshold_decide`` per block, a greedy pass that divides the whole
 [rows, vocab] softmax, and one ``two_level_logits`` row at a time, with its
 logarithm taken per row.  Tests hold the program to bitwise equality with
@@ -22,6 +22,8 @@ from blockspec.errors import BlockCompleteError, NoCandidatesError, RangeError
 from blockspec.layout import build_spec_layout
 from blockspec.model import LogitsView, _conf_floor
 from blockspec.speculative import SpecSet, resolve_jump
+
+from conftest import select
 
 
 def threshold_decide(entries, threshold):
@@ -69,7 +71,7 @@ def threshold_step(state, logits, threshold):
     masked_pos = state.block_masked_positions()
     if masked_pos.size == 0:
         raise BlockCompleteError("active block has no masked positions")
-    return decide(logits.select(masked_pos), state.mask_token_id, threshold)
+    return decide(select(logits, masked_pos), state.mask_token_id, threshold)
 
 
 def spec_step(model, state, cache, candidates, stage, config, *, epoch, step=0):
@@ -101,7 +103,7 @@ def spec_step(model, state, cache, candidates, stage, config, *, epoch, step=0):
 
     results = {
         tag: decide(
-            logits.select([p for p in masked_abs if p not in subset], tag),
+            select(logits, [p for p in masked_abs if p not in subset], tag),
             state.mask_token_id,
             config.accept_threshold,
         )

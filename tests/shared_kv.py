@@ -71,18 +71,16 @@ def shared_view(cache: DualCache, shared: SharedKV, *, epoch: int | None = None)
     view = cache_view(cache, epoch=epoch)
     if shared.epoch != view.epoch:
         raise StaleCacheError(f"shared KV epoch {shared.epoch} != current epoch {view.epoch}")
-    positions = np.concatenate([view.positions, shared.positions])
     return CacheView(
-        positions=positions,
+        positions=np.concatenate([view.positions, shared.positions]),
         keys=[np.concatenate([c, s], axis=0) for c, s in zip(view.keys, shared.keys)],
         values=[np.concatenate([c, s], axis=0) for c, s in zip(view.values, shared.values)],
         epoch=view.epoch,
-        position_ids=tuple(positions.tolist()),
     )
 
 
 def rows_of_tag(layout: AttentionLayout, tag: int) -> np.ndarray:
-    return np.nonzero(np.asarray(layout.query_tags) == tag)[0]
+    return np.nonzero(layout.query_tags == tag)[0]
 
 
 def isolate(layout: AttentionLayout, tag: int) -> tuple[AttentionLayout, np.ndarray]:
@@ -96,15 +94,15 @@ def isolate(layout: AttentionLayout, tag: int) -> tuple[AttentionLayout, np.ndar
     rows = rows_of_tag(layout, tag)
     if rows.size == 0:
         raise RangeError(f"no rows with tag {tag}")
-    ctx_pos = list(layout.context_positions)
+    ctx_pos = layout.context_positions
     if layout.stage == 2 and tag != 0:
-        ctx_pos += [p for p, s in zip(layout.query_positions, layout.query_shared) if s]
+        ctx_pos = np.concatenate([ctx_pos, layout.query_positions[layout.query_shared]])
     return (
         AttentionLayout(
-            query_positions=tuple(layout.query_positions[j] for j in rows),
-            query_tags=(0,) * rows.size,
-            query_shared=(False,) * rows.size,
-            context_positions=tuple(ctx_pos),
+            query_positions=layout.query_positions[rows],
+            query_tags=np.zeros(rows.size, dtype=np.int64),
+            query_shared=np.zeros(rows.size, dtype=bool),
+            context_positions=ctx_pos,
             stage=layout.stage,
         ),
         rows,

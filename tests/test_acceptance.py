@@ -28,7 +28,7 @@ from blockspec.layout import build_block_layout, build_spec_layout, full_sequenc
 from blockspec.model import LogitsView, scripted_forward
 from blockspec.speculative import Candidate, CandidateSet, SpecSet, resolve_jump
 
-from conftest import TOY, comparable_dict, random_state, rel_err
+from conftest import TOY, comparable_dict, random_state, rel_err, select
 from reference_decide import threshold_decide
 from shared_kv import SharedKV, build_shared_kv, isolate, shared_view
 from test_speculative import oracle_chain_enumeration, oracle_two_candidate_cases, outcome_accepting
@@ -264,7 +264,7 @@ def test_criterion_5_reverse_transition_sampler(toy_config):
         np.concatenate([np.zeros((1, 128), dtype=np.float32), view2.logits]),
         np.arange(1001), np.zeros(1001, dtype=np.int64),
     )
-    out2 = tau_leaping_step(partial, full_view.select(partial.masked_positions()),
+    out2 = tau_leaping_step(partial, select(full_view, partial.masked_positions()),
                             0.1, np.random.default_rng(8))
     assert np.array_equal(out2.tokens[fixed], before[fixed])
     print(f"\n[criterion 5] PASS - reverse transition sampler: unmask fraction "

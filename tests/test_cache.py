@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockspec import StaleCacheError
+from blockspec import ShapeError, StaleCacheError
 from blockspec.cache import cache_view, refresh_dual_cache
 from blockspec.layout import build_block_layout, full_sequence_layout
 
@@ -115,6 +115,20 @@ def test_cache_view_counts(refreshed, toy_model):
     assert plain.size == 116
     assert np.array_equal(plain.positions, cache.positions)
     assert np.array_equal(with_shared.positions[-10:], shared.positions)
+
+
+def test_view_checks_layout_context_positions(refreshed, toy_config):
+    state, cache, _ = refreshed
+    view = cache_view(cache, epoch=1)
+    with pytest.raises(ValueError):
+        cache.positions[0] = 1
+    own = build_block_layout(state.block_range(), view.positions)
+    assert own.context_positions is view.positions
+    view.check_compatible(toy_config, own)
+    view.check_compatible(toy_config, build_block_layout(state.block_range(), cache.positions.tolist()))
+    shifted = build_block_layout(state.block_range(), cache.positions + 1)
+    with pytest.raises(ShapeError, match="context positions disagree"):
+        view.check_compatible(toy_config, shifted)
 
 
 def test_cache_view_rejects_stale_epoch(refreshed):

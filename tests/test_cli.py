@@ -146,6 +146,8 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     ("--model-config", json.dumps({**TOY, "n_layers": True}), "n_layers"),
     ("--model-config", json.dumps({**TOY, "vocab_size": "128"}), "vocab_size"),
     ("--model-config", "5", "JSON object"),
+    # count_params is ~6.4e11, far past the toy bound: refused before any weight is drawn
+    ("--model-config", json.dumps({**TOY, "d_model": 200000, "n_heads": 1}), "bad.json"),
     ("--profile", '{"name": "x", "peak_flops": NaN, "mem_bandwidth": 1}', "peak_flops"),
     ("--profile", '{"name": 5, "peak_flops": 1e12, "mem_bandwidth": 1e12}', "name"),
     ("--profile", '{"name": "x", "peak_flops": true, "mem_bandwidth": 1e12}', "peak_flops"),

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspec import RangeError
 from blockspec.layout import (
+    AttentionLayout,
     build_block_layout,
     build_spec_layout,
     full_sequence_layout,
 )
 from blockspec.speculative import Candidate, CandidateSet, SpecSet
 
+from reference_layout import mask_allows, spec_layout_fields
 from shared_kv import isolate, rows_of_tag
 
 
@@ -38,7 +42,7 @@ def test_block_layout_full_visibility():
 def test_block_layout_small_blocks():
     layout = build_block_layout((20, 25), list(range(20)))
     assert layout.n_queries == 5
-    assert layout.query_positions == (20, 21, 22, 23, 24)
+    assert layout.query_positions.tolist() == [20, 21, 22, 23, 24]
 
 
 def test_block_layout_rejects_empty_block():
@@ -54,9 +58,9 @@ def test_stage1_layout_counts_and_isolation():
     q = int(rows_of_tag(layout, 1)[0])
     k2 = int(rows_of_tag(layout, 2)[0]) + layout.n_context
     k1 = int(rows_of_tag(layout, 1)[1]) + layout.n_context
-    assert not layout.mask_allows(q, k2)
-    assert layout.mask_allows(q, k1)
-    assert layout.mask_allows(q, 0)  # cache key
+    assert not mask_allows(layout, q, k2)
+    assert mask_allows(layout, q, k1)
+    assert mask_allows(layout, q, 0)  # cache key
 
 
 def test_stage2_layout_row_count():
@@ -70,12 +74,12 @@ def test_stage2_shared_rows_visible_across_tags():
     shared_rows = [j for j, s in enumerate(layout.query_shared) if s]
     assert len(shared_rows) == 12
     q2 = int(rows_of_tag(layout, 2)[0])
-    assert layout.mask_allows(q2, layout.n_context + shared_rows[0])
+    assert mask_allows(layout, q2, layout.n_context + shared_rows[0])
     # but not the main block's masked rows
     masked_main = [
         j for j in rows_of_tag(layout, 0) if not layout.query_shared[j]
     ]
-    assert not layout.mask_allows(q2, layout.n_context + masked_main[0])
+    assert not mask_allows(layout, q2, layout.n_context + masked_main[0])
 
 
 def test_position_replication():
@@ -97,8 +101,8 @@ def test_visibility_symmetric_within_tags_and_never_across():
     rng = np.random.default_rng(0)
     for _ in range(200):
         a, b = rng.integers(0, layout.n_queries, size=2)
-        allowed = layout.mask_allows(int(a), nc + int(b))
-        reverse = layout.mask_allows(int(b), nc + int(a))
+        allowed = mask_allows(layout, int(a), nc + int(b))
+        reverse = mask_allows(layout, int(b), nc + int(a))
         assert allowed == reverse
         if layout.query_tags[a] != layout.query_tags[b]:
             assert not allowed
@@ -110,8 +114,8 @@ def test_isolate_matches_block_layout():
     layout, _ = _spec_layout(stage=1, n_candidates=2)
     iso, rows = isolate(layout, 0)
     plain = build_block_layout((20, 52), layout.context_positions)
-    assert iso.query_positions == plain.query_positions
-    assert iso.context_positions == plain.context_positions
+    assert iso.query_positions.tolist() == plain.query_positions.tolist()
+    assert iso.context_positions.tolist() == plain.context_positions.tolist()
     assert np.array_equal(iso.dense_mask(), plain.dense_mask())
     assert rows.tolist() == list(range(32))
 
@@ -121,16 +125,16 @@ def test_isolate_stage2_appends_shared_context():
     iso, rows = isolate(layout, 3)
     assert iso.n_queries == 20
     shared = tuple(p for p, s in zip(layout.query_positions, layout.query_shared) if s)
-    assert iso.context_positions[-12:] == shared
+    assert iso.context_positions[-12:].tolist() == list(shared)
     assert iso.dense_mask().all()
 
 
 def test_mask_allows_bounds():
     layout = build_block_layout((0, 4), [])
     with pytest.raises(IndexError):
-        layout.mask_allows(0, 99)
+        mask_allows(layout, 0, 99)
     with pytest.raises(IndexError):
-        layout.mask_allows(99, 0)
+        mask_allows(layout, 99, 0)
 
 
 def test_stage2_requires_decoded_positions():
@@ -153,3 +157,47 @@ def test_full_sequence_layout_all_visible():
     layout = full_sequence_layout(7)
     assert layout.n_queries == 7
     assert layout.dense_mask().all()
+
+
+
+@st.composite
+def _spec_inputs(draw):
+    width = draw(st.integers(1, 64))
+    start = draw(st.integers(0, 40))
+    stage = draw(st.integers(1, 2))
+    n_candidates = draw(st.integers(1, 2 if stage == 1 else 4))
+    # unsorted, with repeats; stage 2 needs at least one decoded position
+    decoded = draw(st.lists(st.integers(start, start + width - 1), min_size=stage - 1,
+                            max_size=2 * width))
+    context = draw(st.lists(st.integers(0, 200), max_size=12))
+    as_type = draw(st.sampled_from([list, tuple, np.array]))
+    return (start, start + width), stage, n_candidates, decoded, as_type(context)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_spec_inputs())
+def test_spec_layout_arrays_equal_list_reference(inputs):
+    block, stage, n_candidates, decoded, context = inputs
+    spec = SpecSet.build(_candidates(block[0], n_candidates), stage=stage)
+    layout = build_spec_layout(block, spec, stage, decoded, context)
+    fields = ("query_positions", "query_tags", "query_shared", "context_positions")
+    reference = spec_layout_fields(block, spec, stage, decoded, context)
+    for name, expected in zip(fields, reference):
+        array = getattr(layout, name)
+        assert array.dtype == (bool if name == "query_shared" else np.int64)
+        assert array.tolist() == list(expected)
+        with pytest.raises(ValueError):
+            array[:1] = 0
+    assert layout.stage == stage
+    oracle = [[mask_allows(layout, q, k) for k in range(layout.n_keys)]
+              for q in range(layout.n_queries)]
+    assert layout.dense_mask().tolist() == oracle
+
+
+def test_layout_views_writable_arrays_and_keeps_read_only_ones():
+    positions, context = np.arange(20, 24), np.arange(20)
+    context.setflags(write=False)
+    layout = AttentionLayout(positions, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=bool), context)
+    assert positions.flags.writeable
+    assert layout.query_positions.base is positions and not layout.query_positions.flags.writeable
+    assert layout.context_positions is context

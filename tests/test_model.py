@@ -14,13 +14,12 @@ from blockspec import (
     ShapeError,
     ToyModel,
     count_params,
-    logits_to_prediction,
     scripted_forward,
 )
 from blockspec.layout import full_sequence_layout
 from blockspec.model import softmax
 
-from conftest import TOY, random_state, rel_err
+from conftest import TOY, logits_to_prediction, random_state, rel_err, select, weight_checksum
 
 
 # --- config -----------------------------------------------------------------
@@ -61,12 +60,25 @@ def test_param_count_matches_hand_computation(toy_config, toy_model):
     assert total == expected
 
 
+def test_toy_model_bounds_parameters_before_allocating(toy_config, monkeypatch):
+    import blockspec.model as model_mod
+
+    huge = ModelConfig(**{**TOY, "d_model": 200000, "n_heads": 1})
+    with pytest.raises(ConfigError, match="parameters"):
+        ToyModel(huge)
+    monkeypatch.setattr(model_mod, "MAX_TOY_PARAMS", count_params(toy_config) - 1)
+    with pytest.raises(ConfigError):
+        ToyModel(toy_config)
+    monkeypatch.setattr(model_mod, "MAX_TOY_PARAMS", count_params(toy_config))
+    ToyModel(toy_config)
+
+
 def test_init_is_deterministic(toy_config):
     a = ToyModel(toy_config)
     b = ToyModel(toy_config)
-    assert a.weight_checksum() == b.weight_checksum()
+    assert weight_checksum(a) == weight_checksum(b)
     other = ToyModel(ModelConfig(**{**TOY, "seed": 8}))
-    assert a.weight_checksum() != other.weight_checksum()
+    assert weight_checksum(a) != weight_checksum(other)
 
 
 # --- logits_to_prediction -----------------------------------------------------
@@ -116,13 +128,13 @@ def test_logits_view_row_lookup():
     logits = np.arange(15, dtype=np.float32).reshape(5, 3)
     view = LogitsView(logits, [5, 6, 5, 7, 7], [0, 0, 1, 0, 0])
     assert view.row(5) == 0 and view.row(np.int64(5), 1) == 2 and view.row(6) == 1
-    picked = view.select([6, 5])
+    picked = select(view, [6, 5])
     assert picked.logits.tolist() == [[3, 4, 5], [0, 1, 2]]
     assert picked.positions.tolist() == [6, 5] and picked.tags.tolist() == [0, 0]
     with pytest.raises(ShapeError, match="position 8 tag 0: 0 rows"):
         view.row(8)
     with pytest.raises(ShapeError, match="position 6 tag 1: 0 rows"):
-        view.select([5, 6], tag=1)
+        select(view, [5, 6], tag=1)
     with pytest.raises(ShapeError, match="position 7 tag 0: 2 rows"):
         view.row(7)
 
