@@ -4,13 +4,7 @@ prefix/suffix cache, adaptive length prediction at refresh time, jump-share
 speculative steps, and an analytical roofline cost model."""
 
 from .alp import TruncationEvent, apply_truncation, scan_eos
-from .cache import (
-    CacheView,
-    DualCache,
-    PrefillDraft,
-    cache_view,
-    refresh_dual_cache,
-)
+from .cache import DualCache, cache_view, refresh_dual_cache
 from .decoder import (
     DecodeState,
     RunConfig,

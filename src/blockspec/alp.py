@@ -1,10 +1,10 @@
 """Adaptive length prediction: EOS scanning over the prefill draft.
 
-At every cache refresh the full-sequence draft already contains a prediction
-for each still-masked position.  A confident EOS prediction at or beyond the
-active block's end means the model expects the response to finish there, so
-the remaining generation length is truncated (rounded up to a block multiple,
-keeping the EOS position).  Lengths only ever shrink.
+At every cache refresh the full-sequence logits (the draft) already hold a
+prediction for each still-masked position.  A confident EOS prediction at or
+beyond the active block's end means the model expects the response to finish
+there, so the remaining generation length is truncated (rounded up to a block
+multiple, keeping the EOS position).  Lengths only ever shrink.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import PrefillDraft
 from .decoder import DecodeState, masked_greedy
 from .errors import RangeError
+from .model import LogitsView
 
 log = logging.getLogger(__name__)
 
@@ -31,37 +31,32 @@ class TruncationEvent:
     new_gen_length: int
 
     def to_dict(self) -> dict:
-        return {
-            "refresh_epoch": self.refresh_epoch,
-            "eos_position": self.eos_position,
-            "eos_confidence": float(self.eos_confidence),
-            "old_gen_length": self.old_gen_length,
-            "new_gen_length": self.new_gen_length,
-        }
+        return dict(vars(self))
 
 
 def scan_eos(
-    draft: PrefillDraft, state: DecodeState, truncate_threshold: float
+    draft: LogitsView, state: DecodeState, truncate_threshold: float, eos_token_id: int
 ) -> tuple[int, float] | None:
     """Earliest confident EOS prediction beyond the active block.
 
-    Scans response positions at or after the active block's end whose greedy
-    draft prediction is the EOS token with confidence strictly above the
+    `draft` is a refresh's full-sequence logits.  Scans response positions
+    at or after the active block's end whose greedy draft prediction (mask
+    token excluded) is `eos_token_id` with confidence strictly above the
     threshold.  Returns (response offset, confidence) or None; thresholds
     above 1.0 therefore never fire.  Total function.
     """
     if truncate_threshold <= 0.0:
         raise RangeError("truncate threshold must be positive")
-    if draft.seq_len != state.seq_len:
+    if draft.n_rows != state.seq_len:
         raise RangeError("draft does not cover the current sequence")
     _, block_end = state.block_range()
     if block_end >= state.seq_len:
         return None
-    tokens, confs = masked_greedy(draft.view, draft.mask_token_id)
-    positions = draft.view.positions
+    tokens, confs = masked_greedy(draft, state.mask_token_id)
+    positions = draft.positions
     hit = (
         (positions >= block_end)
-        & (tokens == draft.eos_token_id)
+        & (tokens == eos_token_id)
         & (confs > truncate_threshold)
     )
     idx = np.nonzero(hit)[0]
@@ -97,7 +92,6 @@ def apply_truncation(
         return state, None
     new_state = state.copy()
     new_state.tokens = new_state.tokens[:drop_from]
-    new_state.masked = new_state.masked[:drop_from]
     old_gen = state.gen_length
     new_state.gen_length = new_gen
     event = TruncationEvent(

@@ -4,7 +4,8 @@ A refresh runs one full-sequence forward, keeps the K/V of every position
 outside the active block, and hands back the full-sequence logits draft so
 EOS scanning costs no extra forward.  Within one block cycle the cache is
 frozen (the deliberate staleness of block-wise decoding); a new cycle bumps
-``refresh_epoch`` and views built for older epochs are refused.
+``refresh_epoch`` and a cache from an older epoch is refused as a forward's
+context.
 """
 
 from __future__ import annotations
@@ -14,30 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, ShapeError, StaleCacheError
-from .layout import AttentionLayout, full_sequence_layout
-from .model import LogitsView
-
-
-@dataclass
-class PrefillDraft:
-    """Full-sequence logits from a cache refresh, before re-masking.
-
-    The draft is the model's whole-response attempt at refresh time; the
-    length predictor scans it for confident EOS predictions.  The token ids
-    needed for that scan travel with the draft.
-    """
-
-    view: LogitsView
-    seq_len: int
-    epoch: int
-    eos_token_id: int
-    mask_token_id: int
+from .layout import full_sequence_layout
 
 
 @dataclass
 class DualCache:
     """Per-layer K/V for the prefix [0, block_start) and suffix
-    [block_end, seq_len) regions, stamped with a refresh epoch."""
+    [block_end, seq_len) regions, stamped with a refresh epoch.  The cache
+    is itself the context of a block-cycle forward, ordered like the
+    layout's context positions."""
 
     positions: np.ndarray            # absolute positions, ascending
     keys: list[np.ndarray]           # per layer [n_cached, heads, d_head]
@@ -80,43 +66,12 @@ class DualCache:
         )
 
 
-@dataclass
-class CacheView:
-    """Key/value context for one forward, ordered like the layout's context
-    positions."""
-
-    positions: np.ndarray
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
-    epoch: int
-
-    @property
-    def size(self) -> int:
-        return int(self.positions.shape[0])
-
-    def check_compatible(self, config, layout: AttentionLayout) -> None:
-        if layout.n_context != self.size:
-            raise ShapeError(
-                f"layout expects {layout.n_context} context keys, view has {self.size}"
-            )
-        context = layout.context_positions
-        if context is not self.positions and not np.array_equal(self.positions, context):
-            raise ShapeError("context positions disagree between layout and cache view")
-        if len(self.keys) != config.n_layers:
-            raise ShapeError(
-                f"cache has {len(self.keys)} layers, model has {config.n_layers}"
-            )
-        head_shape = (config.n_heads, config.d_head)
-        for k in self.keys:
-            if k.shape[1:] != head_shape:
-                raise ShapeError("cache head dims disagree with model config")
-
-
 def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 1, step: int = 0):
     """Full-sequence forward; cache everything outside the block.
 
-    Returns (DualCache, PrefillDraft).  Counts as one prefill forward with
-    T = full sequence length; the draft is the same forward's logits.
+    Returns (DualCache, LogitsView).  Counts as one prefill forward with
+    T = full sequence length; its full-sequence logits are the draft that
+    length prediction scans.
     """
     start, end = block_range
     seq_len = state.seq_len
@@ -134,29 +89,16 @@ def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 
         refresh_epoch=epoch,
         snapshot_len=seq_len,
     )
-    return cache, PrefillDraft(
-        view=view,
-        seq_len=seq_len,
-        epoch=epoch,
-        eos_token_id=model.config.eos_token_id,
-        mask_token_id=model.config.mask_token_id,
-    )
+    return cache, view
 
 
-def cache_view(cache: DualCache, *, epoch: int | None = None) -> CacheView:
-    """The cache's entries as the context of a block-cycle forward.
+def cache_view(cache: DualCache, *, epoch: int | None = None) -> DualCache:
+    """The cache as the context of a block-cycle forward.
 
     `epoch` is the caller's current block-cycle epoch; a mismatch with the
-    cache stamp raises StaleCacheError so views never leak across refreshes.
+    cache stamp raises StaleCacheError so a cache never leaks across
+    refreshes.
     """
-    expected = cache.refresh_epoch if epoch is None else epoch
-    if cache.refresh_epoch != expected:
-        raise StaleCacheError(
-            f"cache epoch {cache.refresh_epoch} != current epoch {expected}"
-        )
-    return CacheView(
-        positions=cache.positions,
-        keys=list(cache.keys),
-        values=list(cache.values),
-        epoch=expected,
-    )
+    if epoch is not None and cache.refresh_epoch != epoch:
+        raise StaleCacheError(f"cache epoch {cache.refresh_epoch} != current epoch {epoch}")
+    return cache

@@ -197,25 +197,28 @@ def _decode_task(model, task: TaskRecord, config: RunConfig):
 
 
 def _dump_masks(out_dir: Path, config: RunConfig) -> None:
-    """Write representative dense masks (block, stage-1, stage-2 layouts)."""
+    """Write representative dense masks (block, stage-1, stage-2 layouts).
+
+    Stage 2 starts with the block's first `stage2_threshold` positions
+    decoded; each stage takes up to 2 (stage 1) or 4 (stage 2) candidates
+    from the block's other positions, and a stage left with none is
+    skipped.
+    """
     masks = out_dir / "masks"
     masks.mkdir(exist_ok=True)
     bs = config.block_size
     start, end = bs, 2 * bs  # pretend prompt of one block
     ctx = [p for p in range(3 * bs) if not (start <= p < end)]
     build_block_layout((start, end), ctx).dump_mask_csv(masks / "mask_block.csv")
-    cands = CandidateSet(
-        tuple(Candidate(start + bs // 2 + i, 1 + i, 0.5) for i in range(4))
-    )
-    spec1 = SpecSet.build(CandidateSet(cands.candidates[:2]), stage=1)
-    build_spec_layout((start, end), spec1, 1, [], ctx).dump_mask_csv(
-        masks / "mask_spec_stage1.csv"
-    )
-    decoded = list(range(start, start + bs // 4))
-    spec2 = SpecSet.build(cands, stage=2)
-    build_spec_layout((start, end), spec2, 2, decoded, ctx).dump_mask_csv(
-        masks / "mask_spec_stage2.csv"
-    )
+    for stage, n_decoded in ((1, 0), (2, config.stage2_threshold)):
+        free = range(start + n_decoded, end)[: 2 * stage]
+        if not free:
+            continue
+        spec = SpecSet.build(CandidateSet(tuple(Candidate(p, 1, 0.5) for p in free)), stage)
+        decoded = range(start, start + n_decoded)
+        build_spec_layout((start, end), spec, stage, decoded, ctx).dump_mask_csv(
+            masks / f"mask_spec_stage{stage}.csv"
+        )
 
 
 def cmd_run(args) -> int:

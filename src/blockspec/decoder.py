@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,17 +36,6 @@ from .model import LogitsView, softmax
 from .trajectory import StepRecord, Trajectory
 
 STRATEGIES = ("vanilla", "fast", "odb")
-
-RUN_CONFIG_KEYS = (
-    "strategy",
-    "gen_length",
-    "block_size",
-    "accept_threshold",
-    "truncate_threshold",
-    "stage2_min_decoded",
-    "seed",
-    "tau_steps",
-)
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        extra = [k for k in raw if k not in RUN_CONFIG_KEYS]
+        names = {f.name for f in fields(cls)}
+        extra = [k for k in raw if k not in names]
         if extra:
             raise ConfigError(f"run config has unknown keys: {extra}")
         if "strategy" not in raw or "gen_length" not in raw or "block_size" not in raw:
@@ -112,24 +102,15 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "gen_length": self.gen_length,
-            "block_size": self.block_size,
-            "accept_threshold": self.accept_threshold,
-            "truncate_threshold": self.truncate_threshold,
-            "stage2_min_decoded": self.stage2_threshold,
-            "seed": self.seed,
-            "tau_steps": self.tau_steps,
-        }
+        return {**vars(self), "stage2_min_decoded": self.stage2_threshold}
 
 
 @dataclass
 class DecodeState:
-    """Token sequence, per-position mask flags and block bookkeeping."""
+    """Token sequence and block bookkeeping; a position is masked exactly
+    when its token is the mask token."""
 
     tokens: np.ndarray
-    masked: np.ndarray
     prompt_len: int
     gen_length: int
     block_size: int
@@ -162,16 +143,20 @@ class DecodeState:
         tokens = np.concatenate(
             [prompt, np.full(gen_length, mask_token_id, dtype=np.int64)]
         )
-        masked = np.zeros(tokens.shape[0], dtype=bool)
-        masked[prompt.size :] = True
         return cls(
             tokens=tokens,
-            masked=masked,
             prompt_len=int(prompt.size),
             gen_length=gen_length,
             block_size=block_size,
             mask_token_id=mask_token_id,
         )
+
+    @property
+    def masked(self) -> np.ndarray:
+        """Read-only per-position mask flags, computed from the tokens."""
+        flags = self.tokens == self.mask_token_id
+        flags.flags.writeable = False
+        return flags
 
     @property
     def seq_len(self) -> int:
@@ -186,36 +171,23 @@ class DecodeState:
         start = self.prompt_len + b * self.block_size
         return start, start + self.block_size
 
+    # The decode loop calls these every step, so they compare only the
+    # block's slice of the tokens, never the whole sequence.
     def block_masked_positions(self) -> np.ndarray:
         start, end = self.block_range()
-        pos = np.arange(start, end, dtype=np.int64)
-        return pos[self.masked[start:end]]
+        return np.flatnonzero(self.tokens[start:end] == self.mask_token_id) + start
 
     def block_decoded_positions(self) -> np.ndarray:
         start, end = self.block_range()
-        pos = np.arange(start, end, dtype=np.int64)
-        return pos[~self.masked[start:end]]
+        return np.flatnonzero(self.tokens[start:end] != self.mask_token_id) + start
 
     def masked_positions(self) -> np.ndarray:
-        return np.nonzero(self.masked)[0].astype(np.int64)
+        return np.flatnonzero(self.masked)
 
     def copy(self) -> "DecodeState":
-        return DecodeState(
-            tokens=self.tokens.copy(),
-            masked=self.masked.copy(),
-            prompt_len=self.prompt_len,
-            gen_length=self.gen_length,
-            block_size=self.block_size,
-            active_block=self.active_block,
-            t=self.t,
-            mask_token_id=self.mask_token_id,
-        )
+        return replace(self, tokens=self.tokens.copy())
 
     def check_invariants(self) -> None:
-        resp = slice(self.prompt_len, self.seq_len)
-        is_mask = self.tokens[resp] == self.mask_token_id
-        if not np.array_equal(is_mask, self.masked[resp]):
-            raise ProgressError("mask flags out of sync with mask tokens")
         if np.any(self.masked[: self.prompt_len]):
             raise ProgressError("prompt positions must never be masked")
 
@@ -313,12 +285,11 @@ def threshold_step(state: DecodeState, logits: LogitsView, threshold: float) -> 
 
 def apply_outcome(state: DecodeState, outcome: StepOutcome) -> None:
     for pos, tok, _conf in outcome.accepted:
-        if not state.masked[pos]:
+        if state.tokens[pos] != state.mask_token_id:
             raise ProgressError(f"position {pos} accepted twice")
         if tok == state.mask_token_id:
             raise ProgressError("acceptance must not commit the mask token")
         state.tokens[pos] = tok
-        state.masked[pos] = False
 
 
 def tau_leaping_step(state: DecodeState, logits: LogitsView, s: float, rng) -> DecodeState:
@@ -349,7 +320,6 @@ def tau_leaping_step(state: DecodeState, logits: LogitsView, s: float, rng) -> D
     for pos, keep, tok in zip(masked_pos, stay, sampled):
         if not keep:
             new_state.tokens[pos] = int(tok)
-            new_state.masked[pos] = False
     return new_state
 
 
@@ -416,9 +386,7 @@ def _decode_vanilla_tau(model, state, config, traj):
             (int(p), int(new_state.tokens[p]), 0.0)
             for p in np.nonzero(state.masked & ~new_state.masked)[0]
         ]
-        state.tokens = new_state.tokens
-        state.masked = new_state.masked
-        state.t = new_state.t
+        state = new_state
         _log_step(
             traj,
             phase="decode",
@@ -460,17 +428,26 @@ def _decode_blockwise(model, state, config, traj):
                 cache_bytes=cache.nbytes(),
             )
             if is_odb:
-                cut = scan_eos(draft, state, config.truncate_threshold)
+                cut = scan_eos(
+                    draft, state, config.truncate_threshold, model.config.eos_token_id
+                )
                 if cut is not None:
                     state, event = apply_truncation(state, cut, refresh_epoch=epoch)
                     if event is not None:
                         traj.truncations.append(event)
                         cache = cache.truncated(state.seq_len)
+            # the block range and the cached positions hold for the whole cycle
+            view = cache_view(cache, epoch=epoch)
+            layout = build_block_layout(block_range, view.positions)
+            window = slice(*block_range)
+        else:
+            view = None
+            layout = full_sequence_layout(state.seq_len)
+            window = slice(None)
 
         prev_outcome = None
         block_step = 0
         while state.block_masked_positions().size > 0:
-            masked_before = int(state.masked.sum())
             if is_odb and prev_outcome is not None and len(prev_outcome.rejected_top) > 0:
                 decoded = state.block_decoded_positions().size
                 stage = 2 if decoded >= config.stage2_threshold else 1
@@ -482,22 +459,15 @@ def _decode_blockwise(model, state, config, traj):
                 )
                 kind = "spec"
             else:
-                if cached:
-                    view = cache_view(cache, epoch=epoch)
-                    layout = build_block_layout(block_range, view.positions)
-                    start, end = block_range
-                    tokens = state.tokens[start:end]
-                else:
-                    view = None
-                    layout = full_sequence_layout(state.seq_len)
-                    tokens = state.tokens
-                logits, _ = model.forward(tokens, layout, view, step=block_step)
+                logits, _ = model.forward(state.tokens[window], layout, view, step=block_step)
                 outcome = threshold_step(state, logits, config.accept_threshold)
                 t_rows = layout.n_queries
                 c_keys = layout.n_keys
                 kind = "threshold"
+            # apply_outcome refuses an unmasked position, so each accepted
+            # entry unmasks one token
             apply_outcome(state, outcome)
-            if int(state.masked.sum()) >= masked_before:
+            if not outcome.accepted:
                 raise ProgressError("decode step unmasked zero tokens")
             _log_step(
                 traj,

@@ -14,7 +14,7 @@ class RangeError(ValueError):
 
 
 class StaleCacheError(RuntimeError):
-    """A cache view was requested for a refresh epoch that has passed."""
+    """A cache was used as context after its refresh epoch had passed."""
 
 
 class BlockCompleteError(RuntimeError):

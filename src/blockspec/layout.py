@@ -2,8 +2,8 @@
 
 A layout describes one forward pass: which rows are computed (queries), which
 key/value slots they may attend to, and the absolute position ID carried by
-every row.  Keys come in two groups: *context* entries supplied by a cache
-view, followed by one key per query row (the fresh K/V computed in the same
+every row.  Keys come in two groups: *context* entries supplied by the
+cache, followed by one key per query row (the fresh K/V computed in the same
 forward).  Speculative layouts replicate the main block's absolute position
 IDs into every speculative block and keep sibling blocks mutually invisible.
 """
@@ -24,7 +24,7 @@ class AttentionLayout:
 
     Positions and tags are int64 arrays and ``query_shared`` a bool array,
     each converted once and read-only: a read-only array is kept as given
-    (a cache view's positions), a writable one is viewed, never flagged.
+    (a cache's positions), a writable one is viewed, never flagged.
     query_shared marks rows whose fresh K/V double as shared keys: they are
     visible to every block tag, not just their own (stage-2 decoded rows of
     the main block).

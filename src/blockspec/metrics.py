@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, DegenerateInputError, RangeError
 from .model import ModelConfig, count_params
@@ -58,21 +58,17 @@ class HardwareProfile:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError("profile must be a JSON object")
-        try:
-            return cls(
-                name=raw["name"],
-                peak_flops=raw["peak_flops"],
-                mem_bandwidth=raw["mem_bandwidth"],
-            )
-        except KeyError as err:
-            raise ConfigError(f"profile missing key: {err}") from err
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in raw]
+        extra = [k for k in raw if k not in names]
+        if missing:
+            raise ConfigError(f"profile missing keys: {missing}")
+        if extra:
+            raise ConfigError(f"profile has unknown keys: {extra}")
+        return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "peak_flops": self.peak_flops,
-            "mem_bandwidth": self.mem_bandwidth,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -140,19 +136,7 @@ class MetricsReport:
     peak_cache_bytes: int
 
     def to_dict(self) -> dict:
-        return {
-            "nfe": self.nfe,
-            "eff_nfe": self.eff_nfe,
-            "prefill_steps": self.prefill_steps,
-            "decode_steps": self.decode_steps,
-            "prefill_time_frac": self.prefill_time_frac,
-            "total_est_time_s": self.total_est_time_s,
-            "tokens_generated": self.tokens_generated,
-            "truncation_count": self.truncation_count,
-            "jump_total": self.jump_total,
-            "gen_length_final": self.gen_length_final,
-            "peak_cache_bytes": self.peak_cache_bytes,
-        }
+        return dict(vars(self))
 
 
 def trajectory_metrics(traj: Trajectory, profile: HardwareProfile) -> MetricsReport:

@@ -10,30 +10,19 @@ Two interchangeable model backends drive the decode loop:
   hand-authored (token, confidence) schedule, for exact test scenarios.
 
 Everything runs in 32-bit floats; forwards are pure functions of
-(weights, tokens, layout, cache view).
+(weights, tokens, layout, cached context).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, RangeError, ShapeError
 from .layout import AttentionLayout
-
-MODEL_CONFIG_KEYS = (
-    "vocab_size",
-    "d_model",
-    "n_layers",
-    "n_heads",
-    "d_ff",
-    "mask_token_id",
-    "eos_token_id",
-    "seed",
-)
 
 _LN_EPS = np.float32(1e-5)
 
@@ -53,8 +42,7 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        for name in MODEL_CONFIG_KEYS:
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
@@ -79,8 +67,9 @@ class ModelConfig:
     def from_dict(cls, raw: dict) -> "ModelConfig":
         if not isinstance(raw, dict):
             raise ConfigError("model config must be a JSON object")
-        missing = [k for k in MODEL_CONFIG_KEYS if k not in raw]
-        extra = [k for k in raw if k not in MODEL_CONFIG_KEYS]
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in raw]
+        extra = [k for k in raw if k not in names]
         if missing:
             raise ConfigError(f"model config missing keys: {missing}")
         if extra:
@@ -93,7 +82,7 @@ class ModelConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in MODEL_CONFIG_KEYS}
+        return dict(vars(self))
 
 
 def count_params(config: ModelConfig) -> int:
@@ -253,11 +242,32 @@ def _rope_tables(positions: np.ndarray, n_heads: int, d_head: int):
     return cos, sin, swap
 
 
+def check_compatible(config: ModelConfig, layout: AttentionLayout, context) -> None:
+    """Raise ShapeError unless `context` -- anything with ``positions`` and
+    per-layer ``keys``/``values`` [n, heads, d_head], such as a DualCache --
+    supplies the layout's context keys, in order, for a model of this
+    config."""
+    n = len(context.positions)
+    if layout.n_context != n:
+        raise ShapeError(f"layout expects {layout.n_context} context keys, view has {n}")
+    positions = layout.context_positions
+    if positions is not context.positions and not np.array_equal(context.positions, positions):
+        raise ShapeError("context positions disagree between layout and cache view")
+    if len(context.keys) != config.n_layers:
+        raise ShapeError(
+            f"cache has {len(context.keys)} layers, model has {config.n_layers}"
+        )
+    head_shape = (config.n_heads, config.d_head)
+    for k in context.keys:
+        if k.shape[1:] != head_shape:
+            raise ShapeError("cache head dims disagree with model config")
+
+
 class ToyModel:
     """Bidirectional pre-norm transformer over laid-out token batches.
 
     Weights are immutable after init and shareable across threads; forward
-    never mutates the model or its cache view.
+    never mutates the model or its cache.
     """
 
     def __init__(self, config: ModelConfig):
@@ -305,7 +315,7 @@ class ToyModel:
         if n_ctx:
             if cache is None:
                 raise ShapeError("layout has context entries but no cache view given")
-            cache.check_compatible(cfg, layout)
+            check_compatible(cfg, layout, cache)
         h_dim, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
 
         cos, sin, swap = _rope_tables(layout.query_positions, h_dim, dh)
@@ -443,6 +453,9 @@ class ScriptedSchedule:
             entry_raw = raw[keys[n]]
             if not isinstance(entry_raw, dict):
                 raise ConfigError(f"{where}: must be an object, got {entry_raw!r}")
+            extra = [k for k in entry_raw if k not in ("positions", "eos")]
+            if extra:
+                raise ConfigError(f"{where}: unknown keys {extra}")
             positions = entry_raw.get("positions", {})
             eos_entries = entry_raw.get("eos", [])
             if not isinstance(positions, dict) or not isinstance(eos_entries, list):

@@ -29,22 +29,8 @@ class StepRecord:
     cache_bytes: int = 0                             # bytes held after a refresh
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "phase": self.phase,
-            "kind": self.kind,
-            "block": self.block,
-            "epoch": self.epoch,
-            "t_tokens": self.t_tokens,
-            "c_tokens": self.c_tokens,
-            "accepted": [[int(p), int(t), float(c)] for p, t, c in self.accepted],
-            "jump_count": self.jump_count,
-            "stage": self.stage,
-            "blocks_evaluated": self.blocks_evaluated,
-            "candidates": [[int(p), int(t), float(c)] for p, t, c in self.candidates],
-            "adopted_tag": self.adopted_tag,
-            "cache_bytes": self.cache_bytes,
-        }
+        # a shallow copy: the decoder records entries as Python numbers
+        return dict(vars(self))
 
 
 @dataclass
@@ -78,19 +64,11 @@ class Trajectory:
 
     def to_dict(self) -> dict:
         return {
-            "strategy": self.strategy,
-            "run_config": self.run_config,
-            "model_config": self.model_config,
-            "prompt_len": self.prompt_len,
-            "gen_length_initial": self.gen_length_initial,
-            "gen_length_final": self.gen_length_final,
-            "block_size": self.block_size,
-            "completed": self.completed,
+            **vars(self),
             "nfe": self.nfe,
             "total_jumps": self.total_jumps,
             "steps": [s.to_dict() for s in self.steps],
             "truncations": [e.to_dict() for e in self.truncations],
-            "final_tokens": [int(t) for t in self.final_tokens],
         }
 
     def to_json(self) -> str:

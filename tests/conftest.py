@@ -43,7 +43,6 @@ def random_state(rng, config, prompt_len=12, gen_length=64, block_size=32,
         picks = rng.choice(np.arange(start, end), size=n_decoded, replace=False)
         for p in picks:
             state.tokens[p] = int(rng.choice(ordinary))
-            state.masked[p] = False
     return state
 
 

@@ -8,7 +8,7 @@ against it:
 
 * ``build_shared_kv`` harvests the decoded rows' K/V from a plain
   main-block forward;
-* ``shared_view`` appends them to a cache view as extra context;
+* ``shared_view`` appends them to the cache's entries as extra context;
 * ``isolate`` cuts one tag's rows out of a speculative layout as a
   single-block layout whose context ends with the shared positions.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blockspec.cache import CacheView, DualCache, cache_view
+from blockspec.cache import DualCache, cache_view
 from blockspec.errors import RangeError, StaleCacheError
 from blockspec.layout import AttentionLayout, build_block_layout
 
@@ -65,17 +65,19 @@ def build_shared_kv(model, state, block_range: tuple[int, int], cache: DualCache
     )
 
 
-def shared_view(cache: DualCache, shared: SharedKV, *, epoch: int | None = None) -> CacheView:
-    """Cache entries then shared entries; a stale stamp on either raises
-    StaleCacheError."""
+def shared_view(cache: DualCache, shared: SharedKV, *, epoch: int | None = None) -> SharedKV:
+    """Cache entries then shared entries, as one forward context; a stale
+    stamp on either raises StaleCacheError."""
     view = cache_view(cache, epoch=epoch)
-    if shared.epoch != view.epoch:
-        raise StaleCacheError(f"shared KV epoch {shared.epoch} != current epoch {view.epoch}")
-    return CacheView(
+    if shared.epoch != view.refresh_epoch:
+        raise StaleCacheError(
+            f"shared KV epoch {shared.epoch} != current epoch {view.refresh_epoch}"
+        )
+    return SharedKV(
         positions=np.concatenate([view.positions, shared.positions]),
         keys=[np.concatenate([c, s], axis=0) for c, s in zip(view.keys, shared.keys)],
         values=[np.concatenate([c, s], axis=0) for c, s in zip(view.values, shared.values)],
-        epoch=view.epoch,
+        epoch=view.refresh_epoch,
     )
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from blockspec import (
     DecodeState,
+    RangeError,
     RunConfig,
     ScriptedModel,
     ScriptedSchedule,
@@ -44,7 +45,7 @@ def draft_for(model, state, epoch=1):
 def test_scan_finds_confident_eos(toy_config):
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256, eos_offsets=(87,), eos_conf=0.97)
-    cut = scan_eos(draft_for(model, state), state, 0.9)
+    cut = scan_eos(draft_for(model, state), state, 0.9, toy_config.eos_token_id)
     assert cut is not None
     offset, conf = cut
     assert offset == 87
@@ -54,34 +55,43 @@ def test_scan_finds_confident_eos(toy_config):
 def test_scan_ignores_low_confidence_eos(toy_config):
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256, eos_offsets=(87,), eos_conf=0.50)
-    assert scan_eos(draft_for(model, state), state, 0.9) is None
+    assert scan_eos(draft_for(model, state), state, 0.9, toy_config.eos_token_id) is None
 
 
 def test_scan_without_eos_returns_none(toy_config):
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256)
-    assert scan_eos(draft_for(model, state), state, 0.9) is None
+    assert scan_eos(draft_for(model, state), state, 0.9, toy_config.eos_token_id) is None
 
 
 def test_scan_skips_positions_inside_active_block(toy_config):
     """EOS inside the active block never truncates the block being decoded."""
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256, eos_offsets=(10, 90), eos_conf=0.99)
-    cut = scan_eos(draft_for(model, state), state, 0.9)
+    cut = scan_eos(draft_for(model, state), state, 0.9, toy_config.eos_token_id)
     assert cut is not None and cut[0] == 90
 
 
 def test_scan_returns_earliest_qualifying_eos(toy_config):
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256, eos_offsets=(120, 87), eos_conf=0.99)
-    cut = scan_eos(draft_for(model, state), state, 0.9)
+    cut = scan_eos(draft_for(model, state), state, 0.9, toy_config.eos_token_id)
     assert cut is not None and cut[0] == 87
+
+
+def test_scan_refuses_a_draft_of_another_length(toy_config):
+    state = fresh_state(toy_config)
+    model = eos_schedule(toy_config, 4, 256, eos_offsets=(87,), eos_conf=0.99)
+    draft = draft_for(model, state)
+    short, _ = apply_truncation(state, (87, 0.99))
+    with pytest.raises(RangeError, match="does not cover"):
+        scan_eos(draft, short, 0.9, toy_config.eos_token_id)
 
 
 def test_scan_threshold_above_one_never_fires(toy_config):
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256, eos_offsets=(87,), eos_conf=0.99)
-    assert scan_eos(draft_for(model, state), state, 1.1) is None
+    assert scan_eos(draft_for(model, state), state, 1.1, toy_config.eos_token_id) is None
 
 
 # --- apply_truncation -------------------------------------------------------------
@@ -129,7 +139,6 @@ def test_truncation_never_cuts_decoded_region(toy_config):
 def test_truncation_never_deletes_unmasked_tokens(toy_config):
     state = fresh_state(toy_config)
     state.tokens[4 + 200] = 9
-    state.masked[4 + 200] = False
     out, event = apply_truncation(state, (87, 0.97))
     assert event is None
     assert out.gen_length == 256

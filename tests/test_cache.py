@@ -4,6 +4,7 @@ import pytest
 from blockspec import ShapeError, StaleCacheError
 from blockspec.cache import cache_view, refresh_dual_cache
 from blockspec.layout import build_block_layout, full_sequence_layout
+from blockspec.model import check_compatible
 
 from conftest import n_prefix, n_suffix, random_state, rel_err
 from shared_kv import EmptySharedError, build_shared_kv, shared_view
@@ -23,7 +24,7 @@ def test_refresh_region_sizes(refreshed):
     assert n_prefix(cache) == 20
     assert n_suffix(cache) == 96
     assert cache.size == 20 + 96
-    assert draft.seq_len == state.seq_len
+    assert draft.n_rows == state.seq_len
     assert cache.snapshot_len == state.seq_len
 
 
@@ -124,11 +125,11 @@ def test_view_checks_layout_context_positions(refreshed, toy_config):
         cache.positions[0] = 1
     own = build_block_layout(state.block_range(), view.positions)
     assert own.context_positions is view.positions
-    view.check_compatible(toy_config, own)
-    view.check_compatible(toy_config, build_block_layout(state.block_range(), cache.positions.tolist()))
+    check_compatible(toy_config, own, view)
+    check_compatible(toy_config, build_block_layout(state.block_range(), cache.positions.tolist()), view)
     shifted = build_block_layout(state.block_range(), cache.positions + 1)
     with pytest.raises(ShapeError, match="context positions disagree"):
-        view.check_compatible(toy_config, shifted)
+        check_compatible(toy_config, shifted, view)
 
 
 def test_cache_view_rejects_stale_epoch(refreshed):

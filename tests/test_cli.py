@@ -155,6 +155,8 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     ("--profile", '{"name": "x", "peak_flops": 1e12, "mem_bandwidth": "2e12"}', "mem_bandwidth"),
     ("--profile", '{"name": "x", "peak_flops": 1e12, "mem_bandwidth": false}', "mem_bandwidth"),
     ("--profile", '{"name": "x", "peak_flops": 1' + "0" * 400 + ', "mem_bandwidth": 1}', "peak_flops"),
+    ("--profile", '{"name": "x", "peak_flops": 1e12, "mem_bandwidth": 1e11, "peak_flop": 2e12}',
+     "peak_flop'"),
 ])
 def test_run_rejects_malformed_config_files(workdir, capsys, option, content, named):
     tmp, model, _, tasks = workdir
@@ -174,6 +176,7 @@ def test_run_rejects_malformed_config_files(workdir, capsys, option, content, na
     ({}, "no steps"),
     ({"0": {"positions": {"-1": [5, 0.5]}}}, "pos -1"),
     ({"0": {"eos": [[65536, 0.5]]}}, "pos 65536"),
+    ({"0": {"postions": {"20": [5, 0.99]}, "eos": []}}, "step '0': unknown keys ['postions']"),
 ])
 def test_run_rejects_malformed_schedule(workdir, capsys, schedule, named):
     tmp, model, _, tasks = workdir
@@ -299,6 +302,31 @@ def test_dump_mask_writes_grids(workdir):
     for name in ("mask_block.csv", "mask_spec_stage1.csv", "mask_spec_stage2.csv"):
         grid = (out / "masks" / name).read_text().splitlines()
         assert len(grid) > 1
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 3, 4])
+def test_dump_mask_at_small_block_sizes(workdir, block_size):
+    """Stage 2 starts from stage2_threshold decoded rows and speculates on
+    the block's other positions; a grid no candidate can reach is skipped."""
+    tmp, model, _, tasks = workdir
+    out = tmp / "out_masks"
+    code = main(["run", *base_args(model, tasks, out), "--strategy", "odb",
+                 "--gen-length", "12", "--block-size", str(block_size), "--dump-mask"])
+    assert code == 0
+    grids = {p.name: p.read_text().splitlines() for p in (out / "masks").iterdir()}
+    # block 1: one decoded row leaves no candidate for stage 2
+    stage2 = {"mask_spec_stage2.csv"} if block_size > 1 else set()
+    assert set(grids) == {"mask_block.csv", "mask_spec_stage1.csv"} | stage2
+    assert len(grids["mask_block.csv"]) == 1 + block_size
+    # a lattice of m candidates has 2m - 1 speculative blocks; each repeats
+    # the main block's rows, less stage 2's one decoded (shared) row
+    m1 = min(2, block_size)
+    assert len(grids["mask_spec_stage1.csv"]) == 1 + block_size * 2 * m1
+    if stage2:
+        m2 = min(4, block_size - 1)
+        assert len(grids["mask_spec_stage2.csv"]) == (
+            1 + block_size + (2 * m2 - 1) * (block_size - 1)
+        )
 
 
 def test_gen_tasks_and_schedule(workdir):

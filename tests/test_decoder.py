@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+import blockspec.decoder
 from blockspec import (
     BlockCompleteError,
     ConfigError,
     DecodeState,
+    ProgressError,
     RangeError,
     RunConfig,
     ScriptedModel,
     ScriptedSchedule,
+    StepOutcome,
+    apply_truncation,
     decode,
     tau_leaping_step,
     threshold_step,
 )
-from blockspec.decoder import decision_entries, threshold_decide
+from blockspec.decoder import apply_outcome, decision_entries, threshold_decide
 from blockspec.layout import full_sequence_layout
 from blockspec.model import scripted_forward
 
@@ -143,7 +147,6 @@ def test_threshold_step_all_above_completes_block(toy_config):
 
 def test_threshold_step_requires_masked_positions(toy_config):
     state = _five_token_state(toy_config)
-    state.masked[4:] = False
     state.tokens[4:] = 9
     sched = ScriptedSchedule(steps=[{}], vocab_size=128, mask_token_id=126)
     view = scripted_forward(sched, 0, [4])
@@ -272,3 +275,53 @@ def test_decode_state_invariants(toy_config):
     state.check_invariants()
     with pytest.raises(ConfigError):
         DecodeState.new([], 32, 32, toy_config.mask_token_id)
+
+
+# --- safety checks ------------------------------------------------------------
+
+def test_apply_outcome_refuses_a_position_accepted_twice(toy_config):
+    state = DecodeState.new([1, 2], 32, 32, toy_config.mask_token_id)
+    with pytest.raises(ProgressError, match="position 5 accepted twice"):
+        apply_outcome(state, StepOutcome(accepted=[(5, 9, 0.9), (5, 10, 0.8)], rejected_top=[]))
+    apply_outcome(state, StepOutcome(accepted=[(6, 9, 0.9)], rejected_top=[]))
+    with pytest.raises(ProgressError, match="position 6 accepted twice"):
+        apply_outcome(state, StepOutcome(accepted=[(6, 9, 0.9)], rejected_top=[]))
+    with pytest.raises(ProgressError, match="position 0 accepted twice"):
+        apply_outcome(state, StepOutcome(accepted=[(0, 9, 0.9)], rejected_top=[]))
+
+
+def test_apply_outcome_refuses_the_mask_token(toy_config):
+    mask = toy_config.mask_token_id
+    state = DecodeState.new([1, 2], 32, 32, mask)
+    with pytest.raises(ProgressError, match="mask token"):
+        apply_outcome(state, StepOutcome(accepted=[(4, mask, 0.9)], rejected_top=[]))
+    assert state.tokens[4] == mask
+
+
+@pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
+def test_decode_refuses_a_step_that_accepts_nothing(toy_model, monkeypatch, strategy):
+    monkeypatch.setattr(
+        blockspec.decoder, "threshold_step",
+        lambda state, logits, threshold: StepOutcome(accepted=[], rejected_top=[]),
+    )
+    config = RunConfig(strategy=strategy, gen_length=32, block_size=32)
+    with pytest.raises(ProgressError, match="unmasked zero tokens"):
+        decode(toy_model, [5, 6, 7], config)
+
+
+def test_mask_flags_are_read_only_and_follow_tokens(toy_config):
+    mask = toy_config.mask_token_id
+    state = DecodeState.new([1, 2, 3, 4], 128, 32, mask)
+    with pytest.raises(ValueError):
+        state.masked[5] = False
+    apply_outcome(state, StepOutcome(accepted=[(5, 9, 0.9), (100, 11, 0.9)], rejected_top=[]))
+    assert np.array_equal(np.flatnonzero(~state.masked), [0, 1, 2, 3, 5, 100])
+    assert np.array_equal(state.block_decoded_positions(), [5])
+    # the cut to 64 would delete the token at 100
+    _, event = apply_truncation(state, (40, 0.99))
+    assert event is None
+    state.tokens[100] = mask
+    short, event = apply_truncation(state, (40, 0.99))
+    assert event is not None and short.seq_len == 4 + 64
+    assert np.array_equal(np.flatnonzero(~short.masked), [0, 1, 2, 3, 5])
+    assert np.array_equal(state.block_masked_positions(), short.block_masked_positions())
