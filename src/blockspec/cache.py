@@ -30,7 +30,6 @@ class DualCache:
     values: list[np.ndarray]
     block_range: tuple[int, int]
     refresh_epoch: int
-    snapshot_len: int
 
     def __post_init__(self):
         # read-only, so layouts built over the cache hold this very array
@@ -62,7 +61,6 @@ class DualCache:
             values=[v[keep] for v in self.values],
             block_range=self.block_range,
             refresh_epoch=self.refresh_epoch,
-            snapshot_len=min(self.snapshot_len, new_seq_len),
         )
 
 
@@ -87,7 +85,6 @@ def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 
         values=[v[outside] for _, v in new_kv],
         block_range=(start, end),
         refresh_epoch=epoch,
-        snapshot_len=seq_len,
     )
     return cache, view
 

@@ -16,13 +16,14 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .decoder import STRATEGIES, RunConfig, decode
-from .errors import ConfigError, ProgressError, RangeError, ShapeError
+from .errors import ConfigError, ProgressError, RangeError, ShapeError, from_document
 from .layout import build_block_layout, build_spec_layout
 from .metrics import (
     HardwareProfile,
@@ -46,12 +47,21 @@ EPILOG = __doc__
 # trajectory_<id>_<strategy>.json, and file systems cap a name at 255 bytes.
 MAX_TASK_ID_BYTES = 255 - len("trajectory__.json") - max(map(len, STRATEGIES))
 
+# One flag per RunConfig field after the strategy, each None unless given.
+RUN_FLAGS = [f for f in fields(RunConfig) if f.name != "strategy"]
+# The lengths a run takes when neither a flag nor --run-config sets them;
+# RunConfig's own field defaults supply the rest.
+LENGTH_DEFAULTS = {"gen_length": 128, "block_size": 32}
+
+# compare's count columns and totals, each read from one MetricsReport field
+COUNT_COLUMNS = {"nfe": "nfe", "eff_nfe": "eff_nfe", "tokens": "tokens_generated",
+                 "truncations": "truncation_count"}
+
 
 @dataclass(frozen=True)
 class TaskRecord:
     id: str
     prompt_tokens: tuple[int, ...]
-    note: str = ""
     source: str = ""                 # "path:line" the task was read from
 
 
@@ -116,69 +126,59 @@ def load_tasks(path) -> list[TaskRecord]:
         if task_id in seen:
             raise CliError(f"{path}:{ln}: duplicate task id '{task_id}'", EXIT_PARSE)
         seen.add(task_id)
-        tasks.append(
-            TaskRecord(
-                id=task_id,
-                prompt_tokens=tuple(tokens),
-                note=str(raw.get("note", "")),
-                source=f"{path}:{ln}",
-            )
-        )
+        tasks.append(TaskRecord(id=task_id, prompt_tokens=tuple(tokens), source=f"{path}:{ln}"))
     if not tasks:
         raise CliError(f"{path}: no tasks found", EXIT_PARSE)
     return tasks
 
 
-def _load_model(args):
+def _load(cls, path, what: str, *context):
+    """`cls.from_json(path, *context)`; a bad file exits 2 naming `what` and `path`."""
     try:
-        cfg = ModelConfig.from_json(args.model_config)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError) as err:
-        raise CliError(f"model config {args.model_config}: {err}", EXIT_PARSE) from err
-    if getattr(args, "scripted", None):
-        try:
-            schedule = ScriptedSchedule.from_json(
-                args.scripted, cfg.vocab_size, cfg.mask_token_id, cfg.eos_token_id
-            )
-        except (ConfigError, RangeError, OSError, json.JSONDecodeError) as err:
-            raise CliError(f"schedule {args.scripted}: {err}", EXIT_PARSE) from err
-        return ScriptedModel(cfg, schedule)
+        return cls.from_json(path, *context)
+    except (OSError, ValueError, TypeError) as err:
+        raise CliError(f"{what} {path}: {err}", EXIT_PARSE) from err
+
+
+def _load_model(args):
+    cfg = _load(ModelConfig, args.model_config, "model config")
+    if args.scripted:
+        ids = (cfg.vocab_size, cfg.mask_token_id, cfg.eos_token_id)
+        return ScriptedModel(cfg, _load(ScriptedSchedule, args.scripted, "schedule", *ids))
     try:
         return ToyModel(cfg)
     except ConfigError as err:
         raise CliError(f"model config {args.model_config}: {err}", EXIT_PARSE) from err
 
 
-def _load_profile(path) -> HardwareProfile:
-    try:
-        return HardwareProfile.from_json(path)
-    except (ConfigError, OSError, json.JSONDecodeError, ValueError, TypeError) as err:
-        raise CliError(f"profile {path}: {err}", EXIT_PARSE) from err
-
-
 def _run_config(args, strategy: str) -> RunConfig:
-    base = {}
-    if getattr(args, "run_config", None):
-        try:
-            with open(args.run_config) as fh:
-                base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise CliError(f"run config {args.run_config}: {err}", EXIT_PARSE) from err
-        if not isinstance(base, dict):
-            raise CliError(f"run config {args.run_config}: must be a JSON object", EXIT_PARSE)
-    base["strategy"] = strategy
-    base.setdefault("gen_length", args.gen_length)
-    base.setdefault("block_size", args.block_size)
-    base.setdefault("accept_threshold", args.accept_threshold)
-    base.setdefault("truncate_threshold", args.truncate_threshold)
-    if args.stage2_min_decoded is not None:
-        base["stage2_min_decoded"] = args.stage2_min_decoded
-    base.setdefault("seed", args.seed)
-    if getattr(args, "tau_steps", None) is not None:
-        base["tau_steps"] = args.tau_steps
+    """The length defaults, overridden by the --run-config document, then by
+    every run flag given on the command line, then by `strategy`."""
+    path = args.run_config
     try:
-        return RunConfig.from_dict(base)
-    except (ConfigError, TypeError) as err:
-        raise CliError(f"run config: {err}", EXIT_PARSE) from err
+        document = {}
+        if path:
+            with open(path) as fh:
+                document = json.load(fh)
+            if not isinstance(document, dict):
+                raise ConfigError("must be a JSON object")
+        flags = {f.name: v for f in RUN_FLAGS if (v := getattr(args, f.name)) is not None}
+        merged = {**LENGTH_DEFAULTS, **document, **flags, "strategy": strategy}
+        return from_document(RunConfig, merged, "run config")
+    except (OSError, ValueError, TypeError) as err:
+        raise CliError(f"run config{f' {path}' if path else ''}: {err}", EXIT_PARSE) from err
+
+
+def _setup(args, strategies):
+    """Tasks, model, one run config per strategy, the profile (None without
+    --profile) and the output directory, created once every input is read."""
+    tasks = load_tasks(args.tasks)
+    model = _load_model(args)
+    configs = [_run_config(args, strategy) for strategy in strategies]
+    profile = _load(HardwareProfile, args.profile, "profile") if args.profile else None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return tasks, model, configs, profile, out_dir
 
 
 def _write_json(path: Path, payload) -> None:
@@ -222,19 +222,14 @@ def _dump_masks(out_dir: Path, config: RunConfig) -> None:
 
 
 def cmd_run(args) -> int:
-    tasks = load_tasks(args.tasks)
-    model = _load_model(args)
-    config = _run_config(args, args.strategy)
-    profile = _load_profile(args.profile) if args.profile else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks, model, (config,), profile, out_dir = _setup(args, [args.strategy])
 
     summary = {"strategy": args.strategy, "run_config": config.to_dict(), "tasks": {}}
     metrics_rows = []
     trajectories = {}
     for task in tasks:
         traj = _decode_task(model, task, config)
-        _write_json(out_dir / f"trajectory_{task.id}.json", traj.to_dict())
+        (out_dir / f"trajectory_{task.id}.json").write_text(traj.to_json())
         entry = {
             "nfe": traj.nfe,
             "total_jumps": traj.total_jumps,
@@ -276,39 +271,24 @@ def cmd_compare(args) -> int:
             raise CliError(f"unknown strategy '{s}'", EXIT_USAGE)
     if len(set(args.strategies)) != len(args.strategies):
         raise CliError("strategies must be distinct", EXIT_USAGE)
-    tasks = load_tasks(args.tasks)
-    model = _load_model(args)
-    profile = _load_profile(args.profile)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks, model, configs, profile, out_dir = _setup(args, args.strategies)
 
-    pairs = [
-        (args.strategies[i], args.strategies[j])
-        for i in range(len(args.strategies))
-        for j in range(i + 1, len(args.strategies))
-    ]
+    pairs = list(combinations(args.strategies, 2))
     speedup_cols = [f"{b}/{a}" for a, b in pairs]
     table = []
-    aggregate = {s: {"nfe": 0, "eff_nfe": 0, "tokens": 0, "truncations": 0, "time": 0.0}
-                 for s in args.strategies}
+    aggregate = {s: {**dict.fromkeys(COUNT_COLUMNS, 0), "time": 0.0} for s in args.strategies}
     for task in tasks:
         trajs = {}
         row = {"task": task.id}
-        for strategy in args.strategies:
-            config = _run_config(args, strategy)
+        for strategy, config in zip(args.strategies, configs):
             traj = _decode_task(model, task, config)
-            _write_json(out_dir / f"trajectory_{task.id}_{strategy}.json", traj.to_dict())
+            (out_dir / f"trajectory_{task.id}_{strategy}.json").write_text(traj.to_json())
             report = trajectory_metrics(traj, profile)
             trajs[strategy] = traj
-            row[f"{strategy}_nfe"] = report.nfe
-            row[f"{strategy}_eff_nfe"] = report.eff_nfe
-            row[f"{strategy}_tokens"] = report.tokens_generated
-            row[f"{strategy}_truncations"] = report.truncation_count
             agg = aggregate[strategy]
-            agg["nfe"] += report.nfe
-            agg["eff_nfe"] += report.eff_nfe
-            agg["tokens"] += report.tokens_generated
-            agg["truncations"] += report.truncation_count
+            for column, name in COUNT_COLUMNS.items():
+                row[f"{strategy}_{column}"] = getattr(report, name)
+                agg[column] += getattr(report, name)
             agg["time"] += report.total_est_time_s
         for a, b in pairs:
             row[f"{b}/{a}"] = estimate_speedup(trajs[a], trajs[b], profile)
@@ -333,12 +313,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    tasks = load_tasks(args.tasks)
-    model = _load_model(args)
-    config = _run_config(args, args.strategy)
-    profile = _load_profile(args.profile)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks, model, (config,), profile, out_dir = _setup(args, [args.strategy])
 
     trajectories = {}
     summaries = {}
@@ -355,10 +330,7 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_gen_tasks(args) -> int:
-    try:
-        cfg = ModelConfig.from_json(args.model_config)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError) as err:
-        raise CliError(f"model config {args.model_config}: {err}", EXIT_PARSE) from err
+    cfg = _load(ModelConfig, args.model_config, "model config")
     if args.count < 1 or args.prompt_len < 1:
         raise CliError("count and prompt-len must be positive", EXIT_USAGE)
     for flag, value in (("--eos-confidence", args.eos_confidence),
@@ -373,6 +345,9 @@ def cmd_gen_tasks(args) -> int:
     rng = np.random.default_rng(args.seed)
     special = {cfg.mask_token_id, cfg.eos_token_id}
     ordinary = [t for t in range(cfg.vocab_size) if t not in special]
+    if not ordinary:
+        raise CliError(f"model config {args.model_config}: vocab_size {cfg.vocab_size} leaves "
+                       "no token besides mask_token_id and eos_token_id", EXIT_PARSE)
     lines = []
     for i in range(args.count):
         prompt = rng.choice(ordinary, size=args.prompt_len, replace=True)
@@ -418,16 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scripted", help="scripted schedule JSON (replaces the toy model)")
         p.add_argument("--tasks", required=True, help="JSONL task file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--run-config", help="RunConfig JSON; flags below override")
+        p.add_argument("--run-config", help="RunConfig JSON; a flag given overrides its key")
         if with_strategy:
             p.add_argument("--strategy", default="fast", choices=STRATEGIES)
-        p.add_argument("--gen-length", type=int, default=128)
-        p.add_argument("--block-size", type=int, default=32)
-        p.add_argument("--accept-threshold", type=float, default=0.9)
-        p.add_argument("--truncate-threshold", type=float, default=0.9)
-        p.add_argument("--stage2-min-decoded", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tau-steps", type=int, default=None)
+        for f in RUN_FLAGS:  # the thresholds are floats, every other run flag an int
+            kind = float if "float" in str(f.type) else int
+            p.add_argument("--" + f.name.replace("_", "-"), type=kind,
+                           help=f"default {LENGTH_DEFAULTS.get(f.name, f.default)}")
 
     p_run = sub.add_parser("run", help="decode every task under one strategy")
     common(p_run)

@@ -18,9 +18,8 @@ argmax/softmax so an acceptance always unmasks.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,21 +84,6 @@ class RunConfig:
         if self.stage2_min_decoded is not None:
             return self.stage2_min_decoded
         return max(1, self.block_size // 4)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        extra = [k for k in raw if k not in names]
-        if extra:
-            raise ConfigError(f"run config has unknown keys: {extra}")
-        if "strategy" not in raw or "gen_length" not in raw or "block_size" not in raw:
-            raise ConfigError("run config needs strategy, gen_length and block_size")
-        return cls(**raw)
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return {**vars(self), "stage2_min_decoded": self.stage2_threshold}

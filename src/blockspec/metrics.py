@@ -16,11 +16,10 @@ its modeled time is the roofline max of compute and memory time.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError, DegenerateInputError, RangeError
+from .errors import ConfigError, DegenerateInputError, RangeError, load_document
 from .model import ModelConfig, count_params
 from .trajectory import Trajectory
 
@@ -54,18 +53,7 @@ class HardwareProfile:
 
     @classmethod
     def from_json(cls, path) -> "HardwareProfile":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError("profile must be a JSON object")
-        names = [f.name for f in fields(cls)]
-        missing = [k for k in names if k not in raw]
-        extra = [k for k in raw if k not in names]
-        if missing:
-            raise ConfigError(f"profile missing keys: {missing}")
-        if extra:
-            raise ConfigError(f"profile has unknown keys: {extra}")
-        return cls(**raw)
+        return load_document(cls, path, "profile")
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -114,7 +102,7 @@ def cost_of_forward(model_cfg: ModelConfig, t: int, c: int, profile: HardwarePro
 
 def step_cost_records(traj: Trajectory, profile: HardwareProfile) -> list[CostRecord]:
     """One CostRecord per trajectory step, phase-labelled."""
-    cfg = ModelConfig.from_dict(traj.model_config)
+    cfg = ModelConfig(**traj.model_config)
     return [
         replace(cost_of_forward(cfg, step.t_tokens, step.c_tokens, profile), phase=step.phase)
         for step in traj.steps

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RangeError, ShapeError
+from .errors import ConfigError, RangeError, ShapeError, load_document
 from .layout import AttentionLayout
 
 _LN_EPS = np.float32(1e-5)
@@ -64,22 +64,8 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("model config must be a JSON object")
-        names = [f.name for f in fields(cls)]
-        missing = [k for k in names if k not in raw]
-        extra = [k for k in raw if k not in names]
-        if missing:
-            raise ConfigError(f"model config missing keys: {missing}")
-        if extra:
-            raise ConfigError(f"model config has unknown keys: {extra}")
-        return cls(**raw)
-
-    @classmethod
     def from_json(cls, path) -> "ModelConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return load_document(cls, path, "model config")
 
     def to_dict(self) -> dict:
         return dict(vars(self))

@@ -25,7 +25,6 @@ def test_refresh_region_sizes(refreshed):
     assert n_suffix(cache) == 96
     assert cache.size == 20 + 96
     assert draft.n_rows == state.seq_len
-    assert cache.snapshot_len == state.seq_len
 
 
 def test_refresh_epoch_increments(toy_model, toy_config):

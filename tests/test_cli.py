@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from blockspec.cli import main
+from blockspec.errors import from_document
 
 from conftest import TOY
 
@@ -34,12 +35,15 @@ def read_dir(path: Path) -> dict:
     }
 
 
-def base_args(model, tasks, out, extra=()):
-    return [
-        "--model-config", str(model), "--tasks", str(tasks), "--out", str(out),
-        "--gen-length", "64", "--block-size", "32",
-        "--accept-threshold", "0.05", "--seed", "3", *extra,
-    ]
+BASE_RUN_FLAGS = {"gen_length": "64", "block_size": "32", "accept_threshold": "0.05", "seed": "3"}
+
+
+def base_args(model, tasks, out, extra=(), drop=()):
+    """The common command line; `drop` names run-config fields whose flag to leave out."""
+    flags = [arg for name, value in BASE_RUN_FLAGS.items() if name not in drop
+             for arg in ("--" + name.replace("_", "-"), value)]
+    return ["--model-config", str(model), "--tasks", str(tasks), "--out", str(out),
+            *flags, *extra]
 
 
 def test_run_writes_one_trajectory_per_task(workdir):
@@ -162,10 +166,37 @@ def test_run_rejects_malformed_config_files(workdir, capsys, option, content, na
     tmp, model, _, tasks = workdir
     bad = tmp / "bad.json"
     bad.write_text(content + "\n")
-    code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast",
+    # a flag overrides the run config, so the document's bad value must come alone
+    document = json.loads(content) if option == "--run-config" else None
+    drop = list(document) if isinstance(document, dict) else []
+    code = main(["run", *base_args(model, tasks, tmp / "out", drop=drop), "--strategy", "fast",
                  option, str(bad)])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document,flags,expected", [
+    ({}, [], {"gen_length": 128, "block_size": 32, "accept_threshold": 0.9, "seed": 0}),
+    ({"gen_length": 64, "accept_threshold": 0.5, "seed": 4}, [],
+     {"gen_length": 64, "block_size": 32, "accept_threshold": 0.5, "seed": 4}),
+    ({"gen_length": 64, "block_size": 16, "accept_threshold": 0.5},
+     ["--gen-length", "32", "--accept-threshold", "0.25"],
+     {"gen_length": 32, "block_size": 16, "accept_threshold": 0.25, "seed": 0}),
+], ids=["defaults", "document", "flags-override-document"])
+def test_run_config_precedence(workdir, document, flags, expected):
+    """A flag given on the command line beats --run-config, which beats the
+    defaults (128/32 for the lengths, RunConfig's own for the rest)."""
+    tmp, model, _, tasks = workdir
+    doc = tmp / "rc.json"
+    doc.write_text(json.dumps(document))
+    out = tmp / "out"
+    code = main(["run", "--model-config", str(model), "--tasks", str(tasks), "--out", str(out),
+                 "--strategy", "fast", "--run-config", str(doc), *flags])
+    assert code == 0
+    run_config = json.loads((out / "summary.json").read_text())["run_config"]
+    assert {k: run_config[k] for k in expected} == expected
+    traj = json.loads((out / "trajectory_t0.json").read_text())
+    assert traj["gen_length_final"] == expected["gen_length"]
 
 
 @pytest.mark.parametrize("schedule,named", [
@@ -370,6 +401,18 @@ def test_gen_tasks_rejects_bad_confidence_before_writing(workdir, capsys, flag, 
     assert not tasks_out.exists() and not sched_out.exists()
 
 
+def test_gen_tasks_rejects_a_vocab_without_ordinary_tokens(workdir, capsys):
+    tmp, _, _, _ = workdir
+    model = tmp / "tiny_vocab.json"
+    model.write_text(json.dumps({**TOY, "vocab_size": 2, "mask_token_id": 0, "eos_token_id": 1}))
+    tasks_out = tmp / "gen.jsonl"
+    code = main(["gen-tasks", "--model-config", str(model), "--out", str(tasks_out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "model config" in err and "tiny_vocab.json" in err and "vocab_size" in err
+    assert not tasks_out.exists()
+
+
 def test_scripted_alp_compare_consistency(workdir):
     """The compare table's odb/fast column equals estimate_speedup on the
     same trajectories (cross-module consistency on the ALP scenario)."""
@@ -401,7 +444,7 @@ def test_scripted_alp_compare_consistency(workdir):
     payload = json.loads((out / "compare.json").read_text())
     row = payload["per_task"][0]
 
-    cfg = ModelConfig.from_dict(json.loads(model.read_text()))
+    cfg = from_document(ModelConfig, json.loads(model.read_text()), "model config")
     schedule = ScriptedSchedule.from_json(sched_out, cfg.vocab_size,
                                           cfg.mask_token_id, cfg.eos_token_id)
     smodel = ScriptedModel(cfg, schedule)

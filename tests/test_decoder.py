@@ -18,6 +18,7 @@ from blockspec import (
     threshold_step,
 )
 from blockspec.decoder import apply_outcome, decision_entries, threshold_decide
+from blockspec.errors import from_document
 from blockspec.layout import full_sequence_layout
 from blockspec.model import scripted_forward
 
@@ -261,9 +262,10 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(strategy="warp", gen_length=32, block_size=32)
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"strategy": "fast", "gen_length": 32,
-                             "block_size": 32, "mystery": 1})
-    cfg = RunConfig.from_dict({"strategy": "odb", "gen_length": 64, "block_size": 32})
+        from_document(RunConfig, {"strategy": "fast", "gen_length": 32,
+                                  "block_size": 32, "mystery": 1}, "run config")
+    cfg = from_document(RunConfig, {"strategy": "odb", "gen_length": 64, "block_size": 32},
+                        "run config")
     assert cfg.stage2_threshold == 8
 
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from blockspec import (
     ConfigError,
+    HardwareProfile,
     ModelConfig,
     RangeError,
+    RunConfig,
     ScriptedModel,
     ScriptedSchedule,
     ShapeError,
@@ -16,6 +18,7 @@ from blockspec import (
     count_params,
     scripted_forward,
 )
+from blockspec.errors import from_document
 from blockspec.layout import full_sequence_layout
 from blockspec.model import softmax
 
@@ -37,9 +40,26 @@ def test_config_rejects_clashing_special_tokens():
 
 
 def test_config_round_trips_through_dict(toy_config):
-    assert ModelConfig.from_dict(toy_config.to_dict()) == toy_config
+    assert from_document(ModelConfig, toy_config.to_dict(), "model config") == toy_config
     with pytest.raises(ConfigError):
-        ModelConfig.from_dict({**toy_config.to_dict(), "bogus": 1})
+        from_document(ModelConfig, {**toy_config.to_dict(), "bogus": 1}, "model config")
+
+
+@pytest.mark.parametrize("cls,what,valid,required", [
+    (ModelConfig, "model config", TOY, "seed"),
+    (RunConfig, "run config", {"strategy": "fast", "gen_length": 32, "block_size": 32},
+     "block_size"),
+    (HardwareProfile, "profile", {"name": "x", "peak_flops": 1e12, "mem_bandwidth": 1e11},
+     "mem_bandwidth"),
+], ids=["model-config", "run-config", "profile"])
+def test_from_document_names_the_document_and_the_key(cls, what, valid, required):
+    assert from_document(cls, valid, what) == cls(**valid)
+    missing = {k: v for k, v in valid.items() if k != required}
+    for raw, named in (([1, 2], "JSON object"), (missing, f"'{required}'"),
+                       ({**valid, "bogus": 1}, "'bogus'")):
+        with pytest.raises(ConfigError) as err:
+            from_document(cls, raw, what)
+        assert what in str(err.value) and named in str(err.value)
 
 
 # --- parameter count ---------------------------------------------------------
