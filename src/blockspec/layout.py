@@ -155,3 +155,27 @@ def build_spec_layout(
         context_positions=context_positions,
         stage=stage,
     )
+
+
+def spec_decision_rows(
+    block_range: tuple[int, int], n_spec_blocks: int, stage: int, masked_positions: np.ndarray
+) -> np.ndarray:
+    """[1 + n_spec_blocks, masked] rows of ``build_spec_layout``'s layout:
+    row `tag` holds that block's query row for every masked position.
+
+    ``build_spec_layout`` lays tag 0 over the whole block [0, W) in block
+    order, then gives each speculative tag t one run of its spec rows from
+    W + (t - 1) * len(spec rows).  The spec rows are the whole block at
+    stage 1 and the masked positions, ascending, at stage 2, where they are
+    exactly the rows that are not decoded.
+    """
+    start, end = block_range
+    offsets = masked_positions - start
+    if stage == 1:
+        stride, spec_cols = end - start, offsets
+    else:
+        stride, spec_cols = offsets.size, np.arange(offsets.size)
+    table = np.empty((1 + n_spec_blocks, offsets.size), dtype=np.int64)
+    table[0] = offsets
+    table[1:] = (end - start + stride * np.arange(n_spec_blocks))[:, None] + spec_cols
+    return table

@@ -20,10 +20,23 @@ Stage 1 recomputes every block position per speculative block.  Stage 2
 in speculative blocks and shares the main block's decoded-row K/V with all
 of them via the attention mask, so the batched forward itself realizes the
 decoded-share strategy in exactly one model evaluation.
+
+A step decides from [tags x masked positions] tables, with no per-block
+lists:
+
+* ``layout.spec_decision_rows`` gives every (tag, masked position) its
+  query row in closed form from the layout's block order;
+* the lattice's committed (tag, candidate) cells are built once per
+  candidate count (``SpecSet.cells``);
+* one greedy pass and one ``threshold_decide`` fill the accept table, and
+  two array operations on it and the greedy tokens give the candidate-hit
+  table that ``resolve_jump`` walks;
+* only the adopted block becomes (position, token, confidence) lists.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +51,7 @@ from .decoder import (
     threshold_decide,
 )
 from .errors import ConfigError, NoCandidatesError, RangeError, ShapeError
-from .layout import build_spec_layout
-from .model import RowIndex
+from .layout import build_spec_layout, spec_decision_rows
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,19 @@ def select_candidates(outcome: StepOutcome, k: int) -> CandidateSet:
     )
 
 
+@functools.cache
+def _lattice(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The blocks of an m-candidate lattice and their (tag, ordinal - 1)
+    cells; built once per candidate count."""
+    blocks = [(1, (1,))]
+    for j in range(2, m + 1):
+        blocks += [(2 * j - 2, (j,)), (2 * j - 1, tuple(range(1, j + 1)))]
+    cells = [(tag, j - 1) for tag, subset in blocks for j in subset]
+    cells = np.array(cells, dtype=np.int64).T.copy()
+    cells.setflags(write=False)
+    return tuple(blocks), cells[0], cells[1]
+
+
 @dataclass(frozen=True)
 class SpecSet:
     """The lattice of speculative blocks evaluated in one forward.
@@ -101,14 +126,17 @@ class SpecSet:
         limit = 2 if stage == 1 else 4
         if m > limit:
             raise ConfigError(f"stage {stage} allows at most {limit} candidates, got {m}")
-        blocks = [(1, (1,))]
-        for j in range(2, m + 1):
-            blocks += [(2 * j - 2, (j,)), (2 * j - 1, tuple(range(1, j + 1)))]
-        return cls(stage=stage, candidates=candidate_set.candidates, blocks=tuple(blocks))
+        return cls(stage=stage, candidates=candidate_set.candidates, blocks=_lattice(m)[0])
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    @property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tag, ordinal - 1) of every candidate a speculative block commits,
+        as two parallel int64 arrays in block order."""
+        return _lattice(len(self.candidates))[1:]
 
     def subset_of(self, tag: int) -> tuple[int, ...]:
         if tag == 0:
@@ -118,39 +146,57 @@ class SpecSet:
         return self.blocks[tag - 1][1]
 
 
-def resolve_jump(block_results: dict[int, StepOutcome], spec_set: SpecSet) -> tuple[int, int]:
-    """Ladder resolution over per-block threshold outcomes.
+def resolve_jump(hit, spec_set: SpecSet) -> tuple[int, int]:
+    """Ladder resolution over a step's candidate-hit table.
 
-    A candidate is "accepted in block X" when X's threshold acceptance
-    unmasked the candidate's position to the candidate's exact token.  The
-    walk tracks the ladder rung j, i.e. the prefix block {c1..cj} (tag 2j-1).
+    ``hit[tag][j - 1]`` is true when block `tag`'s threshold acceptance
+    unmasked candidate j's position to candidate j's exact token.  The walk
+    tracks the ladder rung j, i.e. the prefix block {c1..cj} (tag 2j-1).
     Returns (adopted tag, jump count).
     """
     m = len(spec_set.candidates)
-
-    def accepted_in(tag: int, ordinal: int) -> bool:
-        cand = spec_set.candidates[ordinal - 1]
-        return any(
-            p == cand.position and t == cand.token
-            for p, t, _ in block_results[tag].accepted
-        )
-
     j = 0
-    while j < m and accepted_in(0, j + 1):
+    while j < m and hit[0][j]:
         j += 1
     jumps = 1
     if j == 0:
-        single = next((i for i in range(2, m + 1) if accepted_in(0, i)), None)
+        single = next((i for i in range(2, m + 1) if hit[0][i - 1]), None)
         if single is None:
             return 0, 0
         # only {c2} (tag 2) reaches the ladder, through its one missing c1
-        if single > 2 or not accepted_in(2, 1):
+        if single > 2 or not hit[2][0]:
             return 2 * single - 2, 1
         j, jumps = 2, 2
-    while j < m and accepted_in(2 * j - 1, j + 1):
+    while j < m and hit[2 * j - 1][j]:
         j += 1
         jumps += 1
     return 2 * j - 1, jumps
+
+
+def _candidate_columns(candidates: CandidateSet, masked: np.ndarray, mask_token_id: int,
+                       vocab_size: int) -> np.ndarray:
+    """Column of each candidate among the masked positions.
+
+    A candidate must sit at a masked position that no other candidate holds
+    and carry a vocab token other than the mask token; anything else would
+    waste the speculation, so it raises RangeError naming the candidate.
+    """
+    column = {p: i for i, p in enumerate(masked.tolist())}
+    seen = set()
+    for j, cand in enumerate(candidates.candidates, 1):
+        if cand.position not in column:
+            problem = "position is not masked"
+        elif cand.position in seen:
+            problem = "another candidate holds the position"
+        elif cand.token == mask_token_id:
+            problem = "token is the mask token"
+        elif not 0 <= cand.token < vocab_size:
+            problem = f"token outside vocab [0, {vocab_size})"
+        else:
+            seen.add(cand.position)
+            continue
+        raise RangeError(f"candidate c{j} (position {cand.position}, token {cand.token}): {problem}")
+    return np.array([column[c.position] for c in candidates.candidates], dtype=np.int64)
 
 
 def spec_step(
@@ -176,10 +222,8 @@ def spec_step(
     block_range = state.block_range()
     masked_abs = state.block_masked_positions()
     decoded_abs = state.block_decoded_positions()
-    column = {p: i for i, p in enumerate(masked_abs.tolist())}
-    for cand in candidates.candidates:
-        if cand.position not in column:
-            raise RangeError(f"candidate position {cand.position} is not masked")
+    cand_cols = _candidate_columns(candidates, masked_abs, state.mask_token_id,
+                                   model.config.vocab_size)
     if stage == 2 and decoded_abs.size < config.stage2_threshold:
         raise RangeError(
             f"stage 2 needs >= {config.stage2_threshold} decoded tokens, have {decoded_abs.size}"
@@ -193,19 +237,14 @@ def spec_step(
     # masked position (tags run 0..n_blocks).  A block's candidate cells are
     # committed, not decided: they are invalid, and their rows read the
     # candidate tokens; every other row reads the current token.
-    n_tags = 1 + spec_set.n_blocks
-    table = RowIndex(layout.query_positions, layout.query_tags).rows(
-        masked_abs, np.arange(n_tags)[:, None]
-    )
-    cell_tags, cell_cols, cell_tokens = zip(*(
-        (tag, column[c.position], c.token)
-        for tag, subset in spec_set.blocks
-        for c in (spec_set.candidates[j - 1] for j in subset)
-    ))
+    table = spec_decision_rows(block_range, spec_set.n_blocks, stage, masked_abs)
+    cand_tokens = np.array([c.token for c in spec_set.candidates], dtype=np.int64)
+    cell_tags, cell_ordinals = spec_set.cells
+    cell_cols = cand_cols[cell_ordinals]
     valid = np.ones(table.shape, dtype=bool)
     valid[cell_tags, cell_cols] = False
     tokens = state.tokens[layout.query_positions]
-    tokens[table[cell_tags, cell_cols]] = cell_tokens
+    tokens[table[cell_tags, cell_cols]] = cand_tokens[cell_ordinals]
 
     logits, _ = model.forward(tokens, layout, view, step=step)
     if not (np.array_equal(logits.positions, layout.query_positions)
@@ -216,27 +255,24 @@ def spec_step(
     greedy_tokens = greedy_tokens.reshape(table.shape)
     greedy_confs = greedy_confs.reshape(table.shape)
     accept = threshold_decide(greedy_confs, config.accept_threshold, valid)
-    results = {tag: StepOutcome(accepted=[], rejected_top=[]) for tag in range(n_tags)}
-    hit_tags, hit_cols = np.nonzero(accept)
-    hits = zip(
-        masked_abs[hit_cols].tolist(),
-        greedy_tokens[hit_tags, hit_cols].tolist(),
-        greedy_confs[hit_tags, hit_cols].tolist(),
-    )
-    for tag, entry in zip(hit_tags.tolist(), hits):
-        results[tag].accepted.append(entry)
-    adopted_tag, jump_count = resolve_jump(results, spec_set)
-    subset = spec_set.subset_of(adopted_tag)
-    committed = [
-        (c.position, c.token, c.confidence)
-        for c in (spec_set.candidates[j - 1] for j in subset)
-    ]
-    accepted_all = sorted(committed + results[adopted_tag].accepted, key=lambda e: e[0])
-    rejected = valid[adopted_tag] & ~accept[adopted_tag]
+    hit = accept[:, cand_cols] & (greedy_tokens[:, cand_cols] == cand_tokens)
+    adopted_tag, jump_count = resolve_jump(hit.tolist(), spec_set)
+
+    # Lists only for the adopted block: its committed candidates merge with
+    # its acceptances by position.  The merge runs in float64, which holds a
+    # float32 confidence and a hand-built candidate's confidence exactly.
+    subset = cell_ordinals[cell_tags == adopted_tag]
+    committed = cand_cols[subset]
+    merged_tokens = greedy_tokens[adopted_tag].copy()
+    merged_tokens[committed] = cand_tokens[subset]
+    merged_confs = greedy_confs[adopted_tag].astype(np.float64)
+    merged_confs[committed] = [spec_set.candidates[i].confidence for i in subset.tolist()]
+    taken = accept[adopted_tag].copy()
+    taken[committed] = True
     outcome = StepOutcome(
-        accepted=accepted_all,
+        accepted=decision_entries(masked_abs, merged_tokens, merged_confs, taken),
         rejected_top=decision_entries(
-            masked_abs, greedy_tokens[adopted_tag], greedy_confs[adopted_tag], rejected,
+            masked_abs, greedy_tokens[adopted_tag], greedy_confs[adopted_tag], ~taken,
             ranked=True,
         ),
         jump_count=jump_count,

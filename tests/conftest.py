@@ -102,3 +102,14 @@ def select(view, positions, tag=0):
     tag-0 view."""
     rows = view.rows(positions, tag)
     return LogitsView(view.logits[rows], view.positions[rows], np.zeros(len(rows), dtype=np.int64))
+
+
+def hit_table(results, spec_set):
+    """The [tags, candidates] table ``resolve_jump`` reads, from per-block
+    outcomes: cell (tag, j - 1) is true when block `tag` accepted candidate
+    j's position to candidate j's token."""
+    def row(outcome):
+        accepted = {(p, t) for p, t, _ in outcome.accepted}
+        return [(c.position, c.token) in accepted for c in spec_set.candidates]
+
+    return np.array([row(results[tag]) for tag in range(1 + spec_set.n_blocks)], dtype=bool)

@@ -23,7 +23,7 @@ from blockspec.layout import build_spec_layout
 from blockspec.model import LogitsView, _conf_floor
 from blockspec.speculative import SpecSet, resolve_jump
 
-from conftest import select
+from conftest import hit_table, select
 
 
 def threshold_decide(entries, threshold):
@@ -109,7 +109,7 @@ def spec_step(model, state, cache, candidates, stage, config, *, epoch, step=0):
         )
         for tag, subset in subset_positions.items()
     }
-    adopted_tag, jump_count = resolve_jump(results, spec_set)
+    adopted_tag, jump_count = resolve_jump(hit_table(results, spec_set), spec_set)
     adopted = results[adopted_tag]
     subset = spec_set.subset_of(adopted_tag)
     committed = [

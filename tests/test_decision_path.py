@@ -10,10 +10,12 @@ import blockspec.decoder
 import blockspec.speculative
 import reference_decide
 from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
+from blockspec.cache import refresh_dual_cache
 from blockspec.decoder import decision_entries, masked_greedy, threshold_decide
 from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
+from blockspec.speculative import Candidate, CandidateSet, spec_step
 
-from conftest import TOY
+from conftest import TOY, random_state
 
 
 def _rising_schedule(prompt_len, gen_length, seed=11):
@@ -82,6 +84,52 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         assert seen["stages"] == {1, 2} and seen["greedy"] > 0
         if kind == "scripted":
             assert traj.truncations and traj.total_jumps > 0
+
+
+# (stage, candidates): both stage-1 lattices and every stage-2 one, the
+# m = 1 and m = 3 lattices being what short rejection lists produce
+_LATTICES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("stage,m", _LATTICES)
+@pytest.mark.parametrize("kind", ["toy", "scripted"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_spec_step_matches_reference_on_random_blocks(toy_model, toy_config, kind, stage, m, data):
+    sizes = [b for b in (4, 8, 16) if b >= m + stage - 1]
+    block_size = data.draw(st.sampled_from(sizes), label="block_size")
+    n_decoded = data.draw(st.integers(stage - 1, block_size - m), label="n_decoded")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    state = random_state(rng, toy_config, prompt_len=int(rng.integers(1, 10)),
+                         gen_length=2 * block_size, block_size=block_size,
+                         active_block=int(rng.integers(0, 2)), n_decoded=n_decoded)
+    ordinary = [t for t in range(toy_config.vocab_size)
+                if t not in (toy_config.mask_token_id, toy_config.eos_token_id)]
+    if kind == "toy":
+        model = toy_model
+    else:
+        # confidences on both sides of every drawn threshold
+        entry = {p: (int(rng.choice(ordinary)), float(rng.choice([0.2, 0.6, 0.95]) + 0.04 * rng.random()))
+                 for p in range(state.prompt_len, state.seq_len)}
+        model = ScriptedModel(toy_config, ScriptedSchedule(
+            steps=[entry], vocab_size=toy_config.vocab_size, mask_token_id=toy_config.mask_token_id))
+    cache, draft = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    # a candidate token is usually the draft's own prediction, so that blocks
+    # accept candidates and the jump walk leaves the main block
+    predicted, _ = masked_greedy(draft, toy_config.mask_token_id)
+    positions = rng.choice(state.block_masked_positions(), size=m, replace=False).tolist()
+    cset = CandidateSet(tuple(
+        Candidate(p, int(predicted[p]) if rng.random() < 0.8 else int(rng.choice(ordinary)),
+                  data.draw(st.floats(0.0, 1.0), label="confidence"))
+        for p in positions
+    ))
+    threshold = data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="threshold")
+    config = RunConfig("odb", 2 * block_size, block_size, accept_threshold=threshold,
+                       stage2_min_decoded=1)
+
+    got = spec_step(model, state, cache, cset, stage, config, epoch=1)
+    want = reference_decide.spec_step(model, state, cache, cset, stage, config, epoch=1)
+    assert got == want
 
 
 _TIE_VALUES = [-3.0, 0.0, 0.5, 2.0, 7.25]

@@ -9,7 +9,9 @@ from blockspec.layout import (
     build_block_layout,
     build_spec_layout,
     full_sequence_layout,
+    spec_decision_rows,
 )
+from blockspec.model import RowIndex
 from blockspec.speculative import Candidate, CandidateSet, SpecSet
 
 from reference_layout import mask_allows, spec_layout_fields
@@ -192,6 +194,28 @@ def test_spec_layout_arrays_equal_list_reference(inputs):
     oracle = [[mask_allows(layout, q, k) for k in range(layout.n_keys)]
               for q in range(layout.n_queries)]
     assert layout.dense_mask().tolist() == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spec_decision_rows_equal_row_index_lookup(data):
+    stage = data.draw(st.integers(1, 2))
+    width = data.draw(st.integers(stage, 64))
+    start = data.draw(st.integers(0, 40))
+    n_candidates = data.draw(st.integers(1, 2 if stage == 1 else 4))
+    # at least one masked position; stage 2 needs at least one decoded one
+    decoded = sorted(data.draw(st.sets(st.integers(start, start + width - 1),
+                                       min_size=stage - 1, max_size=width - 1)))
+    masked = np.array([p for p in range(start, start + width) if p not in decoded],
+                      dtype=np.int64)
+    spec = SpecSet.build(_candidates(start, n_candidates), stage=stage)
+    layout = build_spec_layout((start, start + width), spec, stage, decoded, [])
+    want = RowIndex(layout.query_positions, layout.query_tags).rows(
+        masked, np.arange(1 + spec.n_blocks)[:, None]
+    )
+    got = spec_decision_rows((start, start + width), spec.n_blocks, stage, masked)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
 
 
 def test_layout_views_writable_arrays_and_keeps_read_only_ones():

@@ -4,6 +4,7 @@ import pytest
 from blockspec import (
     ConfigError,
     NoCandidatesError,
+    RangeError,
     RunConfig,
     ScriptedModel,
     ScriptedSchedule,
@@ -19,7 +20,7 @@ from blockspec.speculative import (
     spec_step,
 )
 
-from conftest import random_state
+from conftest import hit_table, random_state
 
 
 def cands(n, base_pos=100):
@@ -97,7 +98,7 @@ def test_jump_both_candidates_accepted_adopts_pair_block():
     spec = SpecSet.build(cands(2), stage=1)
     results = {t: outcome_accepting(spec, []) for t in (1, 2, 3)}
     results[0] = outcome_accepting(spec, [1, 2])
-    tag, jumps = resolve_jump(results, spec)
+    tag, jumps = resolve_jump(hit_table(results, spec), spec)
     assert spec.subset_of(tag) == (1, 2)
     assert jumps == 1
 
@@ -108,7 +109,7 @@ def test_jump_chain_verification_reaches_pair_block():
                1: outcome_accepting(spec, [2]),   # c2 verified inside {c1}
                2: outcome_accepting(spec, []),
                3: outcome_accepting(spec, [])}
-    tag, jumps = resolve_jump(results, spec)
+    tag, jumps = resolve_jump(hit_table(results, spec), spec)
     assert spec.subset_of(tag) == (1, 2)
     assert jumps == 2
 
@@ -119,7 +120,7 @@ def test_jump_chain_failure_adopts_singleton():
                1: outcome_accepting(spec, []),    # c2 rejected inside {c1}
                2: outcome_accepting(spec, []),
                3: outcome_accepting(spec, [])}
-    tag, jumps = resolve_jump(results, spec)
+    tag, jumps = resolve_jump(hit_table(results, spec), spec)
     assert spec.subset_of(tag) == (1,)
     assert jumps == 1
 
@@ -127,7 +128,7 @@ def test_jump_chain_failure_adopts_singleton():
 def test_jump_nothing_accepted_stays_on_main_block():
     spec = SpecSet.build(cands(2), stage=1)
     results = {t: outcome_accepting(spec, []) for t in (0, 1, 2, 3)}
-    assert resolve_jump(results, spec) == (0, 0)
+    assert resolve_jump(hit_table(results, spec), spec) == (0, 0)
 
 
 def test_jump_second_singleton_can_chain_up():
@@ -136,7 +137,7 @@ def test_jump_second_singleton_can_chain_up():
                1: outcome_accepting(spec, []),
                2: outcome_accepting(spec, [1]),   # c1 verified inside {c2}
                3: outcome_accepting(spec, [])}
-    tag, jumps = resolve_jump(results, spec)
+    tag, jumps = resolve_jump(hit_table(results, spec), spec)
     assert spec.subset_of(tag) == (1, 2)
     assert jumps == 2
 
@@ -146,7 +147,7 @@ def test_jump_third_singleton_is_fallback_only():
     results = {t: outcome_accepting(spec, []) for t in range(8)}
     results[0] = outcome_accepting(spec, [3])
     results[4] = outcome_accepting(spec, [1, 2, 4])  # irrelevant: cannot chain
-    tag, jumps = resolve_jump(results, spec)
+    tag, jumps = resolve_jump(hit_table(results, spec), spec)
     assert spec.subset_of(tag) == (3,)
     assert jumps == 1
 
@@ -158,7 +159,7 @@ def test_jump_full_ladder_walk():
     results[1] = outcome_accepting(spec, [2])
     results[3] = outcome_accepting(spec, [3])
     results[5] = outcome_accepting(spec, [4])
-    tag, jumps = resolve_jump(results, spec)
+    tag, jumps = resolve_jump(hit_table(results, spec), spec)
     assert spec.subset_of(tag) == (1, 2, 3, 4)
     assert jumps == 4
 
@@ -244,7 +245,7 @@ def test_resolve_jump_matches_oracles_exhaustively():
             accept_by_subset[frozenset(subset)] = inside
             results[tag] = outcome_accepting(spec, sorted(inside))
 
-        got_tag, got_jumps = resolve_jump(results, spec)
+        got_tag, got_jumps = resolve_jump(hit_table(results, spec), spec)
         got_subset = frozenset(spec.subset_of(got_tag))
 
         want_subset, want_jumps = oracle_chain_enumeration(
@@ -282,7 +283,7 @@ def test_adopted_subset_is_consistent_with_verifications():
                       if j not in subset and rng.random() < 0.5}
             verified[tag] = inside
             results[tag] = outcome_accepting(spec, sorted(inside))
-        tag, _ = resolve_jump(results, spec)
+        tag, _ = resolve_jump(hit_table(results, spec), spec)
         subset = set(spec.subset_of(tag))
         reachable = set(a0)
         for t, inside in verified.items():
@@ -418,3 +419,35 @@ def test_odb_gains_on_rising_confidence_schedule(toy_config):
                            truncate_threshold=1.1))
     assert odb.nfe < fast.nfe
     assert odb.total_jumps > 0
+
+
+# --- malformed candidate sets ------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["repeated-position", "mask-token", "outside-vocab", "not-masked"])
+def test_spec_step_refuses_a_malformed_candidate_before_the_forward(toy_config, case):
+    from blockspec.cache import refresh_dual_cache
+
+    model = _below_threshold_model(toy_config, range(12, 76))
+    rng = np.random.default_rng(3)
+    state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
+                         block_size=32, n_decoded=2)
+    cache, _ = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    masked = state.block_masked_positions().tolist()
+    decoded = int(state.block_decoded_positions()[0])
+    first, second = Candidate(masked[0], 11, 0.5), Candidate(masked[1], 12, 0.4)
+    broken, match = {
+        "repeated-position": ((first, Candidate(masked[0], 12, 0.4)),
+                              "candidate c2 .*another candidate holds the position"),
+        "mask-token": ((Candidate(masked[0], toy_config.mask_token_id, 0.5), second),
+                       "candidate c1 .*token is the mask token"),
+        "outside-vocab": ((first, Candidate(masked[1], toy_config.vocab_size, 0.4)),
+                          r"candidate c2 .*token outside vocab \[0, 128\)"),
+        "not-masked": ((Candidate(decoded, 11, 0.5), second),
+                       "candidate c1 .*position is not masked"),
+    }[case]
+    calls = []
+    model.forward = lambda *args, **kwargs: calls.append(args)
+    config = RunConfig(strategy="odb", gen_length=64, block_size=32)
+    with pytest.raises(RangeError, match=match):
+        spec_step(model, state, cache, CandidateSet(broken), 1, config, epoch=1)
+    assert not calls
