@@ -2,16 +2,16 @@
 """Interleaved A/B timing of one benchmark workload on two source trees.
 
 Two worker processes start, one per tree.  Each imports `blockspec` from its
-own tree's `src/` and builds the workload's seeded requests with its own
-`perfbench/workloads.py`, then warms up as the benchmark does.  The workers
-take turns request by request (which one goes first alternates), each
-timing `decode(...)` plus `Trajectory.to_json()` in-process, and every pair
-of trajectories must be byte-equal.  A round sends each request of the pool
+own tree's `src/` and sets up the workload's seeded requests and warm-up
+with its own `perfbench/workloads.py` (`workloads.setup`, as the benchmark
+does).  The workers take turns request by request, and each request runs
+base-first in alternate rounds, whatever the pool size.  Each worker times
+`decode(...)` plus `Trajectory.to_json()` in-process, and every pair of
+trajectories must be byte-equal.  A round sends each request of the pool
 once; the script prints each round's head/base time ratio and their median,
 so a change can be told apart from host noise without the full benchmark.
 
-Usage: scripts/ab_decode.py BASE HEAD --workload W --rounds N
-           [--seed S] [--requests K]
+Usage: scripts/ab_decode.py BASE HEAD --workload W --rounds N [--seed S]
 
 Exits 1 when a pair of trajectories differs, 2 on bad arguments.
 """
@@ -44,13 +44,10 @@ def worker(tree: Path, workload: str, seed: int) -> None:
     if workload not in workloads.WORKLOADS:
         raise SystemExit(f"ab_decode: unknown workload {workload!r} in {tree}; "
                          f"known: {', '.join(workloads.WORKLOADS)}")
-    wl = workloads.WORKLOADS[workload]
-    cfg = blockspec.ModelConfig.from_json(tree / "configs" / "toy_model.json")
-    requests = workloads.build_requests(wl, seed, cfg)
-    workloads.warm_up(requests, wl.strategy)
-    print(json.dumps({"pool": len(requests)}), flush=True)
+    setup, _ = workloads.setup(workloads.WORKLOADS[workload], seed, tree)
+    print(json.dumps({"pool": len(setup.requests)}), flush=True)
     for line in sys.stdin:
-        req = requests[int(line)]
+        req = setup.requests[int(line)]
         t0 = time.perf_counter()
         text = blockspec.decode(req.model, req.prompt, req.config).to_json()
         seconds = time.perf_counter() - t0
@@ -92,8 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--requests", type=int, default=None,
-                        help="send only the first K requests of the pool per round")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -101,8 +96,8 @@ def main(argv=None) -> int:
         return 0
     if args.base is None or args.head is None:
         parser.error("BASE and HEAD are required")
-    if args.rounds < 1 or (args.requests is not None and args.requests < 1):
-        parser.error("--rounds and --requests must be positive")
+    if args.rounds < 1:
+        parser.error("--rounds must be positive")
 
     workers = []
     try:
@@ -113,12 +108,12 @@ def main(argv=None) -> int:
         if base.pool != head.pool:
             print(f"ab_decode: pools differ (base {base.pool}, head {head.pool})", file=sys.stderr)
             return 1
-        n = base.pool if args.requests is None else min(args.requests, base.pool)
+        n = base.pool
         ratios = []
         for r in range(args.rounds):
             base_s = head_s = 0.0
             for i in range(n):
-                order = (base, head) if (r * n + i) % 2 == 0 else (head, base)
+                order = (base, head) if (r + i) % 2 == 0 else (head, base)
                 answers = {w: w.serve(i) for w in order}
                 if answers[base]["digest"] != answers[head]["digest"]:
                     print(f"ab_decode: round {r} request {i}: trajectories differ",

@@ -10,13 +10,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_ab_decode_runs_the_checkout_against_itself():
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_decode.py"), str(ROOT), str(ROOT),
-         "--workload", "scripted-odb", "--rounds", "1", "--requests", "2"],
+         "--workload", "scripted-odb", "--rounds", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("round 0: base ") and "head/base" in lines[0]
-    assert "1 rounds x 2 requests, trajectories byte-equal; head/base median" in lines[-1]
+    assert "1 rounds x 48 requests, trajectories byte-equal; head/base median" in lines[-1]
 
 
 def test_ab_decode_names_an_unknown_workload():
