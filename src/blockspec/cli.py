@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import STRATEGIES, RunConfig, decode
-from .errors import ConfigError, ProgressError, RangeError, ShapeError, from_document
+from .errors import ConfigError, ProgressError, RangeError, ShapeError, field_kinds, from_document
 from .layout import build_block_layout, build_spec_layout
 from .metrics import (
     HardwareProfile,
@@ -396,9 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--run-config", help="RunConfig JSON; a flag given overrides its key")
         if with_strategy:
             p.add_argument("--strategy", default="fast", choices=STRATEGIES)
-        for f in RUN_FLAGS:  # the thresholds are floats, every other run flag an int
-            kind = float if "float" in str(f.type) else int
-            p.add_argument("--" + f.name.replace("_", "-"), type=kind,
+        for f in RUN_FLAGS:  # parsed as the field's annotated kind, e.g. int for int | None
+            p.add_argument("--" + f.name.replace("_", "-"), type=field_kinds(RunConfig)[f.name][0],
                            help=f"default {LENGTH_DEFAULTS.get(f.name, f.default)}")
 
     p_run = sub.add_parser("run", help="decode every task under one strategy")

@@ -18,7 +18,6 @@ argmax/softmax so an acceptance always unmasks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,9 +28,10 @@ from .errors import (
     ConfigError,
     ProgressError,
     RangeError,
+    check_fields,
 )
 from .layout import build_block_layout, full_sequence_layout
-from .model import LogitsView, softmax
+from .model import MAX_SCHEDULE_POSITION, LogitsView, softmax
 from .trajectory import StepRecord, Trajectory
 
 STRATEGIES = ("vanilla", "fast", "odb")
@@ -49,20 +49,15 @@ class RunConfig:
     tau_steps: int | None = None
 
     def __post_init__(self):
-        for name in ("gen_length", "block_size", "stage2_min_decoded", "seed", "tau_steps"):
-            value = getattr(self, name)
-            if value is None and name in ("stage2_min_decoded", "tau_steps"):
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("accept_threshold", "truncate_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.gen_length < 1 or self.block_size < 1:
             raise ConfigError("gen_length and block_size must be positive")
+        if self.gen_length > MAX_SCHEDULE_POSITION:
+            raise ConfigError(f"gen_length {self.gen_length} above {MAX_SCHEDULE_POSITION}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.gen_length % self.block_size != 0:
             raise ConfigError(
                 f"gen_length {self.gen_length} not a multiple of block_size {self.block_size}"

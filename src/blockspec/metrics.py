@@ -16,10 +16,9 @@ its modeled time is the roofline max of compute and memory time.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, DegenerateInputError, RangeError, load_document
+from .errors import ConfigError, DegenerateInputError, RangeError, check_fields, load_document
 from .model import ModelConfig, count_params
 from .trajectory import Trajectory
 
@@ -33,19 +32,10 @@ class HardwareProfile:
     mem_bandwidth: float
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ConfigError(f"name must be a string, got {self.name!r}")
+        check_fields(self)
         for name in ("peak_flops", "mem_bandwidth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:
-                number = math.inf
-            if not (math.isfinite(number) and number > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-            object.__setattr__(self, name, number)
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
 
     @property
     def balance(self) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RangeError, ShapeError, load_document
+from .errors import ConfigError, RangeError, ShapeError, check_fields, check_value, load_document
 from .layout import AttentionLayout
 
 _LN_EPS = np.float32(1e-5)
@@ -42,12 +42,12 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_fields(self)
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) not divisible by n_heads ({self.n_heads})"
@@ -90,55 +90,18 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-class RowIndex:
-    """Rows of parallel int64 (position, tag) arrays, looked up by sorted keys.
-
-    Each row's key is ``tag * span + (position - base)``, where positions
-    span [base, base + span); the keys are sorted once and every lookup is
-    two ``searchsorted`` calls, however many pairs it asks for.  Positions
-    are sequence positions and tags block tags, so no key nears the int64
-    range.
-    """
-
-    def __init__(self, positions: np.ndarray, tags: np.ndarray):
-        self._base = int(positions.min()) if positions.size else 0
-        self._span = int(positions.max()) - self._base + 1 if positions.size else 1
-        keys = tags * self._span + (positions - self._base)
-        self._order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._order]
-
-    def rows(self, positions, tag=0) -> np.ndarray:
-        """Row of each (position, tag) pair, `positions` and `tag`
-        broadcast together (a [tags, 1] column of tags against positions
-        gives a [tags, positions] table).  A missing or duplicated pair
-        raises ShapeError naming it and its row count."""
-        offsets = np.asarray(positions, dtype=np.int64) - self._base
-        keys = np.asarray(tag, dtype=np.int64) * self._span + offsets
-        lo = self._keys.searchsorted(keys)
-        counts = self._keys.searchsorted(keys, "right") - lo
-        counts *= (offsets >= 0) & (offsets < self._span)
-        if (counts != 1).any():
-            bad = np.argwhere(counts != 1)[0]
-            pair = np.broadcast_arrays(np.asarray(positions), np.asarray(tag))
-            position, tag = (int(a[tuple(bad)]) for a in pair)
-            raise ShapeError(f"position {position} tag {tag}: {counts[tuple(bad)]} rows")
-        return self._order[lo]
-
-
 @dataclass
 class LogitsView:
     """Per-row score vectors with the map back to absolute positions.
 
     Rows correspond 1:1 to the forward layout's query rows; ``positions`` and
     ``tags`` identify them.  Speculative layouts repeat a position across
-    tags, so lookups take (position, tag).  The first lookup indexes every
-    row, so ``positions`` and ``tags`` must not be reassigned after it.
+    tags, so lookups take (position, tag).
     """
 
     logits: np.ndarray
     positions: np.ndarray
     tags: np.ndarray
-    _index: RowIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float32)
@@ -155,15 +118,19 @@ class LogitsView:
     def n_rows(self) -> int:
         return self.logits.shape[0]
 
-    @property
-    def vocab_size(self) -> int:
-        return self.logits.shape[1]
-
     def rows(self, positions, tag=0) -> np.ndarray:
-        """Row indices of (position, tag) pairs (see ``RowIndex.rows``)."""
-        if self._index is None:
-            self._index = RowIndex(self.positions, self.tags)
-        return self._index.rows(positions, tag)
+        """Row of each (position, tag) pair, `positions` and `tag`
+        broadcast together (a [tags, 1] column of tags against positions
+        gives a [tags, positions] table).  A missing or duplicated pair
+        raises ShapeError naming it and its row count."""
+        positions, tag = np.asarray(positions, dtype=np.int64), np.asarray(tag, dtype=np.int64)
+        hit = (positions[..., None] == self.positions) & (tag[..., None] == self.tags)
+        counts = hit.sum(axis=-1)
+        if (counts != 1).any():
+            bad = tuple(np.argwhere(counts != 1)[0])
+            position, tag = (a[bad] for a in np.broadcast_arrays(positions, tag))
+            raise ShapeError(f"position {position} tag {tag}: {counts[bad]} rows")
+        return hit.argmax(axis=-1)
 
     def row(self, position: int, tag: int = 0) -> int:
         return int(self.rows((position,), tag)[0])
@@ -473,14 +440,12 @@ def _int_key(key, where: str) -> int:
 
 
 def _scripted_pair(value, where: str, first: str) -> tuple[int, float]:
-    """(integer, number) from a two-item list, else a ConfigError naming `where`."""
-    if (
-        isinstance(value, (list, tuple)) and len(value) == 2
-        and isinstance(value[0], int) and not isinstance(value[0], bool)
-        and isinstance(value[1], (int, float)) and not isinstance(value[1], bool)
-    ):
-        return value[0], float(value[1])
-    raise ConfigError(f"{where}: expected [{first}, confidence], got {value!r}")
+    """(integer, float) from a two-item list, each held to its kind by
+    ``check_value``, else a ConfigError naming `where`."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{where}: expected [{first}, confidence], got {value!r}")
+    return (check_value(f"{where} {first}", value[0], (int,)),
+            check_value(f"{where} confidence", value[1], (float,)))
 
 
 def _compile_step(entry, vocab: int, mask_id: int) -> tuple[int, np.ndarray, np.ndarray]:

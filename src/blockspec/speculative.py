@@ -138,13 +138,6 @@ class SpecSet:
         as two parallel int64 arrays in block order."""
         return _lattice(len(self.candidates))[1:]
 
-    def subset_of(self, tag: int) -> tuple[int, ...]:
-        if tag == 0:
-            return ()
-        if not 1 <= tag <= len(self.blocks):
-            raise RangeError(f"no speculative block with tag {tag}")
-        return self.blocks[tag - 1][1]
-
 
 def resolve_jump(hit, spec_set: SpecSet) -> tuple[int, int]:
     """Ladder resolution over a step's candidate-hit table.

@@ -104,6 +104,12 @@ def select(view, positions, tag=0):
     return LogitsView(view.logits[rows], view.positions[rows], np.zeros(len(rows), dtype=np.int64))
 
 
+def subset_of(spec_set, tag):
+    """The 1-based candidate ordinals speculative block `tag` commits; none
+    for the main block, tag 0."""
+    return dict(spec_set.blocks)[tag] if tag else ()
+
+
 def hit_table(results, spec_set):
     """The [tags, candidates] table ``resolve_jump`` reads, from per-block
     outcomes: cell (tag, j - 1) is true when block `tag` accepted candidate

@@ -23,7 +23,7 @@ from blockspec.layout import build_spec_layout
 from blockspec.model import LogitsView, _conf_floor
 from blockspec.speculative import SpecSet, resolve_jump
 
-from conftest import hit_table, select
+from conftest import hit_table, select, subset_of
 
 
 def threshold_decide(entries, threshold):
@@ -111,7 +111,7 @@ def spec_step(model, state, cache, candidates, stage, config, *, epoch, step=0):
     }
     adopted_tag, jump_count = resolve_jump(hit_table(results, spec_set), spec_set)
     adopted = results[adopted_tag]
-    subset = spec_set.subset_of(adopted_tag)
+    subset = subset_of(spec_set, adopted_tag)
     committed = [
         (c.position, c.token, c.confidence)
         for c in (spec_set.candidates[j - 1] for j in subset)

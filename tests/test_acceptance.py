@@ -28,7 +28,7 @@ from blockspec.layout import build_block_layout, build_spec_layout, full_sequenc
 from blockspec.model import LogitsView, scripted_forward
 from blockspec.speculative import Candidate, CandidateSet, SpecSet, resolve_jump
 
-from conftest import TOY, comparable_dict, hit_table, random_state, rel_err, select
+from conftest import TOY, comparable_dict, hit_table, random_state, rel_err, select, subset_of
 from reference_decide import threshold_decide
 from shared_kv import SharedKV, build_shared_kv, isolate, shared_view
 from test_speculative import oracle_chain_enumeration, oracle_two_candidate_cases, outcome_accepting
@@ -221,7 +221,7 @@ def test_criterion_4_jump_resolution_oracle():
             accept_by_subset[frozenset(subset)] = inside
             results[tag] = outcome_accepting(spec, sorted(inside))
         got_tag, got_jumps = resolve_jump(hit_table(results, spec), spec)
-        got = (frozenset(spec.subset_of(got_tag)), got_jumps)
+        got = (frozenset(subset_of(spec, got_tag)), got_jumps)
         want = oracle_chain_enumeration(accept_by_subset, subsets, m)
         assert got == want, f"trial {trials}: got {got}, oracle {want}"
         if m == 2:

@@ -1,11 +1,15 @@
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from blockspec.cli import main
-from blockspec.errors import from_document
+from blockspec.decoder import RunConfig
+from blockspec.errors import ConfigError, field_kinds, from_document
+from blockspec.metrics import HardwareProfile
+from blockspec.model import ModelConfig
 
 from conftest import TOY
 
@@ -146,6 +150,8 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     ("--run-config", '{"seed": "x", "tau_steps": 3}', "seed"),
     ("--run-config", '{"stage2_min_decoded": 2.5}', "stage2_min_decoded"),
     ("--run-config", '{"accept_threshold": "x"}', "accept_threshold"),
+    ("--run-config", '{"accept_threshold": 1' + "0" * 400 + "}", "accept_threshold"),
+    ("--model-config", json.dumps({**TOY, "seed": -1}), "seed"),
     ("--model-config", json.dumps({**TOY, "d_model": 64.5}), "d_model"),
     ("--model-config", json.dumps({**TOY, "n_layers": True}), "n_layers"),
     ("--model-config", json.dumps({**TOY, "vocab_size": "128"}), "vocab_size"),
@@ -173,6 +179,55 @@ def test_run_rejects_malformed_config_files(workdir, capsys, option, content, na
                  option, str(bad)])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--strategy", "vanilla", "--seed", "-1", "--tau-steps", "3"], "seed"),
+    (["--gen-length", "1099511627776"], "gen_length"),
+])
+def test_run_rejects_out_of_range_flags(workdir, capsys, flags, named):
+    tmp, model, _, tasks = workdir
+    code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast", *flags])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+CONFIG_CLASSES = {  # each config class with the fields of one valid instance
+    ModelConfig: TOY,
+    RunConfig: {"strategy": "fast", "gen_length": 64, "block_size": 32},
+    HardwareProfile: {"name": "t", "peak_flops": 1e12, "mem_bandwidth": 1e11},
+}
+
+
+@pytest.mark.parametrize("cls,name", [(cls, f.name) for cls in CONFIG_CLASSES for f in fields(cls)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_every_config_field_is_type_checked(cls, name):
+    """Every field's annotation is one the check handles, and a bool, a
+    string and an out-of-range int (too large for a float, or below zero
+    for the counts, sizes, ids and seeds) are refused naming the field."""
+    kinds = field_kinds(cls)[name]
+    assert set(kinds) <= {int, float, str, type(None)}
+    bad = [True, 10**400 if float in kinds else -1]
+    if str not in kinds:
+        bad.append("1")
+    for value in bad:
+        with pytest.raises(ConfigError, match=name):
+            cls(**{**CONFIG_CLASSES[cls], name: value})
+
+
+def test_run_config_document_and_flag_write_the_same_bytes(workdir):
+    """An int threshold from --run-config is stored as the float the flag
+    parses to, so both runs write the same files."""
+    tmp, model, _, tasks = workdir
+    doc = tmp / "rc.json"
+    doc.write_text('{"accept_threshold": 1, "truncate_threshold": 1}')
+    by_doc, by_flag = tmp / "by_doc", tmp / "by_flag"
+    args = ["--model-config", str(model), "--tasks", str(tasks), "--strategy", "odb",
+            "--gen-length", "64"]
+    assert main(["run", *args, "--out", str(by_doc), "--run-config", str(doc)]) == 0
+    assert main(["run", *args, "--out", str(by_flag), "--accept-threshold", "1",
+                 "--truncate-threshold", "1"]) == 0
+    assert read_dir(by_doc) == read_dir(by_flag)
 
 
 @pytest.mark.parametrize("document,flags,expected", [
@@ -208,6 +263,7 @@ def test_run_config_precedence(workdir, document, flags, expected):
     ({"0": {"positions": {"-1": [5, 0.5]}}}, "pos -1"),
     ({"0": {"eos": [[65536, 0.5]]}}, "pos 65536"),
     ({"0": {"postions": {"20": [5, 0.99]}, "eos": []}}, "step '0': unknown keys ['postions']"),
+    ({"0": {"positions": {"20": [5, 10**400]}}}, "position '20' confidence"),
 ])
 def test_run_rejects_malformed_schedule(workdir, capsys, schedule, named):
     tmp, model, _, tasks = workdir

@@ -11,7 +11,7 @@ from blockspec.layout import (
     full_sequence_layout,
     spec_decision_rows,
 )
-from blockspec.model import RowIndex
+from blockspec.model import LogitsView
 from blockspec.speculative import Candidate, CandidateSet, SpecSet
 
 from reference_layout import mask_allows, spec_layout_fields
@@ -210,9 +210,8 @@ def test_spec_decision_rows_equal_row_index_lookup(data):
                       dtype=np.int64)
     spec = SpecSet.build(_candidates(start, n_candidates), stage=stage)
     layout = build_spec_layout((start, start + width), spec, stage, decoded, [])
-    want = RowIndex(layout.query_positions, layout.query_tags).rows(
-        masked, np.arange(1 + spec.n_blocks)[:, None]
-    )
+    view = LogitsView(np.zeros((layout.n_queries, 1)), layout.query_positions, layout.query_tags)
+    want = view.rows(masked, np.arange(1 + spec.n_blocks)[:, None])
     got = spec_decision_rows((start, start + width), spec.n_blocks, stage, masked)
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()

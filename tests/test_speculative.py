@@ -20,7 +20,7 @@ from blockspec.speculative import (
     spec_step,
 )
 
-from conftest import hit_table, random_state
+from conftest import hit_table, random_state, subset_of
 
 
 def cands(n, base_pos=100):
@@ -99,7 +99,7 @@ def test_jump_both_candidates_accepted_adopts_pair_block():
     results = {t: outcome_accepting(spec, []) for t in (1, 2, 3)}
     results[0] = outcome_accepting(spec, [1, 2])
     tag, jumps = resolve_jump(hit_table(results, spec), spec)
-    assert spec.subset_of(tag) == (1, 2)
+    assert subset_of(spec, tag) == (1, 2)
     assert jumps == 1
 
 
@@ -110,7 +110,7 @@ def test_jump_chain_verification_reaches_pair_block():
                2: outcome_accepting(spec, []),
                3: outcome_accepting(spec, [])}
     tag, jumps = resolve_jump(hit_table(results, spec), spec)
-    assert spec.subset_of(tag) == (1, 2)
+    assert subset_of(spec, tag) == (1, 2)
     assert jumps == 2
 
 
@@ -121,7 +121,7 @@ def test_jump_chain_failure_adopts_singleton():
                2: outcome_accepting(spec, []),
                3: outcome_accepting(spec, [])}
     tag, jumps = resolve_jump(hit_table(results, spec), spec)
-    assert spec.subset_of(tag) == (1,)
+    assert subset_of(spec, tag) == (1,)
     assert jumps == 1
 
 
@@ -138,7 +138,7 @@ def test_jump_second_singleton_can_chain_up():
                2: outcome_accepting(spec, [1]),   # c1 verified inside {c2}
                3: outcome_accepting(spec, [])}
     tag, jumps = resolve_jump(hit_table(results, spec), spec)
-    assert spec.subset_of(tag) == (1, 2)
+    assert subset_of(spec, tag) == (1, 2)
     assert jumps == 2
 
 
@@ -148,7 +148,7 @@ def test_jump_third_singleton_is_fallback_only():
     results[0] = outcome_accepting(spec, [3])
     results[4] = outcome_accepting(spec, [1, 2, 4])  # irrelevant: cannot chain
     tag, jumps = resolve_jump(hit_table(results, spec), spec)
-    assert spec.subset_of(tag) == (3,)
+    assert subset_of(spec, tag) == (3,)
     assert jumps == 1
 
 
@@ -160,7 +160,7 @@ def test_jump_full_ladder_walk():
     results[3] = outcome_accepting(spec, [3])
     results[5] = outcome_accepting(spec, [4])
     tag, jumps = resolve_jump(hit_table(results, spec), spec)
-    assert spec.subset_of(tag) == (1, 2, 3, 4)
+    assert subset_of(spec, tag) == (1, 2, 3, 4)
     assert jumps == 4
 
 
@@ -246,7 +246,7 @@ def test_resolve_jump_matches_oracles_exhaustively():
             results[tag] = outcome_accepting(spec, sorted(inside))
 
         got_tag, got_jumps = resolve_jump(hit_table(results, spec), spec)
-        got_subset = frozenset(spec.subset_of(got_tag))
+        got_subset = frozenset(subset_of(spec, got_tag))
 
         want_subset, want_jumps = oracle_chain_enumeration(
             accept_by_subset, subsets, m
@@ -284,7 +284,7 @@ def test_adopted_subset_is_consistent_with_verifications():
             verified[tag] = inside
             results[tag] = outcome_accepting(spec, sorted(inside))
         tag, _ = resolve_jump(hit_table(results, spec), spec)
-        subset = set(spec.subset_of(tag))
+        subset = set(subset_of(spec, tag))
         reachable = set(a0)
         for t, inside in verified.items():
             reachable |= inside
