@@ -41,6 +41,8 @@ for strategy in odb vanilla; do
 done
 cli compare --strategies vanilla fast odb "${profile[@]}" --out "$out/compare_toy"
 cli run --strategy vanilla --tau-steps 20 --out "$out/run_toy_vanilla_tau20"
+cli run --strategy vanilla --tau-steps 7 --seed 3 "${scripted[@]}" \
+    --out "$out/run_scripted_vanilla_tau7"
 # settings from a --run-config document instead of flags
 echo '{"block_size": 16, "accept_threshold": 0.8, "truncate_threshold": 0.85}' > "$out/run_config.json"
 cli run --strategy odb "${scripted[@]}" --run-config "$out/run_config.json" \

@@ -9,10 +9,10 @@ from .decoder import (
     DecodeState,
     RunConfig,
     StepOutcome,
-    decode,
     tau_leaping_step,
     threshold_step,
 )
+from .engine import decode
 from .errors import (
     BlockCompleteError,
     ConfigError,

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import STRATEGIES, RunConfig, decode
+from .decoder import STRATEGIES, RunConfig
+from .engine import decode
 from .errors import ConfigError, ProgressError, RangeError, ShapeError, field_kinds, from_document
 from .layout import build_block_layout, build_spec_layout
 from .metrics import (
@@ -33,7 +34,7 @@ from .metrics import (
     write_cost_csv,
 )
 from .model import ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
-from .speculative import Candidate, CandidateSet, SpecSet
+from .speculative import STAGE_CANDIDATES, Candidate, CandidateSet, SpecSet
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -200,9 +201,9 @@ def _dump_masks(out_dir: Path, config: RunConfig) -> None:
     """Write representative dense masks (block, stage-1, stage-2 layouts).
 
     Stage 2 starts with the block's first `stage2_threshold` positions
-    decoded; each stage takes up to 2 (stage 1) or 4 (stage 2) candidates
-    from the block's other positions, and a stage left with none is
-    skipped.
+    decoded; each stage takes up to its ``STAGE_CANDIDATES`` budget of
+    candidates from the block's other positions, and a stage left with none
+    is skipped.
     """
     masks = out_dir / "masks"
     masks.mkdir(exist_ok=True)
@@ -211,7 +212,7 @@ def _dump_masks(out_dir: Path, config: RunConfig) -> None:
     ctx = [p for p in range(3 * bs) if not (start <= p < end)]
     build_block_layout((start, end), ctx).dump_mask_csv(masks / "mask_block.csv")
     for stage, n_decoded in ((1, 0), (2, config.stage2_threshold)):
-        free = range(start + n_decoded, end)[: 2 * stage]
+        free = range(start + n_decoded, end)[: STAGE_CANDIDATES[stage]]
         if not free:
             continue
         spec = SpecSet.build(CandidateSet(tuple(Candidate(p, 1, 0.5) for p in free)), stage)

@@ -1,16 +1,4 @@
-"""Reverse-diffusion steps, confidence-threshold decoding, and the block loop.
-
-One block-wise threshold loop serves all three strategies:
-
-* ``vanilla`` -- no cache: every decode step is a full-sequence forward.
-* ``fast``    -- DualCache: one full-sequence refresh per block cycle, then
-  cached block forwards.
-* ``odb``     -- fast plus adaptive length prediction at each refresh and
-  jump-share speculative steps once a step leaves rejected candidates.
-
-All three accept by confidence threshold with a forced top-1, so every step
-unmasks at least one token.  ``vanilla`` with ``tau_steps`` set runs the
-reverse-transition sampler on a uniform time grid instead of the loop.
+"""Reverse-diffusion steps and confidence-threshold decoding for ``engine``'s loop.
 
 Decode decisions never emit the mask token: its logit is dropped before
 argmax/softmax so an acceptance always unmasks.
@@ -22,7 +10,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cache import cache_view, refresh_dual_cache
 from .errors import (
     BlockCompleteError,
     ConfigError,
@@ -30,9 +17,7 @@ from .errors import (
     RangeError,
     check_fields,
 )
-from .layout import build_block_layout, full_sequence_layout
 from .model import MAX_SCHEDULE_POSITION, LogitsView, softmax
-from .trajectory import StepRecord, Trajectory
 
 STRATEGIES = ("vanilla", "fast", "odb")
 
@@ -94,7 +79,6 @@ class DecodeState:
     gen_length: int
     block_size: int
     active_block: int = 0
-    t: float = 1.0
     mask_token_id: int = 0
 
     @classmethod
@@ -271,23 +255,21 @@ def apply_outcome(state: DecodeState, outcome: StepOutcome) -> None:
         state.tokens[pos] = tok
 
 
-def tau_leaping_step(state: DecodeState, logits: LogitsView, s: float, rng) -> DecodeState:
-    """One reverse transition from noise level t to s < t.
+def tau_leaping_step(state: DecodeState, logits: LogitsView, t: float, s: float,
+                     rng) -> StepOutcome:
+    """One reverse transition from noise level t to s < t, as the outcome
+    that unmasks its (position, token, 0.0) entries in position order;
+    `state` is left alone.
 
-    Unmasked positions are untouched; each masked position independently
-    stays masked with probability s/t, otherwise it unmasks by sampling from
-    the softmax of its logits (mask token excluded).  Consumes one uniform
-    draw per masked position for the stay/unmask choice, then one per masked
-    position for token sampling, in position order.
+    Each masked position independently stays masked with probability s/t,
+    otherwise it unmasks by sampling from the softmax of its logits (mask
+    token excluded).  Consumes one uniform draw per masked position for the
+    stay/unmask choice, then one per masked position for token sampling, in
+    position order.
     """
-    t = state.t
     if not (0.0 <= s < t <= 1.0):
         raise RangeError(f"need 0 <= s < t <= 1, got s={s} t={t}")
-    new_state = state.copy()
-    new_state.t = s
     masked_pos = state.masked_positions()
-    if masked_pos.size == 0:
-        return new_state
     rows = logits.logits[logits.rows(masked_pos)]
     stay = rng.random(masked_pos.size) < (s / t)
     probs = softmax(rows, axis=1).astype(np.float64)
@@ -296,169 +278,7 @@ def tau_leaping_step(state: DecodeState, logits: LogitsView, s: float, rng) -> D
     draws = rng.random(masked_pos.size)
     cum = np.cumsum(probs, axis=1)
     sampled = (cum < draws[:, None]).sum(axis=1)
-    for pos, keep, tok in zip(masked_pos, stay, sampled):
-        if not keep:
-            new_state.tokens[pos] = int(tok)
-    return new_state
-
-
-def decode(model, prompt, config: RunConfig) -> Trajectory:
-    """Run one request under the configured strategy; returns the full
-    trajectory including per-step (T, C) cost inputs."""
-    cfg = model.config
-    state = DecodeState.new(
-        prompt, config.gen_length, config.block_size, cfg.mask_token_id, cfg.vocab_size
+    return StepOutcome(
+        accepted=decision_entries(masked_pos, sampled, np.zeros(masked_pos.size), ~stay),
+        rejected_top=[],
     )
-    traj = Trajectory(
-        strategy=config.strategy,
-        run_config=config.to_dict(),
-        model_config=cfg.to_dict(),
-        prompt_len=state.prompt_len,
-        gen_length_initial=config.gen_length,
-        block_size=config.block_size,
-    )
-    if config.tau_steps is not None:
-        state = _decode_vanilla_tau(model, state, config, traj)
-    else:
-        state = _decode_blockwise(model, state, config, traj)
-    state.check_invariants()
-    traj.final_tokens = [int(x) for x in state.tokens]
-    traj.gen_length_final = state.gen_length
-    traj.completed = True
-    return traj
-
-
-def _log_step(traj, *, phase, kind, state, t_tokens, c_tokens, epoch, outcome=None,
-              cache_bytes=0):
-    rec = StepRecord(
-        index=len(traj.steps),
-        phase=phase,
-        kind=kind,
-        block=state.active_block,
-        epoch=epoch,
-        t_tokens=t_tokens,
-        c_tokens=c_tokens,
-        cache_bytes=cache_bytes,
-    )
-    if outcome is not None:
-        rec.accepted = list(outcome.accepted)
-        rec.jump_count = outcome.jump_count
-        rec.stage = outcome.stage
-        rec.blocks_evaluated = outcome.blocks_evaluated
-        rec.candidates = list(outcome.candidates)
-        rec.adopted_tag = outcome.adopted_tag
-    traj.add_step(rec)
-    return rec
-
-
-def _decode_vanilla_tau(model, state, config, traj):
-    rng = np.random.default_rng(config.seed)
-    k = config.tau_steps
-    for i in range(k):
-        if not np.any(state.masked):
-            break
-        layout = full_sequence_layout(state.seq_len)
-        view, _ = model.forward(state.tokens, layout, None, step=i)
-        s = 1.0 - (i + 1) / k
-        new_state = tau_leaping_step(state, view, s, rng)
-        unmasked_now = [
-            (int(p), int(new_state.tokens[p]), 0.0)
-            for p in np.nonzero(state.masked & ~new_state.masked)[0]
-        ]
-        state = new_state
-        _log_step(
-            traj,
-            phase="decode",
-            kind="tau",
-            state=state,
-            t_tokens=state.seq_len,
-            c_tokens=state.seq_len,
-            epoch=0,
-            outcome=StepOutcome(accepted=unmasked_now, rejected_top=[]),
-        )
-    return state
-
-
-def _decode_blockwise(model, state, config, traj):
-    from .alp import apply_truncation, scan_eos
-    from .speculative import select_candidates, spec_step
-
-    cached = config.strategy != "vanilla"
-    is_odb = config.strategy == "odb"
-    epoch = 0
-    while state.active_block < state.n_blocks:
-        block_range = state.block_range()
-        if cached:
-            epoch += 1
-            refresh_len = state.seq_len
-            # scripted models read refresh drafts by refresh ordinal, decode
-            # steps by their in-block ordinal
-            cache, draft = refresh_dual_cache(
-                model, state, block_range, epoch=epoch, step=epoch - 1
-            )
-            _log_step(
-                traj,
-                phase="prefill",
-                kind="refresh",
-                state=state,
-                t_tokens=refresh_len,
-                c_tokens=refresh_len,
-                epoch=epoch,
-                cache_bytes=cache.nbytes(),
-            )
-            if is_odb:
-                cut = scan_eos(
-                    draft, state, config.truncate_threshold, model.config.eos_token_id
-                )
-                if cut is not None:
-                    state, event = apply_truncation(state, cut, refresh_epoch=epoch)
-                    if event is not None:
-                        traj.truncations.append(event)
-                        cache = cache.truncated(state.seq_len)
-            # the block range and the cached positions hold for the whole cycle
-            view = cache_view(cache, epoch=epoch)
-            layout = build_block_layout(block_range, view.positions)
-            window = slice(*block_range)
-        else:
-            view = None
-            layout = full_sequence_layout(state.seq_len)
-            window = slice(None)
-
-        prev_outcome = None
-        block_step = 0
-        while state.block_masked_positions().size > 0:
-            if is_odb and prev_outcome is not None and len(prev_outcome.rejected_top) > 0:
-                decoded = state.block_decoded_positions().size
-                stage = 2 if decoded >= config.stage2_threshold else 1
-                k = 4 if stage == 2 else 2
-                candidates = select_candidates(prev_outcome, k)
-                outcome, t_rows, c_keys = spec_step(
-                    model, state, cache, candidates, stage, config,
-                    epoch=epoch, step=block_step,
-                )
-                kind = "spec"
-            else:
-                logits, _ = model.forward(state.tokens[window], layout, view, step=block_step)
-                outcome = threshold_step(state, logits, config.accept_threshold)
-                t_rows = layout.n_queries
-                c_keys = layout.n_keys
-                kind = "threshold"
-            # apply_outcome refuses an unmasked position, so each accepted
-            # entry unmasks one token
-            apply_outcome(state, outcome)
-            if not outcome.accepted:
-                raise ProgressError("decode step unmasked zero tokens")
-            _log_step(
-                traj,
-                phase="decode",
-                kind=kind,
-                state=state,
-                t_tokens=t_rows,
-                c_tokens=c_keys,
-                epoch=epoch,
-                outcome=outcome,
-            )
-            prev_outcome = outcome
-            block_step += 1
-        state.active_block += 1
-    return state

@@ -1,0 +1,176 @@
+"""The decode loop.  One block-wise threshold loop serves all three strategies:
+
+* ``vanilla`` -- no cache: every decode step is a full-sequence forward.
+* ``fast``    -- DualCache: one full-sequence refresh per block cycle, then
+  cached block forwards.
+* ``odb``     -- fast plus adaptive length prediction at each refresh and
+  jump-share speculative steps once a step leaves rejected candidates.
+
+All three accept by confidence threshold with a forced top-1, so every step
+unmasks at least one token.  ``vanilla`` with ``tau_steps`` set runs the
+reverse-transition sampler on a uniform time grid instead of the loop.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .alp import apply_truncation, scan_eos
+from .cache import cache_view, refresh_dual_cache
+from .decoder import DecodeState, RunConfig, apply_outcome, tau_leaping_step, threshold_step
+from .errors import ProgressError
+from .layout import build_block_layout, full_sequence_layout
+from .speculative import STAGE_CANDIDATES, select_candidates, spec_step
+from .trajectory import StepRecord, Trajectory
+
+
+def decode(model, prompt, config: RunConfig) -> Trajectory:
+    """Run one request under the configured strategy; returns the full
+    trajectory including per-step (T, C) cost inputs."""
+    cfg = model.config
+    state = DecodeState.new(
+        prompt, config.gen_length, config.block_size, cfg.mask_token_id, cfg.vocab_size
+    )
+    traj = Trajectory(
+        strategy=config.strategy,
+        run_config=config.to_dict(),
+        model_config=cfg.to_dict(),
+        prompt_len=state.prompt_len,
+        gen_length_initial=config.gen_length,
+        block_size=config.block_size,
+    )
+    if config.tau_steps is not None:
+        state = _decode_vanilla_tau(model, state, config, traj)
+    else:
+        state = _decode_blockwise(model, state, config, traj)
+    state.check_invariants()
+    traj.final_tokens = [int(x) for x in state.tokens]
+    traj.gen_length_final = state.gen_length
+    traj.completed = True
+    return traj
+
+
+def _log_step(traj, *, phase, kind, state, t_tokens, c_tokens, epoch, outcome=None,
+              cache_bytes=0):
+    rec = StepRecord(
+        index=len(traj.steps),
+        phase=phase,
+        kind=kind,
+        block=state.active_block,
+        epoch=epoch,
+        t_tokens=t_tokens,
+        c_tokens=c_tokens,
+        cache_bytes=cache_bytes,
+    )
+    if outcome is not None:
+        rec.accepted = list(outcome.accepted)
+        rec.jump_count = outcome.jump_count
+        rec.stage = outcome.stage
+        rec.blocks_evaluated = outcome.blocks_evaluated
+        rec.candidates = list(outcome.candidates)
+        rec.adopted_tag = outcome.adopted_tag
+    traj.add_step(rec)
+
+
+def _decode_vanilla_tau(model, state, config, traj):
+    rng = np.random.default_rng(config.seed)
+    k = config.tau_steps
+    for i in range(k):
+        if not np.any(state.masked):
+            break
+        layout = full_sequence_layout(state.seq_len)
+        view, _ = model.forward(state.tokens, layout, None, step=i)
+        # step i runs from t = 1 - i/k, bitwise the s of step i - 1
+        outcome = tau_leaping_step(state, view, 1.0 - i / k, 1.0 - (i + 1) / k, rng)
+        apply_outcome(state, outcome)
+        _log_step(
+            traj,
+            phase="decode",
+            kind="tau",
+            state=state,
+            t_tokens=state.seq_len,
+            c_tokens=state.seq_len,
+            epoch=0,
+            outcome=outcome,
+        )
+    return state
+
+
+def _decode_blockwise(model, state, config, traj):
+    cached = config.strategy != "vanilla"
+    is_odb = config.strategy == "odb"
+    epoch = 0
+    while state.active_block < state.n_blocks:
+        block_range = state.block_range()
+        if cached:
+            epoch += 1
+            # scripted models read refresh drafts by refresh ordinal, decode
+            # steps by their in-block ordinal
+            cache, draft = refresh_dual_cache(
+                model, state, block_range, epoch=epoch, step=epoch - 1
+            )
+            _log_step(
+                traj,
+                phase="prefill",
+                kind="refresh",
+                state=state,
+                t_tokens=state.seq_len,
+                c_tokens=state.seq_len,
+                epoch=epoch,
+                cache_bytes=cache.nbytes(),
+            )
+            if is_odb:
+                cut = scan_eos(
+                    draft, state, config.truncate_threshold, model.config.eos_token_id
+                )
+                if cut is not None:
+                    state, event = apply_truncation(state, cut, refresh_epoch=epoch)
+                    if event is not None:
+                        traj.truncations.append(event)
+                        cache = cache.truncated(state.seq_len)
+            # the block range and the cached positions hold for the whole cycle
+            view = cache_view(cache, epoch=epoch)
+            layout = build_block_layout(block_range, view.positions)
+            window = slice(*block_range)
+        else:
+            view = None
+            layout = full_sequence_layout(state.seq_len)
+            window = slice(None)
+
+        prev_outcome = None
+        block_step = 0
+        # every block position is masked or decoded, so one scan gives both
+        while (n_masked := state.block_masked_positions().size) > 0:
+            if is_odb and prev_outcome is not None and len(prev_outcome.rejected_top) > 0:
+                stage = 2 if state.block_size - n_masked >= config.stage2_threshold else 1
+                candidates = select_candidates(prev_outcome, STAGE_CANDIDATES[stage])
+                outcome, t_rows, c_keys = spec_step(
+                    model, state, cache, candidates, stage, config,
+                    epoch=epoch, step=block_step,
+                )
+                kind = "spec"
+            else:
+                logits, _ = model.forward(state.tokens[window], layout, view, step=block_step)
+                outcome = threshold_step(state, logits, config.accept_threshold)
+                t_rows = layout.n_queries
+                c_keys = layout.n_keys
+                kind = "threshold"
+            # apply_outcome refuses an unmasked position, so each accepted
+            # entry unmasks one token
+            apply_outcome(state, outcome)
+            if not outcome.accepted:
+                raise ProgressError("decode step unmasked zero tokens")
+            _log_step(
+                traj,
+                phase="decode",
+                kind=kind,
+                state=state,
+                t_tokens=t_rows,
+                c_tokens=c_keys,
+                epoch=epoch,
+                outcome=outcome,
+            )
+            prev_outcome = outcome
+            block_step += 1
+        state.active_block += 1
+    return state

@@ -28,6 +28,8 @@ _LN_EPS = np.float32(1e-5)
 
 # Largest toy model that may be materialized: 1 GiB of float32 weights.
 MAX_TOY_PARAMS = 1 << 28
+# Largest size field; it admits the LLaDA-8B-sized configs of scripted cost runs.
+MAX_MODEL_SIZE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class ModelConfig:
     def __post_init__(self):
         check_fields(self)
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+            if not 1 <= getattr(self, name) <= MAX_MODEL_SIZE:
+                raise ConfigError(f"{name} must lie in [1, {MAX_MODEL_SIZE}]")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.d_model % self.n_heads != 0:

@@ -53,6 +53,9 @@ from .decoder import (
 from .errors import ConfigError, NoCandidatesError, RangeError, ShapeError
 from .layout import build_spec_layout, spec_decision_rows
 
+# Candidates a speculative step takes at each stage.
+STAGE_CANDIDATES = {1: 2, 2: 4}
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -80,8 +83,9 @@ def select_candidates(outcome: StepOutcome, k: int) -> CandidateSet:
     rejected_top is already confidence-sorted with position tiebreaks, so the
     head of the list is the candidate order c1..ck.
     """
-    if k not in (2, 4):
-        raise ConfigError(f"candidate budget must be 2 or 4, got {k}")
+    if k not in STAGE_CANDIDATES.values():
+        budgets = " or ".join(map(str, STAGE_CANDIDATES.values()))
+        raise ConfigError(f"candidate budget must be {budgets}, got {k}")
     if not outcome.rejected_top:
         raise NoCandidatesError("no rejected entries to speculate on")
     picked = outcome.rejected_top[: k]
@@ -123,7 +127,7 @@ class SpecSet:
         m = len(candidate_set)
         if m == 0:
             raise NoCandidatesError("cannot build a speculative set without candidates")
-        limit = 2 if stage == 1 else 4
+        limit = STAGE_CANDIDATES.get(stage, STAGE_CANDIDATES[2])
         if m > limit:
             raise ConfigError(f"stage {stage} allows at most {limit} candidates, got {m}")
         return cls(stage=stage, candidates=candidate_set.candidates, blocks=_lattice(m)[0])

@@ -23,7 +23,7 @@ from blockspec import (
     trajectory_metrics,
 )
 from blockspec.cache import cache_view, refresh_dual_cache
-from blockspec.decoder import masked_greedy
+from blockspec.decoder import apply_outcome, masked_greedy
 from blockspec.layout import build_block_layout, build_spec_layout, full_sequence_layout
 from blockspec.model import LogitsView, scripted_forward
 from blockspec.speculative import Candidate, CandidateSet, SpecSet, resolve_jump
@@ -242,21 +242,21 @@ def test_criterion_5_reverse_transition_sampler(toy_config):
     """t=0.5 -> s=0.25 over 1000 masked positions unmasks a fraction in
     [0.45, 0.55]; s=0 unmasks everything; unmasked positions never change."""
     state = DecodeState.new([1], 1000, 1000, toy_config.mask_token_id)
-    state.t = 0.5
     sched = ScriptedSchedule(
         steps=[{p: (10 + (p % 50), 0.9) for p in range(1, 1001)}],
         vocab_size=128, mask_token_id=126,
     )
     view = scripted_forward(sched, 0, list(range(1, 1001)))
-    out = tau_leaping_step(state, view, 0.25, np.random.default_rng(42))
+    out = state.copy()
+    apply_outcome(out, tau_leaping_step(state, view, 0.5, 0.25, np.random.default_rng(42)))
     frac = 1.0 - float(out.masked[1:].mean())
     assert 0.45 <= frac <= 0.55
 
-    out_zero = tau_leaping_step(state, view, 0.0, np.random.default_rng(7))
+    out_zero = state.copy()
+    apply_outcome(out_zero, tau_leaping_step(state, view, 0.5, 0.0, np.random.default_rng(7)))
     assert not out_zero.masked.any()
 
     partial = out.copy()
-    partial.t = 0.25
     before = partial.tokens.copy()
     fixed = ~partial.masked
     view2 = scripted_forward(sched, 0, list(range(1, 1001)))
@@ -264,9 +264,9 @@ def test_criterion_5_reverse_transition_sampler(toy_config):
         np.concatenate([np.zeros((1, 128), dtype=np.float32), view2.logits]),
         np.arange(1001), np.zeros(1001, dtype=np.int64),
     )
-    out2 = tau_leaping_step(partial, select(full_view, partial.masked_positions()),
-                            0.1, np.random.default_rng(8))
-    assert np.array_equal(out2.tokens[fixed], before[fixed])
+    apply_outcome(partial, tau_leaping_step(partial, select(full_view, partial.masked_positions()),
+                                            0.25, 0.1, np.random.default_rng(8)))
+    assert np.array_equal(partial.tokens[fixed], before[fixed])
     print(f"\n[criterion 5] PASS - reverse transition sampler: unmask fraction "
           f"{frac:.3f} in [0.45, 0.55]; s=0 unmasks all; unmasked frozen")
 

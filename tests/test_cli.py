@@ -192,6 +192,20 @@ def test_run_rejects_out_of_range_flags(workdir, capsys, flags, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["n_layers", "vocab_size", "d_model"])
+def test_scripted_run_bounds_model_sizes(workdir, capsys, name):
+    """A scripted model never materializes weights, so the size bound of
+    ModelConfig is what refuses a size no array can hold."""
+    tmp, _, _, tasks = workdir
+    model = tmp / "big.json"
+    model.write_text(json.dumps({**TOY, name: 10**400}))
+    schedule = Path(__file__).resolve().parents[1] / "configs" / "schedule_eos87.json"
+    code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "odb",
+                 "--scripted", str(schedule)])
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
 CONFIG_CLASSES = {  # each config class with the fields of one valid instance
     ModelConfig: TOY,
     RunConfig: {"strategy": "fast", "gen_length": 64, "block_size": 32},

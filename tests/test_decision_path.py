@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockspec.alp
-import blockspec.decoder
-import blockspec.speculative
+import blockspec.engine
 import reference_decide
 from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
 from blockspec.cache import refresh_dual_cache
@@ -47,8 +46,8 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
     else:
         model = ScriptedModel(toy_config, _rising_schedule(len(prompt), 96))
     seen = {"threshold": 0, "greedy": 0, "stages": set()}
-    real_threshold = blockspec.decoder.threshold_step
-    real_spec = blockspec.speculative.spec_step
+    real_threshold = blockspec.engine.threshold_step
+    real_spec = blockspec.engine.spec_step
     real_greedy = blockspec.alp.masked_greedy
 
     def checked_threshold(state, logits, threshold):
@@ -75,8 +74,8 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         seen["greedy"] += 1
         return got
 
-    monkeypatch.setattr(blockspec.decoder, "threshold_step", checked_threshold)
-    monkeypatch.setattr(blockspec.speculative, "spec_step", checked_spec)
+    monkeypatch.setattr(blockspec.engine, "threshold_step", checked_threshold)
+    monkeypatch.setattr(blockspec.engine, "spec_step", checked_spec)
     monkeypatch.setattr(blockspec.alp, "masked_greedy", checked_greedy)
     traj = decode(model, prompt, RunConfig(strategy, 64 if kind == "toy" else 96, 32))
     assert traj.completed and seen["threshold"] > 0

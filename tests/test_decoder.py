@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import blockspec.decoder
+import blockspec.engine
 from blockspec import (
     BlockCompleteError,
     ConfigError,
@@ -41,9 +41,9 @@ def test_tau_step_s_zero_unmasks_everything(toy_model, toy_config):
     rng = np.random.default_rng(0)
     state = random_state(rng, toy_config)
     view, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
-    out = tau_leaping_step(state, view, 0.0, np.random.default_rng(1))
-    assert not out.masked.any()
-    assert out.t == 0.0
+    out = tau_leaping_step(state, view, 1.0, 0.0, np.random.default_rng(1))
+    apply_outcome(state, out)
+    assert not state.masked.any()
 
 
 def test_tau_step_never_touches_unmasked(toy_model, toy_config):
@@ -52,33 +52,45 @@ def test_tau_step_never_touches_unmasked(toy_model, toy_config):
     before = state.tokens.copy()
     unmasked = ~state.masked
     view, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
-    out = tau_leaping_step(state, view, 0.25, np.random.default_rng(2))
-    assert np.array_equal(out.tokens[unmasked], before[unmasked])
-    assert not out.masked[unmasked].any()
+    out = tau_leaping_step(state, view, 1.0, 0.25, np.random.default_rng(2))
+    apply_outcome(state, out)
+    assert np.array_equal(state.tokens[unmasked], before[unmasked])
+    assert not state.masked[unmasked].any()
 
 
 def test_tau_step_time_order_enforced(toy_model, toy_config):
     rng = np.random.default_rng(4)
     state = random_state(rng, toy_config)
-    state.t = 0.5
     view, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
     with pytest.raises(RangeError):
-        tau_leaping_step(state, view, 0.5, np.random.default_rng(0))
+        tau_leaping_step(state, view, 0.5, 0.5, np.random.default_rng(0))
     with pytest.raises(RangeError):
-        tau_leaping_step(state, view, 0.7, np.random.default_rng(0))
+        tau_leaping_step(state, view, 0.5, 0.7, np.random.default_rng(0))
 
 
 def test_tau_step_unmask_fraction_matches_expectation(toy_config):
     """t=0.5 -> s=0.25 unmasks each position w.p. (t-s)/t = 0.5; with 1000
     positions the observed fraction sits within 3 sigma of one half."""
     state = DecodeState.new([1], 1000, 1000, toy_config.mask_token_id)
-    state.t = 0.5
     sched = ScriptedSchedule(steps=[constant_entry(range(1, 1001), 0.9)],
                              vocab_size=128, mask_token_id=126)
     view = scripted_forward(sched, 0, list(range(1, 1001)))
-    out = tau_leaping_step(state, view, 0.25, np.random.default_rng(42))
-    frac = 1.0 - out.masked[1:].mean()
+    out = tau_leaping_step(state, view, 0.5, 0.25, np.random.default_rng(42))
+    apply_outcome(state, out)
+    frac = 1.0 - state.masked[1:].mean()
     assert 0.45 <= frac <= 0.55
+
+
+def test_tau_decode_refuses_an_outcome_naming_a_decoded_position(toy_model, monkeypatch):
+    """Tau steps unmask through apply_outcome, so a write over a prompt
+    token is refused like any other step's."""
+    monkeypatch.setattr(
+        blockspec.engine, "tau_leaping_step",
+        lambda state, logits, t, s, rng: StepOutcome(accepted=[(1, 9, 0.0)], rejected_top=[]),
+    )
+    config = RunConfig(strategy="vanilla", gen_length=32, block_size=32, tau_steps=4)
+    with pytest.raises(ProgressError, match="position 1 accepted twice"):
+        decode(toy_model, [5, 6, 7], config)
 
 
 def test_tau_full_chain_uniform_schedule(toy_config):
@@ -303,7 +315,7 @@ def test_apply_outcome_refuses_the_mask_token(toy_config):
 @pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
 def test_decode_refuses_a_step_that_accepts_nothing(toy_model, monkeypatch, strategy):
     monkeypatch.setattr(
-        blockspec.decoder, "threshold_step",
+        blockspec.engine, "threshold_step",
         lambda state, logits, threshold: StepOutcome(accepted=[], rejected_top=[]),
     )
     config = RunConfig(strategy=strategy, gen_length=32, block_size=32)

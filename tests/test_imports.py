@@ -1,0 +1,35 @@
+"""The package's import structure: every import at module level, and the
+relative imports between modules free of cycles."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blockspec"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_import_inside_a_function_or_class():
+    nested = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(scope)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+def test_relative_imports_form_an_acyclic_graph():
+    graph = {name: set() for name in MODULES}
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                graph[name].update(targets)
+    assert set().union(*graph.values()) <= set(MODULES)
+    assert {"alp", "speculative"} <= graph["engine"]
+    # static_order raises CycleError naming any cycle
+    assert len(list(TopologicalSorter(graph).static_order())) == len(MODULES)
