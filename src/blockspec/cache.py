@@ -64,19 +64,21 @@ class DualCache:
         )
 
 
-def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 1, step: int = 0):
+def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 1, step: int = 0,
+                       draft: bool = True):
     """Full-sequence forward; cache everything outside the block.
 
     Returns (DualCache, LogitsView).  Counts as one prefill forward with
     T = full sequence length; its full-sequence logits are the draft that
-    length prediction scans.
+    length prediction scans.  With ``draft=False`` nobody reads them: the
+    forward computes K/V only and the view is None.
     """
     start, end = block_range
     seq_len = state.seq_len
     if not (state.prompt_len <= start < end <= seq_len):
         raise RangeError(f"block [{start}, {end}) outside response region")
     layout = full_sequence_layout(seq_len)
-    view, new_kv = model.forward(state.tokens, layout, None, step=step)
+    view, new_kv = model.forward(state.tokens, layout, None, step=step, logits=draft)
     positions = np.arange(seq_len, dtype=np.int64)
     outside = (positions < start) | (positions >= end)
     cache = DualCache(

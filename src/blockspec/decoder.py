@@ -17,7 +17,7 @@ from .errors import (
     RangeError,
     check_fields,
 )
-from .model import MAX_SCHEDULE_POSITION, LogitsView, softmax
+from .model import MAX_POSITION, LogitsView, softmax
 
 STRATEGIES = ("vanilla", "fast", "odb")
 
@@ -39,8 +39,8 @@ class RunConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.gen_length < 1 or self.block_size < 1:
             raise ConfigError("gen_length and block_size must be positive")
-        if self.gen_length > MAX_SCHEDULE_POSITION:
-            raise ConfigError(f"gen_length {self.gen_length} above {MAX_SCHEDULE_POSITION}")
+        if self.gen_length > MAX_POSITION:
+            raise ConfigError(f"gen_length {self.gen_length} above {MAX_POSITION}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.gen_length % self.block_size != 0:

@@ -105,9 +105,9 @@ def _decode_blockwise(model, state, config, traj):
         if cached:
             epoch += 1
             # scripted models read refresh drafts by refresh ordinal, decode
-            # steps by their in-block ordinal
+            # steps by their in-block ordinal; only odb reads the draft
             cache, draft = refresh_dual_cache(
-                model, state, block_range, epoch=epoch, step=epoch - 1
+                model, state, block_range, epoch=epoch, step=epoch - 1, draft=is_odb
             )
             _log_step(
                 traj,

@@ -62,7 +62,12 @@ class CostRecord:
 
 
 def cost_of_forward(model_cfg: ModelConfig, t: int, c: int, profile: HardwareProfile) -> CostRecord:
-    """Roofline record for one forward; see the module docstring formula."""
+    """Roofline record for one forward; see the module docstring formula.
+
+    Every forward is charged in full, logits included: a fast refresh, whose
+    draft nobody reads and which stops at the last layer's K/V, is still
+    priced as a whole forward, so that the roofline outputs stay as they are.
+    """
     if t < 1:
         raise RangeError(f"need at least one query token, got {t}")
     if c < t:

@@ -28,6 +28,12 @@ _LN_EPS = np.float32(1e-5)
 
 # Largest toy model that may be materialized: 1 GiB of float32 weights.
 MAX_TOY_PARAMS = 1 << 28
+# Sequence positions, scheduled or rotated, lie in [0, MAX_POSITION).  A
+# compiled schedule step costs 8 bytes per position of its span and a toy
+# model's RoPE table 8 * d_model, so positions are bounded far beyond any
+# sequence a forward can attend over (full attention at 2**16 positions
+# would need 2**32 scores per head).
+MAX_POSITION = 1 << 16
 # Largest size field; it admits the LLaDA-8B-sized configs of scripted cost runs.
 MAX_MODEL_SIZE = 1 << 20
 
@@ -156,14 +162,15 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh GELU, overwriting and returning `x`.
+def _gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Tanh GELU, overwriting and returning `x`; `t` is a work buffer of
+    the same shape.
 
     Evaluates 0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x))) with the same
     float32 rounding at every step as the one-line expression, in two
     buffers instead of eight.
     """
-    t = np.float32(0.044715) * x
+    np.multiply(np.float32(0.044715), x, out=t)
     t *= x
     t *= x
     t += x
@@ -184,6 +191,7 @@ def _rope_tables(positions: np.ndarray, n_heads: int, d_head: int):
     x2*cos + x1*sin), and passes an odd last dim through.  Each output is
     the same two products and one add as rotating the halves separately,
     so the result is bitwise equal, but every pass runs over whole rows.
+    Each table row depends on its position alone.
     """
     half = d_head // 2
     inv_freq = (10000.0 ** (-np.arange(half, dtype=np.float64) / max(half, 1))).astype(np.float32)
@@ -222,7 +230,10 @@ class ToyModel:
     """Bidirectional pre-norm transformer over laid-out token batches.
 
     Weights are immutable after init and shareable across threads; forward
-    never mutates the model or its cache.
+    never mutates the cache and allocates its buffers per call.  The one
+    model state forward touches is the RoPE table: a forward past its last
+    position builds a larger table and replaces it whole, so a row, once
+    built, is never rewritten.
     """
 
     def __init__(self, config: ModelConfig):
@@ -251,13 +262,28 @@ class ToyModel:
                 }
             )
         self.wout = mat(d, v)
+        self._rope_table = _rope_tables(np.arange(0), config.n_heads, config.d_head)
 
-    def forward(self, tokens, layout: AttentionLayout, cache=None, step: int = 0):
+    def _rope(self, positions: np.ndarray):
+        """``_rope_tables(positions, ...)``, gathered from the model's table
+        of positions 0..n-1."""
+        last = int(positions.max())
+        if positions.min() < 0 or last >= MAX_POSITION:
+            raise RangeError(f"position IDs must lie in [0, {MAX_POSITION})")
+        cos, sin, swap = self._rope_table
+        if last >= len(cos):
+            n = np.arange(last + 1)
+            cos, sin, swap = self._rope_table = _rope_tables(n, self.config.n_heads, self.config.d_head)
+        return cos[positions], sin[positions], swap
+
+    def forward(self, tokens, layout: AttentionLayout, cache=None, step: int = 0,
+                logits: bool = True):
         """Run the batched forward described by `layout`.
 
         Returns (LogitsView over query rows, per-layer fresh (K, V) of those
         rows).  `cache` supplies K/V for the layout's context entries; `step`
-        is ignored (scripted models use it).
+        is ignored (scripted models use it).  With ``logits=False`` the
+        forward stops at the last layer's K/V and returns (None, K/V).
         """
         cfg = self.config
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
@@ -272,10 +298,23 @@ class ToyModel:
                 raise ShapeError("layout has context entries but no cache view given")
             check_compatible(cfg, layout, cache)
         h_dim, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
+        m = layout.n_keys
 
-        cos, sin, swap = _rope_tables(layout.query_positions, h_dim, dh)
-        mask = layout.dense_mask()
-        blocked = None if mask.all() else ~mask
+        cos, sin, swap = self._rope(layout.query_positions)
+        # Only sibling speculative blocks hide fresh keys from each other,
+        # so a one-tag layout needs no mask; context keys are always seen.
+        tags = layout.query_tags
+        bias = None
+        if (tags != tags[0]).any():
+            fresh = layout.dense_mask()[:, n_ctx:]
+            bias = np.where(fresh, np.float32(0.0), np.float32(-np.inf))
+
+        # Each layer refills these; allocated once per call, they keep the
+        # forward reentrant and never reach the caller.
+        kq = np.empty((h_dim, m, r), dtype=np.float32)
+        scores = np.empty((h_dim, r, m), dtype=np.float32)
+        hidden = np.empty((r, cfg.d_ff), dtype=np.float32)
+        gelu_t = np.empty_like(hidden)
 
         x = self.emb[tokens]
         new_kv = []
@@ -290,6 +329,8 @@ class ToyModel:
             q, k = (a.reshape(r, h_dim, dh) for a in qk)
             v = qkv[2].reshape(r, h_dim, dh)
             new_kv.append((k, v))
+            if not logits and li == cfg.n_layers - 1:
+                return None, new_kv
             if n_ctx:
                 keys = np.concatenate([cache.keys[li], k], axis=0)
                 values = np.concatenate([cache.values[li], v], axis=0)
@@ -299,20 +340,21 @@ class ToyModel:
             # einsum("rhd,mhd->rhm") hands BLAS, whose rounding can depend on
             # it.  Scaling copies them head-major to [h, r, m], where each
             # row's keys are contiguous: the masked softmax then runs in
-            # place with the reductions in row-major order.
-            kq = np.matmul(keys.transpose(1, 0, 2), q.transpose(1, 2, 0))
-            scores = np.multiply(kq.transpose(0, 2, 1), inv_sqrt, order="C")
-            if blocked is not None:
-                np.copyto(scores, np.float32(-np.inf), where=blocked)
+            # place with the reductions in row-major order.  Adding 0 keeps a
+            # score and adding -inf hides it, so the bias masks exactly.
+            np.matmul(keys.transpose(1, 0, 2), q.transpose(1, 2, 0), out=kq)
+            np.multiply(kq.transpose(0, 2, 1), inv_sqrt, out=scores)
+            if bias is not None:
+                scores[:, :, n_ctx:] += bias
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
             # Vᵀ·Wᵀ per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
             ctx_out = np.matmul(values.transpose(1, 2, 0), scores.transpose(0, 2, 1))
             x += ctx_out.transpose(2, 0, 1).reshape(r, d) @ layer["wo"]
-            x += _gelu(_layer_norm(x) @ layer["w1"]) @ layer["w2"]
-        logits = _layer_norm(x) @ self.wout
-        view = LogitsView(logits, layout.query_positions, layout.query_tags)
+            np.matmul(_layer_norm(x), layer["w1"], out=hidden)
+            x += _gelu(hidden, gelu_t) @ layer["w2"]
+        view = LogitsView(_layer_norm(x) @ self.wout, layout.query_positions, layout.query_tags)
         return view, new_kv
 
 
@@ -322,13 +364,6 @@ class ToyModel:
 # realizing a near-zero confidence for default (never-accept) entries.
 def _conf_floor(vocab_size: int) -> float:
     return 2.0 / vocab_size
-
-
-# Scheduled positions are sequence positions.  A compiled step costs 8 bytes
-# per position of its span, so positions are bounded far beyond any sequence
-# a forward can attend over (full attention at 2**16 positions would need
-# 2**32 scores per head).
-MAX_SCHEDULE_POSITION = 1 << 16
 
 
 @dataclass
@@ -355,9 +390,9 @@ class ScriptedSchedule:
             raise ConfigError("schedule has no steps")
         for n, entry in enumerate(self.steps):
             for pos, (tok, conf) in entry.items():
-                if not (0 <= pos < MAX_SCHEDULE_POSITION):
+                if not (0 <= pos < MAX_POSITION):
                     raise ConfigError(
-                        f"step {n} pos {pos}: position outside [0, {MAX_SCHEDULE_POSITION})"
+                        f"step {n} pos {pos}: position outside [0, {MAX_POSITION})"
                     )
                 if not (0.0 <= conf <= 1.0):
                     raise ConfigError(f"step {n} pos {pos}: confidence {conf} outside [0,1]")
@@ -503,7 +538,8 @@ class ScriptedModel:
     repeat the final entry, so short schedules describe steady-state
     behavior.  K/V outputs are one read-only zero array of the configured
     shape, shared by every layer; the cache machinery copies it and runs
-    unchanged but carries no information.
+    unchanged but carries no information.  With ``logits=False`` forward
+    returns (None, K/V), as ``ToyModel.forward`` does.
     """
 
     def __init__(self, config: ModelConfig, schedule: ScriptedSchedule):
@@ -514,15 +550,19 @@ class ScriptedModel:
         self.config = config
         self.schedule = schedule
 
-    def forward(self, tokens, layout: AttentionLayout, cache=None, step: int = 0):
+    def forward(self, tokens, layout: AttentionLayout, cache=None, step: int = 0,
+                logits: bool = True):
         cfg = self.config
         r = layout.n_queries
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         if tokens.shape[0] != r:
             raise ShapeError(f"{tokens.shape[0]} tokens for {r} query rows")
+        zeros = np.zeros((r, cfg.n_heads, cfg.d_head), dtype=np.float32)
+        zeros.flags.writeable = False
+        kv = [(zeros, zeros)] * cfg.n_layers
+        if not logits:
+            return None, kv
         clamped = min(step, len(self.schedule) - 1)
         view = scripted_forward(self.schedule, clamped, layout.query_positions)
         view.tags = layout.query_tags
-        zeros = np.zeros((r, cfg.n_heads, cfg.d_head), dtype=np.float32)
-        zeros.flags.writeable = False
-        return view, [(zeros, zeros)] * cfg.n_layers
+        return view, kv

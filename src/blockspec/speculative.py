@@ -127,7 +127,9 @@ class SpecSet:
         m = len(candidate_set)
         if m == 0:
             raise NoCandidatesError("cannot build a speculative set without candidates")
-        limit = STAGE_CANDIDATES.get(stage, STAGE_CANDIDATES[2])
+        if stage not in STAGE_CANDIDATES:
+            raise RangeError(f"stage must be one of {sorted(STAGE_CANDIDATES)}, got {stage}")
+        limit = STAGE_CANDIDATES[stage]
         if m > limit:
             raise ConfigError(f"stage {stage} allows at most {limit} candidates, got {m}")
         return cls(stage=stage, candidates=candidate_set.candidates, blocks=_lattice(m)[0])

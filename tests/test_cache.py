@@ -27,6 +27,15 @@ def test_refresh_region_sizes(refreshed):
     assert draft.n_rows == state.seq_len
 
 
+def test_refresh_without_draft_caches_the_same_kv(refreshed, toy_model):
+    state, cache, _ = refreshed
+    bare, draft = refresh_dual_cache(toy_model, state, state.block_range(), epoch=1, draft=False)
+    assert draft is None
+    assert bare.positions.tobytes() == cache.positions.tobytes()
+    for got, want in zip(bare.keys + bare.values, cache.keys + cache.values):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_refresh_epoch_increments(toy_model, toy_config):
     rng = np.random.default_rng(2)
     state = random_state(rng, toy_config)

@@ -209,9 +209,22 @@ def test_forward_single_token_shape(toy_model):
 
 
 def test_forward_is_pure(toy_model):
+    """Equal inputs give equal outputs, and later forwards, with other
+    tokens on the same layout and on a two-tag layout, leave every array an
+    earlier forward returned as it was: no buffer outlives its call."""
+    from blockspec.layout import AttentionLayout
+
     layout = full_sequence_layout(9)
     toks = np.arange(9)
-    a, _ = toy_model.forward(toks, layout)
+    a, a_kv = toy_model.forward(toks, layout)
+    returned = [a.logits] + [x for kv in a_kv for x in kv]
+    kept = [x.tobytes() for x in returned]
+    two_tags = AttentionLayout(query_positions=np.arange(12) % 6,
+                               query_tags=np.arange(12) // 6,
+                               query_shared=np.zeros(12, dtype=bool))
+    toy_model.forward(toks[::-1], layout)
+    toy_model.forward(np.arange(12) + 40, two_tags)
+    assert [x.tobytes() for x in returned] == kept
     b, _ = toy_model.forward(toks, layout)
     assert np.array_equal(a.logits, b.logits)
 
@@ -221,6 +234,30 @@ def test_forward_rejects_bad_tokens(toy_model):
         toy_model.forward([999], full_sequence_layout(1))
     with pytest.raises(ShapeError):
         toy_model.forward([1, 2], full_sequence_layout(1))
+
+
+def test_forward_rejects_positions_outside_the_rope_range(toy_model):
+    from blockspec.layout import AttentionLayout
+    from blockspec.model import MAX_POSITION
+
+    for position in (-1, MAX_POSITION):
+        layout = AttentionLayout(query_positions=[position], query_tags=[0],
+                                 query_shared=[False])
+        with pytest.raises(RangeError, match="position IDs"):
+            toy_model.forward([3], layout)
+
+
+def test_rope_table_grows_without_rewriting_rows(toy_config):
+    model = ToyModel(toy_config)
+    model.forward(np.arange(5), full_sequence_layout(5))
+    small = model._rope_table
+    kept = [a.tobytes() for a in small]
+    model.forward(np.arange(7), full_sequence_layout(7))
+    grown = model._rope_table
+    assert len(small[0]) == 5 and len(grown[0]) == 7
+    assert [a.tobytes() for a in small] == kept
+    for old, new in zip(small[:2], grown[:2]):
+        assert new[:5].tobytes() == old.tobytes()
 
 
 def test_mask_soundness_invisible_keys_never_matter(toy_model, toy_config):
@@ -275,10 +312,16 @@ def test_layer_norm_matches_mean_var_form_bitwise(rows, width, scale, seed):
     assert _layer_norm(x).tobytes() == dense_forward._layer_norm(x).tobytes()
 
 
-def test_forward_matches_dense_reference_bitwise(toy_model, toy_config):
+@pytest.mark.parametrize("shape", [
+    {},
+    {"d_model": 60, "n_heads": 4},               # d_head 15: RoPE passes its last column
+    {"d_model": 32, "n_heads": 4, "d_ff": 80},   # d_head 8, d_ff not 4 * d_model
+], ids=["toy", "odd-d_head", "d_head-8"])
+def test_forward_matches_dense_reference_bitwise(shape):
     """The head-major in-place attention path equals the dense einsum /
     np.where / softmax forward bit for bit, logits and every layer's K/V,
-    over the full, block, stage-1 and stage-2 layouts of a live decode."""
+    over the full, block, stage-1 and stage-2 layouts of a live decode; a
+    forward without logits returns the same K/V and no view."""
     from blockspec import DecodeState
     from blockspec.cache import cache_view, refresh_dual_cache
     from blockspec.decoder import apply_outcome, threshold_step
@@ -286,20 +329,22 @@ def test_forward_matches_dense_reference_bitwise(toy_model, toy_config):
     from blockspec.speculative import SpecSet, select_candidates
     from dense_forward import dense_forward
 
+    config = ModelConfig(**{**TOY, **shape})
+    model = ToyModel(config)
     rng = np.random.default_rng(23)
     cases = []
     for prompt_len in (19, 40):
         prompt = rng.integers(0, 120, size=prompt_len)
-        state = DecodeState.new(prompt, 96, 32, toy_config.mask_token_id)
+        state = DecodeState.new(prompt, 96, 32, config.mask_token_id)
         block = state.block_range()
-        cache, _ = refresh_dual_cache(toy_model, state, block, epoch=1)
+        cache, _ = refresh_dual_cache(model, state, block, epoch=1)
         view = cache_view(cache, epoch=1)
         cases.append((state.tokens.copy(), full_sequence_layout(state.seq_len), None))
         block_layout = build_block_layout(block, view.positions)
         while state.block_decoded_positions().size < 8:
             tokens = state.tokens[block[0]:block[1]].copy()
             cases.append((tokens, block_layout, view))
-            logits, _ = toy_model.forward(tokens, block_layout, view)
+            logits, _ = model.forward(tokens, block_layout, view)
             outcome = threshold_step(state, logits, 0.9)
             apply_outcome(state, outcome)
         for stage, k in ((1, 2), (2, 4)):
@@ -314,12 +359,16 @@ def test_forward_matches_dense_reference_bitwise(toy_model, toy_config):
             cases.append((tokens, layout, view))
     assert {layout.stage for _, layout, _ in cases} == {0, 1, 2}
     for tokens, layout, ctx in cases:
-        got, got_kv = toy_model.forward(tokens, layout, ctx)
-        want, want_kv = dense_forward(toy_model, tokens, layout, ctx)
-        assert np.array_equal(got.logits, want.logits)
-        assert len(got_kv) == len(want_kv) == toy_config.n_layers
+        got, got_kv = model.forward(tokens, layout, ctx)
+        want, want_kv = dense_forward(model, tokens, layout, ctx)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert len(got_kv) == len(want_kv) == config.n_layers
         for (gk, gv), (wk, wv) in zip(got_kv, want_kv):
-            assert np.array_equal(gk, wk) and np.array_equal(gv, wv)
+            assert gk.tobytes() == wk.tobytes() and gv.tobytes() == wv.tobytes()
+        no_view, kv_only = model.forward(tokens, layout, ctx, logits=False)
+        assert no_view is None and len(kv_only) == config.n_layers
+        for (gk, gv), (k, v) in zip(got_kv, kv_only):
+            assert gk.tobytes() == k.tobytes() and gv.tobytes() == v.tobytes()
 
 
 # --- scripted model -------------------------------------------------------------
@@ -394,6 +443,10 @@ def test_scripted_model_kv_is_read_only_zeros(toy_config):
             assert a.dtype == np.float32 and not a.any()
             with pytest.raises(ValueError):
                 a[0] = 1.0
+    no_view, kv_only = model.forward([0, 1, 2, 3, 4], full_sequence_layout(5), logits=False)
+    assert no_view is None and len(kv_only) == toy_config.n_layers
+    assert all(k.shape == v.shape == (5, toy_config.n_heads, toy_config.d_head)
+               and not k.any() and not v.any() for k, v in kv_only)
 
 
 def test_scripted_model_rejects_schedule_with_other_mask_token(toy_config):

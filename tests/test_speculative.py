@@ -90,6 +90,9 @@ def test_spec_set_stage2_lattice():
 def test_spec_set_caps_by_stage():
     with pytest.raises(ConfigError):
         SpecSet.build(cands(3), stage=1)
+    for stage in (0, 3):
+        with pytest.raises(RangeError, match=f"got {stage}"):
+            SpecSet.build(cands(1), stage=stage)
 
 
 # --- resolve_jump: pinned branches ---------------------------------------------------
