@@ -2,10 +2,9 @@
 
 A refresh runs one full-sequence forward, keeps the K/V of every position
 outside the active block, and hands back the full-sequence logits draft so
-EOS scanning costs no extra forward.  Within one block cycle the cache is
-frozen (the deliberate staleness of block-wise decoding); a new cycle bumps
-``refresh_epoch`` and a cache from an older epoch is refused as a forward's
-context.
+EOS scanning costs no extra forward.  Each block cycle refreshes once, so the
+cache is keyed by its block: frozen within the cycle (the deliberate staleness
+of block-wise decoding), refused as the context of any other block.
 """
 
 from __future__ import annotations
@@ -21,15 +20,14 @@ from .layout import full_sequence_layout
 @dataclass
 class DualCache:
     """Per-layer K/V for the prefix [0, block_start) and suffix
-    [block_end, seq_len) regions, stamped with a refresh epoch.  The cache
-    is itself the context of a block-cycle forward, ordered like the
+    [block_end, seq_len) regions of the block cycle ``block_range``.  The
+    cache is itself the context of a block-cycle forward, ordered like the
     layout's context positions."""
 
     positions: np.ndarray            # absolute positions, ascending
     keys: list[np.ndarray]           # per layer [n_cached, heads, d_head]
     values: list[np.ndarray]
     block_range: tuple[int, int]
-    refresh_epoch: int
 
     def __post_init__(self):
         # read-only, so layouts built over the cache hold this very array
@@ -52,7 +50,7 @@ class DualCache:
         """Drop suffix entries at or beyond the new sequence length.
 
         Used when the length predictor shrinks the response mid-cycle; the
-        epoch is unchanged (same refresh snapshot, shorter tail).
+        block is unchanged (same refresh snapshot, shorter tail).
         """
         keep = self.positions < new_seq_len
         return DualCache(
@@ -60,11 +58,10 @@ class DualCache:
             keys=[k[keep] for k in self.keys],
             values=[v[keep] for v in self.values],
             block_range=self.block_range,
-            refresh_epoch=self.refresh_epoch,
         )
 
 
-def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 1, step: int = 0,
+def refresh_dual_cache(model, state, block_range: tuple[int, int], step: int = 0,
                        draft: bool = True):
     """Full-sequence forward; cache everything outside the block.
 
@@ -86,18 +83,16 @@ def refresh_dual_cache(model, state, block_range: tuple[int, int], epoch: int = 
         keys=[k[outside] for k, _ in new_kv],
         values=[v[outside] for _, v in new_kv],
         block_range=(start, end),
-        refresh_epoch=epoch,
     )
     return cache, view
 
 
-def cache_view(cache: DualCache, *, epoch: int | None = None) -> DualCache:
-    """The cache as the context of a block-cycle forward.
+def cache_view(cache: DualCache, block_range: tuple[int, int]) -> DualCache:
+    """The cache as the context of a forward over the block `block_range`.
 
-    `epoch` is the caller's current block-cycle epoch; a mismatch with the
-    cache stamp raises StaleCacheError so a cache never leaks across
-    refreshes.
+    A cache refreshed for another block raises StaleCacheError, so a cache
+    never leaks across block cycles.
     """
-    if epoch is not None and cache.refresh_epoch != epoch:
-        raise StaleCacheError(f"cache epoch {cache.refresh_epoch} != current epoch {epoch}")
+    if tuple(cache.block_range) != tuple(block_range):
+        raise StaleCacheError(f"cache refreshed for block {cache.block_range}, not {block_range}")
     return cache

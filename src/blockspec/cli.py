@@ -33,7 +33,7 @@ from .metrics import (
     trajectory_metrics,
     write_cost_csv,
 )
-from .model import ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
+from .model import MAX_POSITION, ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
 from .speculative import STAGE_CANDIDATES, Candidate, CandidateSet, SpecSet
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _dump_masks(out_dir: Path, config: RunConfig) -> None:
             continue
         spec = SpecSet.build(CandidateSet(tuple(Candidate(p, 1, 0.5) for p in free)), stage)
         decoded = range(start, start + n_decoded)
-        build_spec_layout((start, end), spec, stage, decoded, ctx).dump_mask_csv(
+        build_spec_layout((start, end), spec, decoded, ctx).dump_mask_csv(
             masks / f"mask_spec_stage{stage}.csv"
         )
 
@@ -343,6 +343,9 @@ def cmd_gen_tasks(args) -> int:
             raise CliError("--schedule-out requires --eos-offset", EXIT_USAGE)
         if not (0 <= args.eos_offset < args.gen_length):
             raise CliError("--eos-offset must lie inside the generation window", EXIT_USAGE)
+        if args.prompt_len + args.gen_length > MAX_POSITION:
+            raise CliError(f"--gen-length {args.gen_length} after --prompt-len {args.prompt_len} "
+                           f"puts positions past {MAX_POSITION}", EXIT_PARSE)
     rng = np.random.default_rng(args.seed)
     special = {cfg.mask_token_id, cfg.eos_token_id}
     ordinary = [t for t in range(cfg.vocab_size) if t not in special]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alp import apply_truncation, scan_eos
-from .cache import cache_view, refresh_dual_cache
+from .cache import refresh_dual_cache
 from .decoder import DecodeState, RunConfig, apply_outcome, tau_leaping_step, threshold_step
 from .errors import ProgressError
 from .layout import build_block_layout, full_sequence_layout
@@ -50,11 +50,10 @@ def decode(model, prompt, config: RunConfig) -> Trajectory:
     return traj
 
 
-def _log_step(traj, *, phase, kind, state, t_tokens, c_tokens, epoch, outcome=None,
-              cache_bytes=0):
+def _log_step(traj, *, kind, state, t_tokens, c_tokens, epoch, outcome=None, cache_bytes=0):
     rec = StepRecord(
         index=len(traj.steps),
-        phase=phase,
+        phase="prefill" if kind == "refresh" else "decode",
         kind=kind,
         block=state.active_block,
         epoch=epoch,
@@ -85,7 +84,6 @@ def _decode_vanilla_tau(model, state, config, traj):
         apply_outcome(state, outcome)
         _log_step(
             traj,
-            phase="decode",
             kind="tau",
             state=state,
             t_tokens=state.seq_len,
@@ -99,19 +97,18 @@ def _decode_vanilla_tau(model, state, config, traj):
 def _decode_blockwise(model, state, config, traj):
     cached = config.strategy != "vanilla"
     is_odb = config.strategy == "odb"
-    epoch = 0
     while state.active_block < state.n_blocks:
         block_range = state.block_range()
+        # each block cycle refreshes the cache once, so the block names it
+        epoch = state.active_block + 1 if cached else 0
         if cached:
-            epoch += 1
             # scripted models read refresh drafts by refresh ordinal, decode
             # steps by their in-block ordinal; only odb reads the draft
             cache, draft = refresh_dual_cache(
-                model, state, block_range, epoch=epoch, step=epoch - 1, draft=is_odb
+                model, state, block_range, step=state.active_block, draft=is_odb
             )
             _log_step(
                 traj,
-                phase="prefill",
                 kind="refresh",
                 state=state,
                 t_tokens=state.seq_len,
@@ -129,11 +126,10 @@ def _decode_blockwise(model, state, config, traj):
                         traj.truncations.append(event)
                         cache = cache.truncated(state.seq_len)
             # the block range and the cached positions hold for the whole cycle
-            view = cache_view(cache, epoch=epoch)
-            layout = build_block_layout(block_range, view.positions)
+            layout = build_block_layout(block_range, cache.positions)
             window = slice(*block_range)
         else:
-            view = None
+            cache = None
             layout = full_sequence_layout(state.seq_len)
             window = slice(None)
 
@@ -145,12 +141,11 @@ def _decode_blockwise(model, state, config, traj):
                 stage = 2 if state.block_size - n_masked >= config.stage2_threshold else 1
                 candidates = select_candidates(prev_outcome, STAGE_CANDIDATES[stage])
                 outcome, t_rows, c_keys = spec_step(
-                    model, state, cache, candidates, stage, config,
-                    epoch=epoch, step=block_step,
+                    model, state, cache, candidates, stage, config, step=block_step
                 )
                 kind = "spec"
             else:
-                logits, _ = model.forward(state.tokens[window], layout, view, step=block_step)
+                logits, _ = model.forward(state.tokens[window], layout, cache, step=block_step)
                 outcome = threshold_step(state, logits, config.accept_threshold)
                 t_rows = layout.n_queries
                 c_keys = layout.n_keys
@@ -162,7 +157,6 @@ def _decode_blockwise(model, state, config, traj):
                 raise ProgressError("decode step unmasked zero tokens")
             _log_step(
                 traj,
-                phase="decode",
                 kind=kind,
                 state=state,
                 t_tokens=t_rows,

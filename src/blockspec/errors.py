@@ -21,7 +21,7 @@ class RangeError(ValueError):
 
 
 class StaleCacheError(RuntimeError):
-    """A cache was used as context after its refresh epoch had passed."""
+    """A cache was used as context for a block it was not refreshed for."""
 
 
 class BlockCompleteError(RuntimeError):

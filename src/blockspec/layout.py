@@ -113,12 +113,11 @@ def build_block_layout(block_range: tuple[int, int], context_positions: ArrayLik
 def build_spec_layout(
     block_range: tuple[int, int],
     spec_set,
-    stage: int,
     decoded_positions: ArrayLike,
     context_positions: ArrayLike,
 ) -> AttentionLayout:
     """Multi-block speculative layout (main block tag 0 plus one tag per
-    speculative block).
+    speculative block of `spec_set`, at the set's stage).
 
     Stage 1 replicates every block position into each speculative block
     (full recomputation).  Stage 2 keeps the full main block but gives
@@ -131,6 +130,7 @@ def build_spec_layout(
         raise RangeError(f"empty block range [{start}, {end})")
     if not spec_set.blocks:
         raise RangeError("speculative set is empty")
+    stage = spec_set.stage
     if stage not in (1, 2):
         raise RangeError(f"stage must be 1 or 2, got {stage}")
     decoded = np.asarray(decoded_positions, dtype=np.int64)
@@ -158,10 +158,10 @@ def build_spec_layout(
 
 
 def spec_decision_rows(
-    block_range: tuple[int, int], n_spec_blocks: int, stage: int, masked_positions: np.ndarray
+    block_range: tuple[int, int], spec_set, masked_positions: np.ndarray
 ) -> np.ndarray:
-    """[1 + n_spec_blocks, masked] rows of ``build_spec_layout``'s layout:
-    row `tag` holds that block's query row for every masked position.
+    """[1 + spec_set.n_blocks, masked] rows of ``build_spec_layout``'s
+    layout: row `tag` holds that block's query row for every masked position.
 
     ``build_spec_layout`` lays tag 0 over the whole block [0, W) in block
     order, then gives each speculative tag t one run of its spec rows from
@@ -171,11 +171,11 @@ def spec_decision_rows(
     """
     start, end = block_range
     offsets = masked_positions - start
-    if stage == 1:
+    if spec_set.stage == 1:
         stride, spec_cols = end - start, offsets
     else:
         stride, spec_cols = offsets.size, np.arange(offsets.size)
-    table = np.empty((1 + n_spec_blocks, offsets.size), dtype=np.int64)
+    table = np.empty((1 + spec_set.n_blocks, offsets.size), dtype=np.int64)
     table[0] = offsets
-    table[1:] = (end - start + stride * np.arange(n_spec_blocks))[:, None] + spec_cols
+    table[1:] = (end - start + stride * np.arange(spec_set.n_blocks))[:, None] + spec_cols
     return table

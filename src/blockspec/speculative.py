@@ -206,7 +206,6 @@ def spec_step(
     stage: int,
     config: RunConfig,
     *,
-    epoch: int,
     step: int = 0,
 ) -> tuple[StepOutcome, int, int]:
     """One batched speculative forward plus jump resolution.
@@ -214,7 +213,8 @@ def spec_step(
     Counts as a single model evaluation; blocks_evaluated reports the lattice
     width.  The adopted block's candidate subset plus its own threshold
     acceptances become the step's accepted set.  Returns (outcome, query
-    rows, context+query key count) for cost accounting.
+    rows, context+query key count) for cost accounting.  `cache` must be
+    the active block's, else StaleCacheError.
     """
     if len(candidates) == 0:
         raise NoCandidatesError("speculative step needs at least one candidate")
@@ -229,14 +229,14 @@ def spec_step(
         )
 
     spec_set = SpecSet.build(candidates, stage)
-    view = cache_view(cache, epoch=epoch)
-    layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.positions)
+    view = cache_view(cache, block_range)
+    layout = build_spec_layout(block_range, spec_set, decoded_abs, view.positions)
 
     # The decision table: row `tag` holds that block's query row for every
     # masked position (tags run 0..n_blocks).  A block's candidate cells are
     # committed, not decided: they are invalid, and their rows read the
     # candidate tokens; every other row reads the current token.
-    table = spec_decision_rows(block_range, spec_set.n_blocks, stage, masked_abs)
+    table = spec_decision_rows(block_range, spec_set, masked_abs)
     cand_tokens = np.array([c.token for c in spec_set.candidates], dtype=np.int64)
     cell_tags, cell_ordinals = spec_set.cells
     cell_cols = cand_cols[cell_ordinals]

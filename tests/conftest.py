@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from blockspec import DecodeState, LogitsView, ModelConfig, ShapeError, ToyModel
+from blockspec import DecodeState, LogitsView, ModelConfig, ScriptedSchedule, ShapeError, ToyModel
 from blockspec.model import softmax
 
 
@@ -44,6 +44,26 @@ def random_state(rng, config, prompt_len=12, gen_length=64, block_size=32,
         for p in picks:
             state.tokens[p] = int(rng.choice(ordinary))
     return state
+
+
+def rising_schedule(prompt_len, gen_length, seed=11):
+    """Confidences that rise by step and cross the threshold at different
+    steps, so odb keeps rejected candidates and reaches both spec stages."""
+    rng = np.random.default_rng(seed)
+    positions = range(prompt_len, prompt_len + gen_length)
+    tokens = rng.integers(1, 100, size=gen_length)
+    start = rng.uniform(0.0, 0.6, size=gen_length)
+    rise = rng.uniform(0.08, 0.2, size=gen_length)
+    steps = [
+        {p: (int(t), float(min(s + k * r, 0.99)))
+         for p, t, s, r in zip(positions, tokens, start, rise)}
+        for k in range(12)
+    ]
+    # a confident EOS in the second block cuts the length to two blocks
+    steps[0][prompt_len + 45] = (TOY["eos_token_id"], 0.97)
+    return ScriptedSchedule(steps=steps, vocab_size=TOY["vocab_size"],
+                            mask_token_id=TOY["mask_token_id"],
+                            eos_token_id=TOY["eos_token_id"])
 
 
 def comparable_dict(traj):

@@ -74,7 +74,7 @@ def threshold_step(state, logits, threshold):
     return decide(select(logits, masked_pos), state.mask_token_id, threshold)
 
 
-def spec_step(model, state, cache, candidates, stage, config, *, epoch, step=0):
+def spec_step(model, state, cache, candidates, stage, config, *, step=0):
     if len(candidates) == 0:
         raise NoCandidatesError("speculative step needs at least one candidate")
     block_range = state.block_range()
@@ -87,8 +87,8 @@ def spec_step(model, state, cache, candidates, stage, config, *, epoch, step=0):
         raise RangeError("stage 2 needs more decoded tokens")
 
     spec_set = SpecSet.build(candidates, stage)
-    view = cache_view(cache, epoch=epoch)
-    layout = build_spec_layout(block_range, spec_set, stage, decoded_abs, view.positions)
+    view = cache_view(cache, block_range)
+    layout = build_spec_layout(block_range, spec_set, decoded_abs, view.positions)
 
     cand_token = {c.position: c.token for c in spec_set.candidates}
     subset_positions = {

@@ -34,7 +34,7 @@ class SharedKV:
     positions: np.ndarray
     keys: list[np.ndarray]
     values: list[np.ndarray]
-    epoch: int
+    block_range: tuple[int, int]
 
     @property
     def size(self) -> int:
@@ -54,30 +54,31 @@ def build_shared_kv(model, state, block_range: tuple[int, int], cache: DualCache
     if decoded.size == 0:
         raise EmptySharedError("no decoded positions in the active block")
     layout = build_block_layout(block_range, cache.positions)
-    view = cache_view(cache, epoch=cache.refresh_epoch)
+    view = cache_view(cache, block_range)
     _, new_kv = model.forward(state.tokens[start:end], layout, view, step=step)
     rows = decoded - start
     return SharedKV(
         positions=decoded,
         keys=[k[rows] for k, _ in new_kv],
         values=[v[rows] for _, v in new_kv],
-        epoch=cache.refresh_epoch,
+        block_range=view.block_range,
     )
 
 
-def shared_view(cache: DualCache, shared: SharedKV, *, epoch: int | None = None) -> SharedKV:
-    """Cache entries then shared entries, as one forward context; a stale
-    stamp on either raises StaleCacheError."""
-    view = cache_view(cache, epoch=epoch)
-    if shared.epoch != view.refresh_epoch:
+def shared_view(cache: DualCache, shared: SharedKV, block_range: tuple[int, int]) -> SharedKV:
+    """Cache entries then shared entries, as one forward context for the
+    block `block_range`; either one built for another block raises
+    StaleCacheError."""
+    view = cache_view(cache, block_range)
+    if shared.block_range != view.block_range:
         raise StaleCacheError(
-            f"shared KV epoch {shared.epoch} != current epoch {view.refresh_epoch}"
+            f"shared KV of block {shared.block_range}, not block {view.block_range}"
         )
     return SharedKV(
         positions=np.concatenate([view.positions, shared.positions]),
         keys=[np.concatenate([c, s], axis=0) for c, s in zip(view.keys, shared.keys)],
         values=[np.concatenate([c, s], axis=0) for c, s in zip(view.values, shared.values)],
-        epoch=view.refresh_epoch,
+        block_range=view.block_range,
     )
 
 

@@ -79,8 +79,8 @@ def test_criterion_1_cache_correctness(toy_config):
             n_decoded=int(rng.integers(0, 16)),
         )
         block = state.block_range()
-        cache, _ = refresh_dual_cache(model, state, block, epoch=1)
-        view = cache_view(cache, epoch=1)
+        cache, _ = refresh_dual_cache(model, state, block)
+        view = cache_view(cache, block)
         layout = build_block_layout(block, view.positions)
         cached, _ = model.forward(state.tokens[block[0]:block[1]], layout, view)
         dense, _ = model.forward(state.tokens, full_sequence_layout(state.seq_len))
@@ -108,7 +108,7 @@ def test_criterion_2_mask_isolation(toy_config):
                              block_size=32, active_block=int(rng.integers(0, 3)),
                              n_decoded=n_decoded)
         block = state.block_range()
-        cache, _ = refresh_dual_cache(model, state, block, epoch=1)
+        cache, _ = refresh_dual_cache(model, state, block)
         masked = state.block_masked_positions()
         m = 2 if stage == 1 else 4
         picks = rng.choice(masked, size=m, replace=False)
@@ -116,16 +116,16 @@ def test_criterion_2_mask_isolation(toy_config):
             Candidate(int(p), int(rng.integers(0, 120)), 0.5) for p in sorted(picks)
         ))
         spec_set = SpecSet.build(cands, stage=stage)
-        view = cache_view(cache, epoch=1)
-        layout = build_spec_layout(block, spec_set, stage,
-                                   state.block_decoded_positions(), view.positions)
+        view = cache_view(cache, block)
+        layout = build_spec_layout(block, spec_set, state.block_decoded_positions(),
+                                   view.positions)
         tokens, subset_pos = _spec_tokens(state, layout, spec_set)
         batched, _ = model.forward(tokens, layout, view)
         shared = build_shared_kv(model, state, block, cache) if stage == 2 else None
         for tag in [0] + [t for t, _ in spec_set.blocks]:
             iso_layout, rows = isolate(layout, tag)
-            iso_view = (shared_view(cache, shared, epoch=1)
-                        if stage == 2 and tag != 0 else cache_view(cache, epoch=1))
+            iso_view = (shared_view(cache, shared, block)
+                        if stage == 2 and tag != 0 else cache_view(cache, block))
             iso, _ = model.forward(tokens[rows], iso_layout, iso_view)
             worst = max(worst, rel_err(iso.logits, batched.logits[rows]))
             decision = [int(p) for p in masked
@@ -156,7 +156,7 @@ def test_criterion_3_shared_kv_correctness(toy_config):
                              block_size=32, active_block=int(rng.integers(0, 2)),
                              n_decoded=int(rng.integers(8, 24)))
         block = state.block_range()
-        cache, _ = refresh_dual_cache(model, state, block, epoch=1)
+        cache, _ = refresh_dual_cache(model, state, block)
         masked = state.block_masked_positions()
         m = min(4, masked.size)
         picks = sorted(rng.choice(masked, size=m, replace=False))
@@ -164,9 +164,9 @@ def test_criterion_3_shared_kv_correctness(toy_config):
             Candidate(int(p), int(rng.integers(0, 120)), 0.5) for p in picks
         ))
         spec_set = SpecSet.build(cands, stage=2)
-        view = cache_view(cache, epoch=1)
-        layout = build_spec_layout(block, spec_set, 2,
-                                   state.block_decoded_positions(), view.positions)
+        view = cache_view(cache, block)
+        layout = build_spec_layout(block, spec_set, state.block_decoded_positions(),
+                                   view.positions)
         tokens, _ = _spec_tokens(state, layout, spec_set)
         batched, _ = model.forward(tokens, layout, view)
 
@@ -180,11 +180,11 @@ def test_criterion_3_shared_kv_correctness(toy_config):
             positions=decoded,
             keys=[k[rows_in_block] for k, _ in block_kv],
             values=[v[rows_in_block] for _, v in block_kv],
-            epoch=1,
+            block_range=block,
         )
         for tag, _subset in spec_set.blocks:
             iso_layout, rows = isolate(layout, tag)
-            iso_view = shared_view(cache, by_hand, epoch=1)
+            iso_view = shared_view(cache, by_hand, block)
             iso, _ = model.forward(tokens[rows], iso_layout, iso_view)
             worst = max(worst, rel_err(iso.logits, batched.logits[rows]))
         # and the packaged builder agrees with the by-hand harvest

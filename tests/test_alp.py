@@ -35,8 +35,8 @@ def fresh_state(toy_config, prompt_len=4, gen_length=256, block_size=32):
                            block_size, toy_config.mask_token_id)
 
 
-def draft_for(model, state, epoch=1):
-    _, draft = refresh_dual_cache(model, state, state.block_range(), epoch=epoch)
+def draft_for(model, state):
+    _, draft = refresh_dual_cache(model, state, state.block_range())
     return draft
 
 

@@ -15,7 +15,7 @@ def refreshed(toy_model, toy_config):
     rng = np.random.default_rng(23)
     state = random_state(rng, toy_config, prompt_len=20, gen_length=128,
                          block_size=32, n_decoded=10)
-    cache, draft = refresh_dual_cache(toy_model, state, state.block_range(), epoch=1)
+    cache, draft = refresh_dual_cache(toy_model, state, state.block_range())
     return state, cache, draft
 
 
@@ -29,20 +29,11 @@ def test_refresh_region_sizes(refreshed):
 
 def test_refresh_without_draft_caches_the_same_kv(refreshed, toy_model):
     state, cache, _ = refreshed
-    bare, draft = refresh_dual_cache(toy_model, state, state.block_range(), epoch=1, draft=False)
+    bare, draft = refresh_dual_cache(toy_model, state, state.block_range(), draft=False)
     assert draft is None
     assert bare.positions.tobytes() == cache.positions.tobytes()
     for got, want in zip(bare.keys + bare.values, cache.keys + cache.values):
         assert got.tobytes() == want.tobytes()
-
-
-def test_refresh_epoch_increments(toy_model, toy_config):
-    rng = np.random.default_rng(2)
-    state = random_state(rng, toy_config)
-    c1, _ = refresh_dual_cache(toy_model, state, state.block_range(), epoch=1)
-    c2, _ = refresh_dual_cache(toy_model, state, state.block_range(), epoch=2)
-    assert c1.refresh_epoch == 1
-    assert c2.refresh_epoch == 2
 
 
 def test_region_union_is_exact_partition(refreshed):
@@ -61,8 +52,8 @@ def test_cached_decode_equals_dense_snapshot(toy_model, toy_config):
                              active_block=int(rng.integers(0, 2)),
                              n_decoded=int(rng.integers(0, 10)))
         block = state.block_range()
-        cache, _ = refresh_dual_cache(toy_model, state, block, epoch=1)
-        view = cache_view(cache, epoch=1)
+        cache, _ = refresh_dual_cache(toy_model, state, block)
+        view = cache_view(cache, block)
         layout = build_block_layout(block, view.positions)
         cached, _ = toy_model.forward(state.tokens[block[0]:block[1]], layout, view)
         dense, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
@@ -74,7 +65,7 @@ def test_cache_is_immutable_across_decode_steps(refreshed, toy_model):
     state, cache, _ = refreshed
     block = state.block_range()
     before = [k.tobytes() for k in cache.keys]
-    view = cache_view(cache, epoch=1)
+    view = cache_view(cache, block)
     layout = build_block_layout(block, view.positions)
     for _ in range(3):
         toy_model.forward(state.tokens[block[0]:block[1]], layout, view)
@@ -93,7 +84,7 @@ def test_shared_kv_covers_exactly_decoded_positions(refreshed, toy_model):
 def test_shared_kv_requires_decoded(toy_model, toy_config):
     rng = np.random.default_rng(4)
     state = random_state(rng, toy_config, n_decoded=0)
-    cache, _ = refresh_dual_cache(toy_model, state, state.block_range(), epoch=1)
+    cache, _ = refresh_dual_cache(toy_model, state, state.block_range())
     with pytest.raises(EmptySharedError):
         build_shared_kv(toy_model, state, state.block_range(), cache)
 
@@ -103,7 +94,7 @@ def test_shared_kv_matches_explicit_substitution(refreshed, toy_model):
     main block's forward."""
     state, cache, _ = refreshed
     block = state.block_range()
-    view = cache_view(cache, epoch=1)
+    view = cache_view(cache, block)
     layout = build_block_layout(block, view.positions)
     _, new_kv = toy_model.forward(state.tokens[block[0]:block[1]], layout, view)
     decoded = state.block_decoded_positions()
@@ -118,9 +109,9 @@ def test_shared_kv_matches_explicit_substitution(refreshed, toy_model):
 def test_cache_view_counts(refreshed, toy_model):
     state, cache, _ = refreshed
     shared = build_shared_kv(toy_model, state, state.block_range(), cache)
-    with_shared = shared_view(cache, shared, epoch=1)
+    with_shared = shared_view(cache, shared, state.block_range())
     assert with_shared.size == 20 + 96 + 10
-    plain = cache_view(cache, epoch=1)
+    plain = cache_view(cache, state.block_range())
     assert plain.size == 116
     assert np.array_equal(plain.positions, cache.positions)
     assert np.array_equal(with_shared.positions[-10:], shared.positions)
@@ -128,7 +119,7 @@ def test_cache_view_counts(refreshed, toy_model):
 
 def test_view_checks_layout_context_positions(refreshed, toy_config):
     state, cache, _ = refreshed
-    view = cache_view(cache, epoch=1)
+    view = cache_view(cache, state.block_range())
     with pytest.raises(ValueError):
         cache.positions[0] = 1
     own = build_block_layout(state.block_range(), view.positions)
@@ -140,10 +131,15 @@ def test_view_checks_layout_context_positions(refreshed, toy_config):
         check_compatible(toy_config, shifted, view)
 
 
-def test_cache_view_rejects_stale_epoch(refreshed):
-    _, cache, _ = refreshed
+def test_cache_view_rejects_another_block(refreshed, toy_model):
+    state, cache, _ = refreshed
+    cache_view(cache, state.block_range())
+    for block in (state.block_range(1), (cache.block_range[0], cache.block_range[1] - 1)):
+        with pytest.raises(StaleCacheError, match="refreshed for block"):
+            cache_view(cache, block)
+    shared = build_shared_kv(toy_model, state, state.block_range(), cache)
     with pytest.raises(StaleCacheError):
-        cache_view(cache, epoch=2)
+        shared_view(cache, shared, state.block_range(1))
 
 
 def test_truncated_cache_drops_tail(refreshed):
@@ -152,6 +148,7 @@ def test_truncated_cache_drops_tail(refreshed):
     assert cut.positions.max() < state.prompt_len + 64
     assert n_prefix(cut) == 20
     assert n_suffix(cut) == 32
-    assert cut.refresh_epoch == cache.refresh_epoch
+    assert cut.block_range == cache.block_range
+    assert cache_view(cut, state.block_range()) is cut
     for k in cut.keys:
         assert k.shape[0] == cut.size

@@ -9,7 +9,7 @@ from blockspec.cli import main
 from blockspec.decoder import RunConfig
 from blockspec.errors import ConfigError, field_kinds, from_document
 from blockspec.metrics import HardwareProfile
-from blockspec.model import ModelConfig
+from blockspec.model import MAX_POSITION, ModelConfig, ScriptedSchedule
 
 from conftest import TOY
 
@@ -469,6 +469,34 @@ def test_gen_tasks_rejects_bad_confidence_before_writing(workdir, capsys, flag, 
     assert code == 2
     assert flag in capsys.readouterr().err
     assert not tasks_out.exists() and not sched_out.exists()
+
+
+@pytest.mark.parametrize("gen_length", [MAX_POSITION, MAX_POSITION - 15])
+def test_gen_tasks_refuses_a_schedule_past_the_last_position(workdir, capsys, gen_length):
+    tmp, model, _, _ = workdir
+    tasks_out = tmp / "gen.jsonl"
+    sched_out = tmp / "sched.json"
+    code = main(["gen-tasks", "--model-config", str(model), "--out", str(tasks_out),
+                 "--prompt-len", "16", "--gen-length", str(gen_length),
+                 "--eos-offset", "5", "--schedule-out", str(sched_out)])
+    assert code == 2
+    assert "--gen-length" in capsys.readouterr().err
+    assert not tasks_out.exists() and not sched_out.exists()
+
+
+def test_gen_tasks_schedule_may_reach_the_last_position(workdir):
+    """The largest schedule gen-tasks writes is one that run accepts."""
+    tmp, model, _, _ = workdir
+    tasks_out = tmp / "gen.jsonl"
+    sched_out = tmp / "sched.json"
+    code = main(["gen-tasks", "--model-config", str(model), "--out", str(tasks_out),
+                 "--count", "1", "--prompt-len", "16", "--gen-length", str(MAX_POSITION - 16),
+                 "--eos-offset", "5", "--schedule-out", str(sched_out)])
+    assert code == 0
+    cfg = from_document(ModelConfig, json.loads(model.read_text()), "model config")
+    schedule = ScriptedSchedule.from_json(sched_out, cfg.vocab_size, cfg.mask_token_id,
+                                          cfg.eos_token_id)
+    assert max(schedule.entry(0)) == MAX_POSITION - 1
 
 
 def test_gen_tasks_rejects_a_vocab_without_ordinary_tokens(workdir, capsys):

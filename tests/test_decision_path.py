@@ -14,27 +14,7 @@ from blockspec.decoder import decision_entries, masked_greedy, threshold_decide
 from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
 from blockspec.speculative import Candidate, CandidateSet, spec_step
 
-from conftest import TOY, random_state
-
-
-def _rising_schedule(prompt_len, gen_length, seed=11):
-    """Confidences that rise by step and cross the threshold at different
-    steps, so odb keeps rejected candidates and reaches both spec stages."""
-    rng = np.random.default_rng(seed)
-    positions = range(prompt_len, prompt_len + gen_length)
-    tokens = rng.integers(1, 100, size=gen_length)
-    start = rng.uniform(0.0, 0.6, size=gen_length)
-    rise = rng.uniform(0.08, 0.2, size=gen_length)
-    steps = [
-        {p: (int(t), float(min(s + k * r, 0.99)))
-         for p, t, s, r in zip(positions, tokens, start, rise)}
-        for k in range(12)
-    ]
-    # a confident EOS in the second block cuts the length to two blocks
-    steps[0][prompt_len + 45] = (TOY["eos_token_id"], 0.97)
-    return ScriptedSchedule(steps=steps, vocab_size=TOY["vocab_size"],
-                            mask_token_id=TOY["mask_token_id"],
-                            eos_token_id=TOY["eos_token_id"])
+from conftest import TOY, random_state, rising_schedule
 
 
 @pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
@@ -44,7 +24,7 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
     if kind == "toy":
         model = ToyModel(toy_config)
     else:
-        model = ScriptedModel(toy_config, _rising_schedule(len(prompt), 96))
+        model = ScriptedModel(toy_config, rising_schedule(len(prompt), 96))
     seen = {"threshold": 0, "greedy": 0, "stages": set()}
     real_threshold = blockspec.engine.threshold_step
     real_spec = blockspec.engine.spec_step
@@ -56,12 +36,10 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         seen["threshold"] += 1
         return got
 
-    def checked_spec(model, state, cache, candidates, stage, config, *, epoch, step=0):
+    def checked_spec(model, state, cache, candidates, stage, config, *, step=0):
         before = state.copy()
-        got = real_spec(model, state, cache, candidates, stage, config, epoch=epoch, step=step)
-        want = reference_decide.spec_step(
-            model, before, cache, candidates, stage, config, epoch=epoch, step=step
-        )
+        got = real_spec(model, state, cache, candidates, stage, config, step=step)
+        want = reference_decide.spec_step(model, before, cache, candidates, stage, config, step=step)
         assert got == want
         seen["stages"].add(stage)
         return got
@@ -112,7 +90,7 @@ def test_spec_step_matches_reference_on_random_blocks(toy_model, toy_config, kin
                  for p in range(state.prompt_len, state.seq_len)}
         model = ScriptedModel(toy_config, ScriptedSchedule(
             steps=[entry], vocab_size=toy_config.vocab_size, mask_token_id=toy_config.mask_token_id))
-    cache, draft = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    cache, draft = refresh_dual_cache(model, state, state.block_range())
     # a candidate token is usually the draft's own prediction, so that blocks
     # accept candidates and the jump walk leaves the main block
     predicted, _ = masked_greedy(draft, toy_config.mask_token_id)
@@ -126,8 +104,8 @@ def test_spec_step_matches_reference_on_random_blocks(toy_model, toy_config, kin
     config = RunConfig("odb", 2 * block_size, block_size, accept_threshold=threshold,
                        stage2_min_decoded=1)
 
-    got = spec_step(model, state, cache, cset, stage, config, epoch=1)
-    want = reference_decide.spec_step(model, state, cache, cset, stage, config, epoch=1)
+    got = spec_step(model, state, cache, cset, stage, config)
+    want = reference_decide.spec_step(model, state, cache, cset, stage, config)
     assert got == want
 
 

@@ -12,6 +12,7 @@ from blockspec import (
     ScriptedModel,
     ScriptedSchedule,
     StepOutcome,
+    ToyModel,
     apply_truncation,
     decode,
     tau_leaping_step,
@@ -22,7 +23,7 @@ from blockspec.errors import from_document
 from blockspec.layout import full_sequence_layout
 from blockspec.model import scripted_forward
 
-from conftest import comparable_dict, random_state
+from conftest import comparable_dict, random_state, rising_schedule
 
 
 def make_scripted(toy_config, entries):
@@ -223,6 +224,34 @@ def test_fast_has_one_refresh_per_block(toy_config):
     decode_steps = [s for s in traj.steps if s.phase == "decode"]
     assert len(decode_steps) == 8  # every token clears the threshold at first sight
     assert traj.nfe == 16
+
+
+@pytest.mark.parametrize("strategy,tau_steps", [
+    ("vanilla", None), ("fast", None), ("odb", None), ("vanilla", 7),
+], ids=["vanilla", "fast", "odb", "tau"])
+@pytest.mark.parametrize("kind", ["toy", "scripted"])
+def test_step_records_take_epoch_and_phase_from_the_block_cycle(toy_config, kind, strategy,
+                                                                tau_steps):
+    """A cached cycle's epoch is its block + 1 and an uncached one's 0; a
+    step is prefill exactly when it is a refresh; a truncation names the
+    refresh whose draft cut the length."""
+    prompt = [3, 14, 15, 92, 65, 35, 89, 79, 32]
+    if kind == "toy":
+        model, gen_length = ToyModel(toy_config), 64
+    else:
+        model, gen_length = ScriptedModel(toy_config, rising_schedule(len(prompt), 96)), 96
+    traj = decode(model, prompt, RunConfig(strategy, gen_length, 32, tau_steps=tau_steps))
+    cached = strategy != "vanilla"
+    for s in traj.steps:
+        assert s.epoch == (s.block + 1 if cached else 0)
+        assert (s.phase == "prefill") == (s.kind == "refresh")
+    refreshes = {s.epoch: s for s in traj.steps if s.kind == "refresh"}
+    assert len(refreshes) == traj.prefill_steps == (traj.gen_length_final // 32 if cached else 0)
+    for event in traj.truncations:
+        assert refreshes[event.refresh_epoch].t_tokens == len(prompt) + event.old_gen_length
+        after = refreshes.get(event.refresh_epoch + 1)
+        assert after is None or after.t_tokens == len(prompt) + event.new_gen_length
+    assert bool(traj.truncations) == (kind == "scripted" and strategy == "odb")
 
 
 def test_monotonic_unmasking_and_token_conservation(toy_model, toy_config):

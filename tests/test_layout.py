@@ -29,7 +29,7 @@ def _spec_layout(stage, n_candidates, block=(20, 52), n_decoded=0, cache=116):
     spec = SpecSet.build(cands, stage=stage)
     decoded = [block[1] - 1 - i for i in range(n_decoded)]
     ctx = list(range(block[0])) + list(range(block[1], block[1] + cache - block[0]))
-    return build_spec_layout(block, spec, stage, decoded, ctx), spec
+    return build_spec_layout(block, spec, decoded, ctx), spec
 
 
 def test_block_layout_full_visibility():
@@ -181,7 +181,7 @@ def _spec_inputs(draw):
 def test_spec_layout_arrays_equal_list_reference(inputs):
     block, stage, n_candidates, decoded, context = inputs
     spec = SpecSet.build(_candidates(block[0], n_candidates), stage=stage)
-    layout = build_spec_layout(block, spec, stage, decoded, context)
+    layout = build_spec_layout(block, spec, decoded, context)
     fields = ("query_positions", "query_tags", "query_shared", "context_positions")
     reference = spec_layout_fields(block, spec, stage, decoded, context)
     for name, expected in zip(fields, reference):
@@ -209,10 +209,10 @@ def test_spec_decision_rows_equal_row_index_lookup(data):
     masked = np.array([p for p in range(start, start + width) if p not in decoded],
                       dtype=np.int64)
     spec = SpecSet.build(_candidates(start, n_candidates), stage=stage)
-    layout = build_spec_layout((start, start + width), spec, stage, decoded, [])
+    layout = build_spec_layout((start, start + width), spec, decoded, [])
     view = LogitsView(np.zeros((layout.n_queries, 1)), layout.query_positions, layout.query_tags)
     want = view.rows(masked, np.arange(1 + spec.n_blocks)[:, None])
-    got = spec_decision_rows((start, start + width), spec.n_blocks, stage, masked)
+    got = spec_decision_rows((start, start + width), spec, masked)
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
 

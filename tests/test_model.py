@@ -291,8 +291,8 @@ def test_cache_equivalence_dense_vs_cached(toy_model, toy_config):
         state = random_state(rng, toy_config, gen_length=64, block_size=32,
                              n_decoded=int(rng.integers(0, 8)))
         block = state.block_range()
-        cache, _ = refresh_dual_cache(toy_model, state, block, epoch=1)
-        view = cache_view(cache, epoch=1)
+        cache, _ = refresh_dual_cache(toy_model, state, block)
+        view = cache_view(cache, block)
         layout = build_block_layout(block, view.positions)
         cached, _ = toy_model.forward(state.tokens[block[0]:block[1]], layout, view)
 
@@ -337,8 +337,8 @@ def test_forward_matches_dense_reference_bitwise(shape):
         prompt = rng.integers(0, 120, size=prompt_len)
         state = DecodeState.new(prompt, 96, 32, config.mask_token_id)
         block = state.block_range()
-        cache, _ = refresh_dual_cache(model, state, block, epoch=1)
-        view = cache_view(cache, epoch=1)
+        cache, _ = refresh_dual_cache(model, state, block)
+        view = cache_view(cache, block)
         cases.append((state.tokens.copy(), full_sequence_layout(state.seq_len), None))
         block_layout = build_block_layout(block, view.positions)
         while state.block_decoded_positions().size < 8:
@@ -349,8 +349,8 @@ def test_forward_matches_dense_reference_bitwise(shape):
             apply_outcome(state, outcome)
         for stage, k in ((1, 2), (2, 4)):
             spec_set = SpecSet.build(select_candidates(outcome, k), stage)
-            layout = build_spec_layout(block, spec_set, stage,
-                                       state.block_decoded_positions(), view.positions)
+            layout = build_spec_layout(block, spec_set, state.block_decoded_positions(),
+                                       view.positions)
             cand = {c.position: c.token for c in spec_set.candidates}
             subsets = {tag: {spec_set.candidates[j - 1].position for j in subset}
                        for tag, subset in spec_set.blocks}

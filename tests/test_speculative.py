@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_decide
 from blockspec import (
     ConfigError,
     NoCandidatesError,
@@ -8,6 +9,7 @@ from blockspec import (
     RunConfig,
     ScriptedModel,
     ScriptedSchedule,
+    StaleCacheError,
     decode,
 )
 from blockspec.decoder import StepOutcome
@@ -310,14 +312,14 @@ def test_spec_step_stage1_row_count(toy_config):
     rng = np.random.default_rng(0)
     state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
                          block_size=32, n_decoded=2)
-    cache, _ = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    cache, _ = refresh_dual_cache(model, state, state.block_range())
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
     cset = cands(2, base_pos=int(state.block_masked_positions()[0]))
     cset = CandidateSet(tuple(
         Candidate(int(p), 11, 0.5) for p in state.block_masked_positions()[:2]
     ))
     outcome, t_rows, c_keys = spec_step(
-        model, state, cache, cset, 1, config, epoch=1
+        model, state, cache, cset, 1, config
     )
     assert t_rows == 128
     assert outcome.blocks_evaluated == 4
@@ -331,15 +333,34 @@ def test_spec_step_stage2_row_count(toy_config):
     rng = np.random.default_rng(1)
     state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
                          block_size=32, n_decoded=12)
-    cache, _ = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    cache, _ = refresh_dual_cache(model, state, state.block_range())
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
     cset = CandidateSet(tuple(
         Candidate(int(p), 11, 0.5) for p in state.block_masked_positions()[:4]
     ))
-    outcome, t_rows, _ = spec_step(model, state, cache, cset, 2, config, epoch=1)
+    outcome, t_rows, _ = spec_step(model, state, cache, cset, 2, config)
     assert t_rows == 32 + 7 * 20
     assert outcome.blocks_evaluated == 8
     assert outcome.stage == 2
+
+
+@pytest.mark.parametrize("step", [spec_step, reference_decide.spec_step],
+                         ids=["program", "reference"])
+def test_spec_step_refuses_a_cache_refreshed_for_another_block(toy_config, step):
+    """Block 1's stage-1 step over a cache refreshed for block 0 is refused."""
+    from blockspec.cache import refresh_dual_cache
+
+    model = _below_threshold_model(toy_config, range(12, 140))
+    rng = np.random.default_rng(3)
+    state = random_state(rng, toy_config, prompt_len=12, gen_length=128,
+                         block_size=32, active_block=1, n_decoded=2)
+    cache, _ = refresh_dual_cache(model, state, state.block_range(0))
+    config = RunConfig(strategy="odb", gen_length=128, block_size=32)
+    cset = CandidateSet(tuple(
+        Candidate(int(p), 11, 0.5) for p in state.block_masked_positions()[:2]
+    ))
+    with pytest.raises(StaleCacheError, match=r"refreshed for block \(12, 44\)"):
+        step(model, state, cache, cset, 1, config)
 
 
 def test_single_candidate_degenerates_to_verified_threshold(toy_config):
@@ -352,7 +373,7 @@ def test_single_candidate_degenerates_to_verified_threshold(toy_config):
     rng = np.random.default_rng(2)
     state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
                          block_size=32, n_decoded=1)
-    cache, _ = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    cache, _ = refresh_dual_cache(model, state, state.block_range())
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
     masked = state.block_masked_positions()
     # candidate = the position the forced top-1 rule will accept, with the
@@ -361,7 +382,7 @@ def test_single_candidate_degenerates_to_verified_threshold(toy_config):
     best = max(masked, key=lambda p: (entry[int(p)][1], -p))
     cset = CandidateSet((Candidate(int(best), entry[int(best)][0],
                                    entry[int(best)][1]),))
-    outcome, t_rows, _ = spec_step(model, state, cache, cset, 1, config, epoch=1)
+    outcome, t_rows, _ = spec_step(model, state, cache, cset, 1, config)
     assert outcome.blocks_evaluated == 2
     assert t_rows == 64
     assert outcome.jump_count == 1
@@ -434,7 +455,7 @@ def test_spec_step_refuses_a_malformed_candidate_before_the_forward(toy_config, 
     rng = np.random.default_rng(3)
     state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
                          block_size=32, n_decoded=2)
-    cache, _ = refresh_dual_cache(model, state, state.block_range(), epoch=1)
+    cache, _ = refresh_dual_cache(model, state, state.block_range())
     masked = state.block_masked_positions().tolist()
     decoded = int(state.block_decoded_positions()[0])
     first, second = Candidate(masked[0], 11, 0.5), Candidate(masked[1], 12, 0.4)
@@ -452,5 +473,5 @@ def test_spec_step_refuses_a_malformed_candidate_before_the_forward(toy_config, 
     model.forward = lambda *args, **kwargs: calls.append(args)
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
     with pytest.raises(RangeError, match=match):
-        spec_step(model, state, cache, CandidateSet(broken), 1, config, epoch=1)
+        spec_step(model, state, cache, CandidateSet(broken), 1, config)
     assert not calls
