@@ -6,10 +6,12 @@ own tree's `src/` and sets up the workload's seeded requests and warm-up
 with its own `perfbench/workloads.py` (`workloads.setup`, as the benchmark
 does).  The workers take turns request by request, and each request runs
 base-first in alternate rounds, whatever the pool size.  Each worker times
-`decode(...)` plus `Trajectory.to_json()` in-process, and every pair of
-trajectories must be byte-equal.  A round sends each request of the pool
-once; the script prints each round's head/base time ratio and their median,
-so a change can be told apart from host noise without the full benchmark.
+`decode(...)` and `Trajectory.to_json()` in-process, each on its own clock,
+and every pair of trajectories must be byte-equal.  A round sends each
+request of the pool once; the script prints each round's head/base ratio of
+the request time (decode plus to_json), and of decode and to_json alone, and
+their medians, so a change can be told apart from host noise, and placed in
+one of the two, without the full benchmark.
 
 Usage: scripts/ab_decode.py BASE HEAD --workload W --rounds N [--seed S]
 
@@ -31,6 +33,9 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+# Timed parts of a request: all of it, and its two halves.
+PARTS = ("request", "decode", "to_json")
+
 
 def worker(tree: Path, workload: str, seed: int) -> None:
     """Serve request indices read from stdin, one JSON line per answer."""
@@ -49,10 +54,13 @@ def worker(tree: Path, workload: str, seed: int) -> None:
     for line in sys.stdin:
         req = setup.requests[int(line)]
         t0 = time.perf_counter()
-        text = blockspec.decode(req.model, req.prompt, req.config).to_json()
-        seconds = time.perf_counter() - t0
+        traj = blockspec.decode(req.model, req.prompt, req.config)
+        t1 = time.perf_counter()
+        text = traj.to_json()
+        t2 = time.perf_counter()
         digest = hashlib.sha256(text.encode()).hexdigest()
-        print(json.dumps({"s": seconds, "digest": digest}), flush=True)
+        times = {"request": t2 - t0, "decode": t1 - t0, "to_json": t2 - t1}
+        print(json.dumps({**times, "digest": digest}), flush=True)
 
 
 class Worker:
@@ -109,9 +117,10 @@ def main(argv=None) -> int:
             print(f"ab_decode: pools differ (base {base.pool}, head {head.pool})", file=sys.stderr)
             return 1
         n = base.pool
-        ratios = []
+        ratios = {part: [] for part in PARTS}
         for r in range(args.rounds):
-            base_s = head_s = 0.0
+            base_s = dict.fromkeys(PARTS, 0.0)
+            head_s = dict.fromkeys(PARTS, 0.0)
             for i in range(n):
                 order = (base, head) if (r + i) % 2 == 0 else (head, base)
                 answers = {w: w.serve(i) for w in order}
@@ -119,15 +128,22 @@ def main(argv=None) -> int:
                     print(f"ab_decode: round {r} request {i}: trajectories differ",
                           file=sys.stderr)
                     return 1
-                base_s += answers[base]["s"]
-                head_s += answers[head]["s"]
-            ratios.append(head_s / base_s)
-            print(f"round {r}: base {1e3 * base_s / n:.2f} ms/request, "
-                  f"head {1e3 * head_s / n:.2f} ms/request, head/base {ratios[-1]:.3f}",
+                for part in PARTS:
+                    base_s[part] += answers[base][part]
+                    head_s[part] += answers[head][part]
+            for part in PARTS:
+                ratios[part].append(head_s[part] / base_s[part])
+            print(f"round {r}: base {1e3 * base_s['request'] / n:.2f} ms/request, "
+                  f"head {1e3 * head_s['request'] / n:.2f} ms/request, "
+                  f"head/base {ratios['request'][-1]:.3f}; "
+                  f"decode {ratios['decode'][-1]:.3f}, to_json {ratios['to_json'][-1]:.3f}",
                   flush=True)
+        request = ratios["request"]
         print(f"{args.workload} seed {args.seed}: {args.rounds} rounds x {n} requests, "
-              f"trajectories byte-equal; head/base median {statistics.median(ratios):.3f} "
-              f"(min {min(ratios):.3f}, max {max(ratios):.3f})")
+              f"trajectories byte-equal; head/base median {statistics.median(request):.3f} "
+              f"(min {min(request):.3f}, max {max(request):.3f}); "
+              f"decode median {statistics.median(ratios['decode']):.3f}, "
+              f"to_json median {statistics.median(ratios['to_json']):.3f}")
         return 0
     finally:
         for w in workers:

@@ -35,6 +35,7 @@ from .metrics import (
 )
 from .model import MAX_POSITION, ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
 from .speculative import STAGE_CANDIDATES, Candidate, CandidateSet, SpecSet
+from .trajectory import encode_json
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -183,7 +184,7 @@ def _setup(args, strategies):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(encode_json(payload) + "\n")
 
 
 def _decode_task(model, task: TaskRecord, config: RunConfig):

@@ -103,9 +103,11 @@ def _decode_blockwise(model, state, config, traj):
         epoch = state.active_block + 1 if cached else 0
         if cached:
             # scripted models read refresh drafts by refresh ordinal, decode
-            # steps by their in-block ordinal; only odb reads the draft
+            # steps by their in-block ordinal; only odb reads the draft, and
+            # only while a cut after the block can still shorten the sequence
+            predict_length = is_odb and block_range[1] < state.seq_len
             cache, draft = refresh_dual_cache(
-                model, state, block_range, step=state.active_block, draft=is_odb
+                model, state, block_range, step=state.active_block, draft=predict_length
             )
             _log_step(
                 traj,
@@ -116,7 +118,7 @@ def _decode_blockwise(model, state, config, traj):
                 epoch=epoch,
                 cache_bytes=cache.nbytes(),
             )
-            if is_odb:
+            if predict_length:
                 cut = scan_eos(
                     draft, state, config.truncate_threshold, model.config.eos_token_id
                 )

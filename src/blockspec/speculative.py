@@ -219,8 +219,11 @@ def spec_step(
     if len(candidates) == 0:
         raise NoCandidatesError("speculative step needs at least one candidate")
     block_range = state.block_range()
-    masked_abs = state.block_masked_positions()
-    decoded_abs = state.block_decoded_positions()
+    start, end = block_range
+    # every block position is masked or decoded, so one comparison gives both
+    masked_flags = state.tokens[start:end] == state.mask_token_id
+    masked_abs = np.flatnonzero(masked_flags) + start
+    decoded_abs = np.flatnonzero(~masked_flags) + start
     cand_cols = _candidate_columns(candidates, masked_abs, state.mask_token_id,
                                    model.config.vocab_size)
     if stage == 2 and decoded_abs.size < config.stage2_threshold:

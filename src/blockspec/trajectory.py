@@ -3,12 +3,15 @@
 Every forward invocation becomes exactly one step record, so NFE equals the
 record count.  Records carry the query/context token counts (T, C); FLOPs,
 bytes and modeled times are derived later against a hardware profile.
+``encode_json`` writes trajectories and the CLI's indented JSON documents
+as ``json.dumps(..., sort_keys=True, indent=2)`` would.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 
 @dataclass
@@ -72,4 +75,73 @@ class Trajectory:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return encode_json(self.to_dict()) + "\n"
+
+
+def _json_float(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {float.__repr__(x)}")
+
+
+# Exact type -> the formatter json.dumps applies to a scalar of that type.
+_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def encode_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    Takes dicts with str keys, lists, tuples, str, int, float, bool and None,
+    subclasses of these included.  A non-finite float raises ValueError (as
+    ``allow_nan=False`` would) and any other value TypeError.
+
+    Each container is formatted by one ``str.join`` over its items, recursing
+    only into nested containers.  Up to Python 3.12 json.dumps runs its
+    pure-Python encoder whenever an indent is asked for, and this writer is
+    faster; Python 3.13 encodes an indent in C, and there json.dumps is about
+    twice as fast as this writer.
+    """
+    fmt = _SCALARS.get(type(value))
+    return fmt(value) if fmt else _json_other(value, "\n")
+
+
+def _json_other(value, newline: str) -> str:
+    """A value whose exact type has no scalar formatter: a list, tuple or
+    dict, or a subclass of a type json.dumps accepts, formatted at the
+    indent that `newline` ends in."""
+    if isinstance(value, (list, tuple)):
+        return _json_list(value, newline)
+    if isinstance(value, dict):
+        return _json_dict(value, newline)
+    for base in (str, int, float):
+        if isinstance(value, base):
+            return _SCALARS[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_list(items, newline: str) -> str:
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    get = _SCALARS.get
+    parts = [fmt(x) if (fmt := get(type(x))) else _json_other(x, inner) for x in items]
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
+def _json_dict(items: dict, newline: str) -> str:
+    if not items:
+        return "{}"
+    inner = newline + "  "
+    get = _SCALARS.get
+    # a non-str key fails the sort or _json_str with TypeError
+    parts = [
+        _json_str(k) + ": " + (fmt(x) if (fmt := get(type(x))) else _json_other(x, inner))
+        for k, x in sorted(items.items())
+    ]
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"

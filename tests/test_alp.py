@@ -12,7 +12,7 @@ from blockspec import (
 )
 from blockspec.cache import refresh_dual_cache
 
-from conftest import comparable_dict
+from conftest import comparable_dict, rising_schedule
 
 
 def eos_schedule(toy_config, prompt_len, gen_length, fill_conf=0.95,
@@ -194,3 +194,32 @@ def test_alp_truncation_tracks_latest_draft(toy_config):
     # -> 128, then no further shrink
     assert [e.new_gen_length for e in traj.truncations] == [224, 128]
     assert traj.gen_length_final == 128
+
+
+@pytest.mark.parametrize("kind", ["toy", "scripted"])
+def test_odb_refresh_drafts_only_while_a_cut_can_shorten(monkeypatch, toy_model, toy_config,
+                                                         kind):
+    """An odb refresh asks its forward for the logits draft exactly when its
+    block ends before the sequence: a cut lies after the block, so the last
+    cycle's draft would go unread."""
+    prompt = [3, 14, 15, 92, 65, 35, 89, 79, 32]
+    if kind == "toy":
+        model, gen_length = toy_model, 64
+    else:
+        # its EOS cuts the length to two blocks at the first refresh
+        model, gen_length = ScriptedModel(toy_config, rising_schedule(len(prompt), 96)), 96
+    drafts = []
+    forward = model.forward
+
+    def recording(tokens, layout, cache=None, step=0, logits=True):
+        if cache is None:  # only refreshes run without a cache under odb
+            drafts.append(logits)
+        return forward(tokens, layout, cache, step=step, logits=logits)
+
+    monkeypatch.setattr(model, "forward", recording)
+    traj = decode(model, prompt, RunConfig("odb", gen_length, 32))
+    refreshes = [s for s in traj.steps if s.kind == "refresh"]
+    block_ends = [len(prompt) + 32 * (s.block + 1) for s in refreshes]
+    assert drafts == [end < s.t_tokens for end, s in zip(block_ends, refreshes)]
+    assert drafts.count(False) == 1
+    assert bool(traj.truncations) == (kind == "scripted")
