@@ -11,7 +11,9 @@ and every pair of trajectories must be byte-equal.  A round sends each
 request of the pool once; the script prints each round's head/base ratio of
 the request time (decode plus to_json), and of decode and to_json alone, and
 their medians, so a change can be told apart from host noise, and placed in
-one of the two, without the full benchmark.
+one of the two, without the full benchmark.  The summary also gives how many
+CPUs each worker may use, on which the ratio of a change that runs threads
+depends.
 
 Usage: scripts/ab_decode.py BASE HEAD --workload W --rounds N [--seed S]
 
@@ -50,7 +52,8 @@ def worker(tree: Path, workload: str, seed: int) -> None:
         raise SystemExit(f"ab_decode: unknown workload {workload!r} in {tree}; "
                          f"known: {', '.join(workloads.WORKLOADS)}")
     setup, _ = workloads.setup(workloads.WORKLOADS[workload], seed, tree)
-    print(json.dumps({"pool": len(setup.requests)}), flush=True)
+    print(json.dumps({"pool": len(setup.requests), "cpus": len(os.sched_getaffinity(0))}),
+          flush=True)
     for line in sys.stdin:
         req = setup.requests[int(line)]
         t0 = time.perf_counter()
@@ -71,7 +74,8 @@ class Worker:
              "--seed", str(seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        self.pool = self._read()["pool"]
+        ready = self._read()
+        self.pool, self.cpus = ready["pool"], ready["cpus"]
 
     def _read(self) -> dict:
         line = self.proc.stdout.readline()
@@ -139,7 +143,8 @@ def main(argv=None) -> int:
                   f"decode {ratios['decode'][-1]:.3f}, to_json {ratios['to_json'][-1]:.3f}",
                   flush=True)
         request = ratios["request"]
-        print(f"{args.workload} seed {args.seed}: {args.rounds} rounds x {n} requests, "
+        print(f"{args.workload} seed {args.seed}, usable CPUs base {base.cpus} head {head.cpus}: "
+              f"{args.rounds} rounds x {n} requests, "
               f"trajectories byte-equal; head/base median {statistics.median(request):.3f} "
               f"(min {min(request):.3f}, max {max(request):.3f}); "
               f"decode median {statistics.median(ratios['decode']):.3f}, "

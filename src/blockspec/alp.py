@@ -52,18 +52,15 @@ def scan_eos(
     _, block_end = state.block_range()
     if block_end >= state.seq_len:
         return None
-    tokens, confs = masked_greedy(draft, state.mask_token_id)
-    positions = draft.positions
-    hit = (
-        (positions >= block_end)
-        & (tokens == eos_token_id)
-        & (confs > truncate_threshold)
-    )
-    idx = np.nonzero(hit)[0]
+    # Only rows at or after the block end can cut.  An index array, not a
+    # slice, so masked_greedy works on a copy of the draft's logits.
+    rows = np.flatnonzero(draft.positions >= block_end)
+    tokens, confs = masked_greedy(draft, state.mask_token_id, rows)
+    idx = np.flatnonzero((tokens == eos_token_id) & (confs > truncate_threshold))
     if idx.size == 0:
         return None
     first = int(idx[0])
-    return int(positions[first]) - state.prompt_len, float(confs[first])
+    return int(draft.positions[rows[first]]) - state.prompt_len, float(confs[first])
 
 
 def apply_truncation(

@@ -60,17 +60,19 @@ class AttentionLayout:
     def n_keys(self) -> int:
         return self.n_context + self.n_queries
 
-    def dense_mask(self) -> np.ndarray:
-        """Boolean [n_queries, n_keys] visibility over (query row, key slot).
-
-        Context keys are visible to every query.  A fresh key produced by
-        query row j is visible to row q iff j is a shared row or both rows
-        carry the same block tag.
-        """
+    def fresh_mask(self) -> np.ndarray:
+        """Boolean [n_queries, n_queries] visibility of the fresh keys: the
+        key produced by query row j is visible to row q iff j is a shared
+        row or both rows carry the same block tag."""
         tags = self.query_tags
-        rows = self.query_shared[None, :] | (tags[:, None] == tags[None, :])
+        return self.query_shared[None, :] | (tags[:, None] == tags[None, :])
+
+    def dense_mask(self) -> np.ndarray:
+        """Boolean [n_queries, n_keys] visibility over (query row, key slot):
+        context keys are visible to every query, fresh keys as
+        ``fresh_mask`` says."""
         ctx = np.ones((self.n_queries, self.n_context), dtype=bool)
-        return np.concatenate([ctx, rows], axis=1)
+        return np.concatenate([ctx, self.fresh_mask()], axis=1)
 
     def dump_mask_csv(self, path) -> None:
         """Write the dense mask as a 0/1 CSV grid for visual inspection."""

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,10 @@ MAX_TOY_PARAMS = 1 << 28
 MAX_POSITION = 1 << 16
 # Largest size field; it admits the LLaDA-8B-sized configs of scripted cost runs.
 MAX_MODEL_SIZE = 1 << 20
+# Score entries per head (query rows x keys) from which a toy forward runs
+# half of its attention heads on a second thread.  Below it the hand-off
+# costs more than it saves (see ``ToyModel``).
+SPLIT_MIN_SCORES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,64 @@ def check_compatible(config: ModelConfig, layout: AttentionLayout, context) -> N
             raise ShapeError("cache head dims disagree with model config")
 
 
+def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, scores, out) -> None:
+    """Masked softmax attention of the query heads in `heads`, written to
+    ``out[heads]`` ([heads, d_head, rows]); `kq` and `scores` are the
+    [heads, keys, rows] and [heads, rows, keys] work buffers.
+
+    Every step is one sgemm call or one row reduction per head, or
+    elementwise, so any split of the heads computes each head bit for bit
+    as one call over all of them does.
+    """
+    kq, scores = kq[heads], scores[heads]
+    # Scores as K·Qᵀ per head [h, m, r]: the operand order that
+    # einsum("rhd,mhd->rhm") hands BLAS, whose rounding can depend on it.
+    # Scaling copies them head-major to [h, r, m], where each row's keys
+    # are contiguous: the masked softmax then runs in place with the
+    # reductions in row-major order.  Adding 0 keeps a score and adding
+    # -inf hides it, so the bias masks exactly.
+    np.matmul(keys.transpose(1, 0, 2)[heads], q.transpose(1, 2, 0)[heads], out=kq)
+    np.multiply(kq.transpose(0, 2, 1), np.float32(1.0 / math.sqrt(q.shape[2])), out=scores)
+    if bias is not None:
+        scores[:, :, n_ctx:] += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    # Vᵀ·Wᵀ per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
+    np.matmul(values.transpose(1, 2, 0)[heads], scores.transpose(0, 2, 1), out=out[heads])
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _attention_worker() -> ThreadPoolExecutor:
+    """The one thread, started on first use, that runs the second half of
+    split attention for every toy model of the process."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="blockspec-attention")
+        return _worker
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the parent's worker thread, so it
+    starts its own on first use."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ToyModel:
     """Bidirectional pre-norm transformer over laid-out token batches.
 
@@ -234,6 +299,15 @@ class ToyModel:
     model state forward touches is the RoPE table: a forward past its last
     position builds a larger table and replaces it whole, so a row, once
     built, is never rewritten.
+
+    A forward with at least ``SPLIT_MIN_SCORES`` score entries per head and
+    two or more heads, in a process that may use two or more CPUs, runs
+    heads [h//2, h) of each layer's attention on one worker thread while
+    the caller runs [0, h//2).  The worker is shared by every model of the
+    process and started by the first such forward.  Each head makes the
+    same BLAS calls and reductions either way, so outputs do not depend on
+    the split.  The projections, layer norms and MLP stay on the caller:
+    a row or column split of one GEMM need not round as the whole does.
     """
 
     def __init__(self, config: ModelConfig):
@@ -306,19 +380,19 @@ class ToyModel:
         tags = layout.query_tags
         bias = None
         if (tags != tags[0]).any():
-            fresh = layout.dense_mask()[:, n_ctx:]
-            bias = np.where(fresh, np.float32(0.0), np.float32(-np.inf))
+            bias = np.where(layout.fresh_mask(), np.float32(0.0), np.float32(-np.inf))
+        split = h_dim >= 2 and r * m >= SPLIT_MIN_SCORES and _usable_cpus() >= 2
 
         # Each layer refills these; allocated once per call, they keep the
         # forward reentrant and never reach the caller.
         kq = np.empty((h_dim, m, r), dtype=np.float32)
         scores = np.empty((h_dim, r, m), dtype=np.float32)
+        attn = np.empty((h_dim, dh, r), dtype=np.float32)
         hidden = np.empty((r, cfg.d_ff), dtype=np.float32)
         gelu_t = np.empty_like(hidden)
 
         x = self.emb[tokens]
         new_kv = []
-        inv_sqrt = np.float32(1.0 / math.sqrt(dh))
         for li, layer in enumerate(self.layers):
             # One batched matmul over the stacked [3, d, d] weights runs the
             # same three GEMMs as separate Wq/Wk/Wv products; a single
@@ -336,22 +410,17 @@ class ToyModel:
                 values = np.concatenate([cache.values[li], v], axis=0)
             else:
                 keys, values = k, v
-            # Scores as K·Qᵀ per head [h, m, r]: the operand order that
-            # einsum("rhd,mhd->rhm") hands BLAS, whose rounding can depend on
-            # it.  Scaling copies them head-major to [h, r, m], where each
-            # row's keys are contiguous: the masked softmax then runs in
-            # place with the reductions in row-major order.  Adding 0 keeps a
-            # score and adding -inf hides it, so the bias masks exactly.
-            np.matmul(keys.transpose(1, 0, 2), q.transpose(1, 2, 0), out=kq)
-            np.multiply(kq.transpose(0, 2, 1), inv_sqrt, out=scores)
-            if bias is not None:
-                scores[:, :, n_ctx:] += bias
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            # Vᵀ·Wᵀ per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
-            ctx_out = np.matmul(values.transpose(1, 2, 0), scores.transpose(0, 2, 1))
-            x += ctx_out.transpose(2, 0, 1).reshape(r, d) @ layer["wo"]
+            args = (q, keys, values, bias, n_ctx, kq, scores, attn)
+            if split:
+                half = h_dim // 2
+                future = _attention_worker().submit(_attention, slice(half, h_dim), *args)
+                try:
+                    _attention(slice(0, half), *args)
+                finally:
+                    future.result()
+            else:
+                _attention(slice(None), *args)
+            x += attn.transpose(2, 0, 1).reshape(r, d) @ layer["wo"]
             np.matmul(_layer_norm(x), layer["w1"], out=hidden)
             x += _gelu(hidden, gelu_t) @ layer["w2"]
         view = LogitsView(_layer_norm(x) @ self.wout, layout.query_positions, layout.query_tags)

@@ -1,5 +1,6 @@
 """Smoke test of the interleaved A/B timing script."""
 
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +20,8 @@ def test_ab_decode_runs_the_checkout_against_itself():
     assert lines[0].startswith("round 0: base ") and "head/base" in lines[0]
     assert re.search(r"; decode \d+\.\d{3}, to_json \d+\.\d{3}$", lines[0]), lines[0]
     assert "1 rounds x 48 requests, trajectories byte-equal; head/base median" in lines[-1]
+    cpus = len(os.sched_getaffinity(0))
+    assert f"scripted-odb seed 1, usable CPUs base {cpus} head {cpus}: " in lines[-1], lines[-1]
     assert re.search(r"; decode median \d+\.\d{3}, to_json median \d+\.\d{3}$", lines[-1]), lines[-1]
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from blockspec import (
@@ -11,6 +12,8 @@ from blockspec import (
     scan_eos,
 )
 from blockspec.cache import refresh_dual_cache
+from blockspec.decoder import masked_greedy
+from blockspec.model import LogitsView
 
 from conftest import comparable_dict, rising_schedule
 
@@ -92,6 +95,32 @@ def test_scan_threshold_above_one_never_fires(toy_config):
     state = fresh_state(toy_config)
     model = eos_schedule(toy_config, 4, 256, eos_offsets=(87,), eos_conf=0.99)
     assert scan_eos(draft_for(model, state), state, 1.1, toy_config.eos_token_id) is None
+
+
+def test_scan_of_the_rows_that_can_cut_equals_the_all_rows_scan(toy_config):
+    """scan_eos greedy-decodes only rows at or after the block end; on random
+    drafts with EOS planted before, at and after it, the cut equals the one
+    an all-rows scan finds, and the draft is left as it was."""
+    eos, mask = toy_config.eos_token_id, toy_config.mask_token_id
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        state = fresh_state(toy_config, prompt_len=int(rng.integers(1, 12)),
+                            gen_length=128, block_size=16)
+        state.active_block = int(rng.integers(0, 7))
+        _, block_end = state.block_range()
+        logits = rng.standard_normal((state.seq_len, toy_config.vocab_size)).astype(np.float32)
+        for pos in block_end + rng.integers(-3, 8, size=int(rng.integers(1, 4))):
+            logits[pos, eos] = rng.uniform(2.0, 14.0)
+        draft = LogitsView(logits, np.arange(state.seq_len), np.zeros(state.seq_len))
+        before = draft.logits.copy()
+        threshold = float(rng.uniform(0.3, 0.99))
+
+        tokens, confs = masked_greedy(draft, mask)
+        hits = np.flatnonzero((draft.positions >= block_end) & (tokens == eos)
+                              & (confs > threshold))
+        want = (int(hits[0]) - state.prompt_len, float(confs[hits[0]])) if hits.size else None
+        assert scan_eos(draft, state, threshold, eos) == want
+        assert draft.logits.tobytes() == before.tobytes()
 
 
 # --- apply_truncation -------------------------------------------------------------

@@ -161,6 +161,19 @@ def test_full_sequence_layout_all_visible():
     assert layout.dense_mask().all()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_block_layout((20, 52), list(range(20)) + list(range(52, 148))),
+    lambda: _spec_layout(stage=1, n_candidates=2)[0],
+    lambda: _spec_layout(stage=2, n_candidates=4, n_decoded=12)[0],
+    lambda: full_sequence_layout(7),
+], ids=["block", "stage-1", "stage-2", "full"])
+def test_fresh_mask_is_the_dense_mask_without_context(make):
+    layout = make()
+    fresh = layout.fresh_mask()
+    assert fresh.shape == (layout.n_queries, layout.n_queries)
+    assert np.array_equal(fresh, layout.dense_mask()[:, layout.n_context:])
+
+
 
 @st.composite
 def _spec_inputs(draw):

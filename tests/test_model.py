@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -316,26 +318,31 @@ def test_layer_norm_matches_mean_var_form_bitwise(rows, width, scale, seed):
     {},
     {"d_model": 60, "n_heads": 4},               # d_head 15: RoPE passes its last column
     {"d_model": 32, "n_heads": 4, "d_ff": 80},   # d_head 8, d_ff not 4 * d_model
-], ids=["toy", "odd-d_head", "d_head-8"])
-def test_forward_matches_dense_reference_bitwise(shape):
+    {"d_model": 48, "n_heads": 3},               # the split halves are 1 and 2 heads
+], ids=["toy", "odd-d_head", "d_head-8", "3-heads"])
+def test_forward_matches_dense_reference_bitwise(monkeypatch, shape):
     """The head-major in-place attention path equals the dense einsum /
     np.where / softmax forward bit for bit, logits and every layer's K/V,
     over the full, block, stage-1 and stage-2 layouts of a live decode; a
-    forward without logits returns the same K/V and no view."""
+    forward without logits returns the same K/V and no view.  The process
+    is shown two CPUs, so the gen-256 full and stage-1 forwards split their
+    heads across two threads on any host."""
     from blockspec import DecodeState
     from blockspec.cache import cache_view, refresh_dual_cache
     from blockspec.decoder import apply_outcome, threshold_step
     from blockspec.layout import build_block_layout, build_spec_layout
+    from blockspec.model import SPLIT_MIN_SCORES
     from blockspec.speculative import SpecSet, select_candidates
     from dense_forward import dense_forward
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = ModelConfig(**{**TOY, **shape})
     model = ToyModel(config)
     rng = np.random.default_rng(23)
     cases = []
-    for prompt_len in (19, 40):
+    for prompt_len, gen_length in ((19, 96), (40, 96), (19, 256), (40, 256)):
         prompt = rng.integers(0, 120, size=prompt_len)
-        state = DecodeState.new(prompt, 96, 32, config.mask_token_id)
+        state = DecodeState.new(prompt, gen_length, 32, config.mask_token_id)
         block = state.block_range()
         cache, _ = refresh_dual_cache(model, state, block)
         view = cache_view(cache, block)
@@ -358,6 +365,8 @@ def test_forward_matches_dense_reference_bitwise(shape):
                                for p, t in zip(layout.query_positions, layout.query_tags)])
             cases.append((tokens, layout, view))
     assert {layout.stage for _, layout, _ in cases} == {0, 1, 2}
+    split = [layout.n_queries * layout.n_keys >= SPLIT_MIN_SCORES for _, layout, _ in cases]
+    assert any(split) and not all(split)
     for tokens, layout, ctx in cases:
         got, got_kv = model.forward(tokens, layout, ctx)
         want, want_kv = dense_forward(model, tokens, layout, ctx)
@@ -369,6 +378,53 @@ def test_forward_matches_dense_reference_bitwise(shape):
         assert no_view is None and len(kv_only) == config.n_layers
         for (gk, gv), (k, v) in zip(got_kv, kv_only):
             assert gk.tobytes() == k.tobytes() and gv.tobytes() == v.tobytes()
+
+
+def test_forward_on_one_usable_cpu_starts_no_worker(monkeypatch, toy_model):
+    """Above the gate, a process that may use one CPU runs every head on the
+    calling thread, with the same outputs."""
+    import blockspec.model
+    from dense_forward import dense_forward
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(blockspec.model, "_worker", None)
+    layout = full_sequence_layout(200)
+    assert layout.n_queries * layout.n_keys >= blockspec.model.SPLIT_MIN_SCORES
+    tokens = np.random.default_rng(3).integers(0, 120, size=200)
+    threads = threading.active_count()
+    got, _ = toy_model.forward(tokens, layout)
+    assert blockspec.model._worker is None and threading.active_count() == threads
+    want, _ = dense_forward(toy_model, tokens, layout)
+    assert got.logits.tobytes() == want.logits.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_with_its_own_worker(monkeypatch, toy_model):
+    """A child forked after the worker started gets a worker of its own, so
+    its split forwards finish with the parent's logits."""
+    import multiprocessing
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    layout = full_sequence_layout(200)
+    tokens = np.random.default_rng(3).integers(0, 120, size=200)
+    want, _ = toy_model.forward(tokens, layout)
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe()
+
+    def child():
+        view, _ = toy_model.forward(tokens, layout)
+        child_end.send(view.logits.tobytes())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert parent_end.poll(60), "forked forward did not finish"
+        assert parent_end.recv() == want.logits.tobytes()
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
 
 
 # --- scripted model -------------------------------------------------------------
