@@ -84,7 +84,7 @@ def test_writer_refuses_a_non_finite_float(x):
 @pytest.mark.parametrize("value", [
     np.int64(3), [np.int64(3)], {1, 2}, {"k": [{1, 2}]}, {1: "a"}, {"a": 1, 2: "b"},
     {(1,): 1}, {None: 1}, object(),
-], ids=repr)
+], ids=lambda v: "object()" if type(v) is object else repr(v))  # an object's repr holds its address
 def test_writer_refuses_other_values_and_keys(value):
     with pytest.raises(TypeError):
         encode_json(value)
