@@ -2,12 +2,14 @@
 """Interleaved A/B timing of one benchmark workload on two source trees.
 
 Two worker processes start, one per tree.  Each imports `blockspec` from its
-own tree's `src/` and sets up the workload's seeded requests and warm-up
-with its own `perfbench/workloads.py` (`workloads.setup`, as the benchmark
-does).  The workers take turns request by request, and each request runs
-base-first in alternate rounds, whatever the pool size.  Each worker times
-`decode(...)` and `Trajectory.to_json()` in-process, each on its own clock,
-and every pair of trajectories must be byte-equal.  A round sends each
+own tree's `src/`.  Before every round each sets up the workload's seeded
+requests and warm-up afresh with its own `perfbench/workloads.py`
+(`workloads.setup`), as the benchmark does before every pass, so work that
+a set-up's models do once on first use is timed in every round; set-up
+itself is not timed.  The workers take turns request by request, and each
+request runs base-first in alternate rounds, whatever the pool size.  Each
+worker times `decode(...)` and `Trajectory.to_json()` in-process, each on
+its own clock, and every pair of trajectories must be byte-equal.  A round sends each
 request of the pool once; the script prints each round's head/base ratio of
 the request time (decode plus to_json), and of decode and to_json alone, and
 their medians, so a change can be told apart from host noise, and placed in
@@ -40,7 +42,9 @@ PARTS = ("request", "decode", "to_json")
 
 
 def worker(tree: Path, workload: str, seed: int) -> None:
-    """Serve request indices read from stdin, one JSON line per answer."""
+    """Serve commands read from stdin, one JSON line per answer: ``setup``
+    builds a fresh set-up and answers its pool size, a request index
+    decodes that request of the current set-up."""
     src = (tree / "src").resolve()
     sys.path[:0] = [str(src), str(tree / "perfbench")]
     import blockspec
@@ -51,10 +55,14 @@ def worker(tree: Path, workload: str, seed: int) -> None:
     if workload not in workloads.WORKLOADS:
         raise SystemExit(f"ab_decode: unknown workload {workload!r} in {tree}; "
                          f"known: {', '.join(workloads.WORKLOADS)}")
-    setup, _ = workloads.setup(workloads.WORKLOADS[workload], seed, tree)
-    print(json.dumps({"pool": len(setup.requests), "cpus": len(os.sched_getaffinity(0))}),
-          flush=True)
+    print(json.dumps({"cpus": len(os.sched_getaffinity(0))}), flush=True)
+    setup = None
     for line in sys.stdin:
+        if line.strip() == "setup":
+            setup = None  # the last round's set-up goes before the next is built
+            setup, _ = workloads.setup(workloads.WORKLOADS[workload], seed, tree)
+            print(json.dumps({"pool": len(setup.requests)}), flush=True)
+            continue
         req = setup.requests[int(line)]
         t0 = time.perf_counter()
         traj = blockspec.decode(req.model, req.prompt, req.config)
@@ -74,8 +82,7 @@ class Worker:
              "--seed", str(seed)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        ready = self._read()
-        self.pool, self.cpus = ready["pool"], ready["cpus"]
+        self.cpus = self._read()["cpus"]
 
     def _read(self) -> dict:
         line = self.proc.stdout.readline()
@@ -84,8 +91,8 @@ class Worker:
                              f"(status {self.proc.wait()})")
         return json.loads(line)
 
-    def serve(self, index: int) -> dict:
-        self.proc.stdin.write(f"{index}\n")
+    def serve(self, command) -> dict:
+        self.proc.stdin.write(f"{command}\n")
         self.proc.stdin.flush()
         return self._read()
 
@@ -117,12 +124,14 @@ def main(argv=None) -> int:
         workers.append(base)
         head = Worker(args.head, args.workload, args.seed)
         workers.append(head)
-        if base.pool != head.pool:
-            print(f"ab_decode: pools differ (base {base.pool}, head {head.pool})", file=sys.stderr)
-            return 1
-        n = base.pool
         ratios = {part: [] for part in PARTS}
         for r in range(args.rounds):
+            pools = [w.serve("setup")["pool"] for w in (base, head)]
+            if pools[0] != pools[1]:
+                print(f"ab_decode: pools differ (base {pools[0]}, head {pools[1]})",
+                      file=sys.stderr)
+                return 1
+            n = pools[0]
             base_s = dict.fromkeys(PARTS, 0.0)
             head_s = dict.fromkeys(PARTS, 0.0)
             for i in range(n):

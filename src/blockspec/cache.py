@@ -9,12 +9,12 @@ of block-wise decoding), refused as the context of any other block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RangeError, ShapeError, StaleCacheError
-from .layout import full_sequence_layout
+from .layout import AttentionLayout, build_spec_layout, full_sequence_layout
 
 
 @dataclass
@@ -22,12 +22,14 @@ class DualCache:
     """Per-layer K/V for the prefix [0, block_start) and suffix
     [block_end, seq_len) regions of the block cycle ``block_range``.  The
     cache is itself the context of a block-cycle forward, ordered like the
-    layout's context positions."""
+    layout's context positions, and holds the cycle's stage-1 layouts."""
 
     positions: np.ndarray            # absolute positions, ascending
     keys: list[np.ndarray]           # per layer [n_cached, heads, d_head]
     values: list[np.ndarray]
     block_range: tuple[int, int]
+    # stage-1 layouts over this cache, by lattice blocks (see stage1_layout)
+    _stage1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # read-only, so layouts built over the cache hold this very array
@@ -45,6 +47,21 @@ class DualCache:
 
     def nbytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self.keys, self.values))
+
+    def stage1_layout(self, spec_set) -> AttentionLayout:
+        """``build_spec_layout`` of the stage-1 `spec_set` over this cache's
+        block and positions, built once per lattice.  A stage-1 layout
+        replicates the whole block into every speculative block, so it does
+        not depend on which positions are decoded; the cache is frozen for
+        its block cycle, and ``truncated`` starts a new one."""
+        if spec_set.stage != 1:
+            raise RangeError(f"stage-1 layout of a stage-{spec_set.stage} set")
+        layout = self._stage1.get(spec_set.blocks)
+        if layout is None:
+            layout = self._stage1[spec_set.blocks] = build_spec_layout(
+                self.block_range, spec_set, (), self.positions
+            )
+        return layout
 
     def truncated(self, new_seq_len: int) -> "DualCache":
         """Drop suffix entries at or beyond the new sequence length.
@@ -76,12 +93,13 @@ def refresh_dual_cache(model, state, block_range: tuple[int, int], step: int = 0
         raise RangeError(f"block [{start}, {end}) outside response region")
     layout = full_sequence_layout(seq_len)
     view, new_kv = model.forward(state.tokens, layout, None, step=step, logits=draft)
+    # the positions outside the block, each its own row of the forward
     positions = np.arange(seq_len, dtype=np.int64)
-    outside = (positions < start) | (positions >= end)
+    outside = np.concatenate([positions[:start], positions[end:]])
     cache = DualCache(
-        positions=positions[outside],
-        keys=[k[outside] for k, _ in new_kv],
-        values=[v[outside] for _, v in new_kv],
+        positions=outside,
+        keys=[k.take(outside, axis=0) for k, _ in new_kv],
+        values=[v.take(outside, axis=0) for _, v in new_kv],
         block_range=(start, end),
     )
     return cache, view

@@ -179,8 +179,24 @@ def _setup(args, strategies):
     configs = [_run_config(args, strategy) for strategy in strategies]
     profile = _load(HardwareProfile, args.profile, "profile") if args.profile else None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise CliError(f"--out {args.out}: cannot create the directory: {err}", EXIT_PARSE) from err
     return tasks, model, configs, profile, out_dir
+
+
+def _output_file(path: str, flag: str) -> Path:
+    """`path` as a file to write, its directory created as ``run`` creates
+    --out; a path that cannot be a file exits 2 naming `flag`."""
+    out = Path(path)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise CliError(f"{flag} {path}: cannot create its directory: {err}", EXIT_PARSE) from err
+    if out.is_dir():
+        raise CliError(f"{flag} {path}: is a directory", EXIT_PARSE)
+    return out
 
 
 def _write_json(path: Path, payload) -> None:
@@ -333,8 +349,14 @@ def cmd_roofline(args) -> int:
 
 def cmd_gen_tasks(args) -> int:
     cfg = _load(ModelConfig, args.model_config, "model config")
-    if args.count < 1 or args.prompt_len < 1:
-        raise CliError("count and prompt-len must be positive", EXIT_USAGE)
+    if args.count < 1:
+        raise CliError(f"--count must be positive, got {args.count}", EXIT_PARSE)
+    # a prompt must leave at least one position for the response
+    if not 1 <= args.prompt_len < MAX_POSITION:
+        raise CliError(f"--prompt-len must lie in [1, {MAX_POSITION}), got {args.prompt_len}",
+                       EXIT_PARSE)
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_PARSE)
     for flag, value in (("--eos-confidence", args.eos_confidence),
                         ("--fill-confidence", args.fill_confidence)):
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
@@ -347,12 +369,14 @@ def cmd_gen_tasks(args) -> int:
         if args.prompt_len + args.gen_length > MAX_POSITION:
             raise CliError(f"--gen-length {args.gen_length} after --prompt-len {args.prompt_len} "
                            f"puts positions past {MAX_POSITION}", EXIT_PARSE)
-    rng = np.random.default_rng(args.seed)
     special = {cfg.mask_token_id, cfg.eos_token_id}
     ordinary = [t for t in range(cfg.vocab_size) if t not in special]
     if not ordinary:
         raise CliError(f"model config {args.model_config}: vocab_size {cfg.vocab_size} leaves "
                        "no token besides mask_token_id and eos_token_id", EXIT_PARSE)
+    tasks_out = _output_file(args.out, "--out")
+    schedule_out = _output_file(args.schedule_out, "--schedule-out") if args.schedule_out else None
+    rng = np.random.default_rng(args.seed)
     lines = []
     for i in range(args.count):
         prompt = rng.choice(ordinary, size=args.prompt_len, replace=True)
@@ -366,9 +390,9 @@ def cmd_gen_tasks(args) -> int:
                 sort_keys=True,
             )
         )
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    tasks_out.write_text("\n".join(lines) + "\n")
 
-    if args.schedule_out:
+    if schedule_out:
         positions = {}
         for off in range(args.gen_length):
             pos = args.prompt_len + off
@@ -380,7 +404,7 @@ def cmd_gen_tasks(args) -> int:
                 "eos": [[args.prompt_len + args.eos_offset, args.eos_confidence]],
             }
         }
-        _write_json(Path(args.schedule_out), schedule)
+        _write_json(schedule_out, schedule)
     return EXIT_OK
 
 

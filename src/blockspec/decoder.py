@@ -138,11 +138,11 @@ class DecodeState:
     # block's slice of the tokens, never the whole sequence.
     def block_masked_positions(self) -> np.ndarray:
         start, end = self.block_range()
-        return np.flatnonzero(self.tokens[start:end] == self.mask_token_id) + start
+        return (self.tokens[start:end] == self.mask_token_id).nonzero()[0] + start
 
     def block_decoded_positions(self) -> np.ndarray:
         start, end = self.block_range()
-        return np.flatnonzero(self.tokens[start:end] != self.mask_token_id) + start
+        return (self.tokens[start:end] != self.mask_token_id).nonzero()[0] + start
 
     def masked_positions(self) -> np.ndarray:
         return np.flatnonzero(self.masked)
@@ -169,9 +169,9 @@ class StepOutcome:
 
 
 def masked_greedy(view: LogitsView, mask_token_id: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy (tokens, confidences) of the given rows of `view`, all rows by
-    default, with the mask token removed from the distribution, so committed
-    tokens always unmask.
+    """Greedy (tokens, confidences) of the `rows` of `view`, an index array
+    or list, all rows by default, with the mask token removed from the
+    distribution, so committed tokens always unmask.
 
     The row maximum is read at the argmax rather than reduced again; it can
     differ from ``max`` only in the sign of a zero, which no shifted logit's
@@ -180,13 +180,13 @@ def masked_greedy(view: LogitsView, mask_token_id: int, rows=None) -> tuple[np.n
     ``1 / sum(exp(shifted))``: bitwise the value the full [rows, vocab]
     softmax holds there, without dividing it.
     """
-    logits = view.logits.copy() if rows is None else view.logits[rows]
+    logits = view.logits.copy() if rows is None else view.logits.take(rows, axis=0)
     logits[:, mask_token_id] = -np.inf
     tokens = logits.argmax(axis=1)
     logits -= logits[np.arange(len(logits)), tokens][:, None]
     np.exp(logits, out=logits)
     confs = np.float32(1.0) / logits.sum(axis=1)
-    return tokens.astype(np.int64), confs
+    return tokens.astype(np.int64, copy=False), confs
 
 
 def threshold_decide(confidences: np.ndarray, threshold: float,
@@ -221,7 +221,7 @@ def decision_entries(positions: np.ndarray, tokens: np.ndarray, confidences: np.
     """(position, token, confidence) of the `cells` of one block's row, in
     position order, or by confidence descending (ties to the lower
     position) when `ranked`."""
-    idx = np.flatnonzero(cells)
+    idx = cells.nonzero()[0]
     if ranked:
         idx = idx[np.argsort(-confidences[idx], kind="stable")]
     return list(zip(positions[idx].tolist(), tokens[idx].tolist(), confidences[idx].tolist()))

@@ -15,6 +15,7 @@ Everything runs in 32-bit floats; forwards are pure functions of
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -126,7 +127,7 @@ class LogitsView:
             raise ShapeError("logits must be [rows, vocab]")
         if not (self.logits.shape[0] == self.positions.shape[0] == self.tags.shape[0]):
             raise ShapeError("row count mismatch between logits and position map")
-        if not np.all(np.isfinite(self.logits)):
+        if not np.isfinite(self.logits).all():
             raise ShapeError("non-finite logits in view")
 
     @property
@@ -562,17 +563,21 @@ def _compile_step(entry, vocab: int, mask_id: int) -> tuple[int, np.ndarray, np.
     keep the argmax on the target.  The logarithm is ``math.log`` slot by
     slot: numpy's vectorized ``log`` need not round like the C library's.
     """
-    positions = np.fromiter(entry, dtype=np.int64, count=len(entry))
-    base = int(positions.min()) if entry else 0
-    span = int(positions.max()) - base + 1 if entry else 0
+    size = len(entry)
+    positions = np.fromiter(entry, dtype=np.int64, count=size)
+    base = int(positions.min()) if size else 0
+    span = int(positions.max()) - base + 1 if size else 0
     pairs = np.empty((span + 1, 2), dtype=np.float64)
     pairs[:] = (mask_id, 0.0)
-    if entry:
-        pairs[positions - base] = list(entry.values())
+    if size:
+        # (token, confidence) pairs read flat, as float64 like the slots
+        flat = itertools.chain.from_iterable(entry.values())
+        pairs[positions - base] = np.fromiter(flat, dtype=np.float64, count=2 * size).reshape(size, 2)
     tokens = pairs[:, 0].astype(np.int32)
     c = np.minimum(np.maximum(pairs[:, 1], _conf_floor(vocab)), 1.0 - 1e-9)
     n = np.where(tokens == mask_id, vocab - 1, vocab - 2)
-    peaks = np.array([math.log(x) for x in (c * n / (1.0 - c)).tolist()], dtype=np.float32)
+    logs = map(math.log, (c * n / (1.0 - c)).tolist())
+    peaks = np.fromiter(logs, dtype=np.float64, count=span + 1).astype(np.float32)
     return base, tokens, peaks
 
 
@@ -589,7 +594,9 @@ def scripted_forward(schedule: ScriptedSchedule, step: int, positions) -> Logits
     from the step's compiled span arrays by position offset.
     """
     base, tokens, peaks = schedule.compiled(step)
-    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.ndim != 1:
+        positions = positions.reshape(-1)
     default = tokens.size - 1
     slots = positions - base
     slots[(slots < 0) | (slots > default)] = default

@@ -198,6 +198,10 @@ def _candidate_columns(candidates: CandidateSet, masked: np.ndarray, mask_token_
     return np.array([column[c.position] for c in candidates.candidates], dtype=np.int64)
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
 def spec_step(
     model,
     state: DecodeState,
@@ -222,18 +226,22 @@ def spec_step(
     start, end = block_range
     # every block position is masked or decoded, so one comparison gives both
     masked_flags = state.tokens[start:end] == state.mask_token_id
-    masked_abs = np.flatnonzero(masked_flags) + start
-    decoded_abs = np.flatnonzero(~masked_flags) + start
+    masked_abs = masked_flags.nonzero()[0] + start
     cand_cols = _candidate_columns(candidates, masked_abs, state.mask_token_id,
                                    model.config.vocab_size)
-    if stage == 2 and decoded_abs.size < config.stage2_threshold:
+    n_decoded = masked_flags.size - masked_abs.size
+    if stage == 2 and n_decoded < config.stage2_threshold:
         raise RangeError(
-            f"stage 2 needs >= {config.stage2_threshold} decoded tokens, have {decoded_abs.size}"
+            f"stage 2 needs >= {config.stage2_threshold} decoded tokens, have {n_decoded}"
         )
 
     spec_set = SpecSet.build(candidates, stage)
     view = cache_view(cache, block_range)
-    layout = build_spec_layout(block_range, spec_set, decoded_abs, view.positions)
+    if stage == 1:
+        layout = view.stage1_layout(spec_set)
+    else:
+        decoded_abs = (~masked_flags).nonzero()[0] + start
+        layout = build_spec_layout(block_range, spec_set, decoded_abs, view.positions)
 
     # The decision table: row `tag` holds that block's query row for every
     # masked position (tags run 0..n_blocks).  A block's candidate cells are
@@ -249,8 +257,10 @@ def spec_step(
     tokens[table[cell_tags, cell_cols]] = cand_tokens[cell_ordinals]
 
     logits, _ = model.forward(tokens, layout, view, step=step)
-    if not (np.array_equal(logits.positions, layout.query_positions)
-            and np.array_equal(logits.tags, layout.query_tags)):
+    # the models hand the layout's own arrays through, so identity settles
+    # the check without comparing
+    if not (_same(logits.positions, layout.query_positions)
+            and _same(logits.tags, layout.query_tags)):
         raise ShapeError("forward rows differ from the speculative layout's query rows")
 
     greedy_tokens, greedy_confs = masked_greedy(logits, state.mask_token_id, table.ravel())

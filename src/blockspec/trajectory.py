@@ -9,6 +9,7 @@ as ``json.dumps(..., sort_keys=True, indent=2)`` would.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
@@ -134,14 +135,23 @@ def _json_list(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(parts) + newline + "]"
 
 
+@functools.lru_cache(maxsize=256)
+def _key_order(keys: tuple) -> tuple[tuple[int, str], ...]:
+    """(index into `keys`, encoded key and separator) of each key in sorted
+    order; the dicts of one document share few key tuples.  A non-str key
+    fails the sort or ``_json_str`` with TypeError, which is not cached."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple((i, _json_str(keys[i]) + ": ") for i in order)
+
+
 def _json_dict(items: dict, newline: str) -> str:
     if not items:
         return "{}"
     inner = newline + "  "
     get = _SCALARS.get
-    # a non-str key fails the sort or _json_str with TypeError
+    values = tuple(items.values())
     parts = [
-        _json_str(k) + ": " + (fmt(x) if (fmt := get(type(x))) else _json_other(x, inner))
-        for k, x in sorted(items.items())
+        key + (fmt(x) if (fmt := get(type(x := values[i]))) else _json_other(x, inner))
+        for i, key in _key_order(tuple(items))
     ]
     return "{" + inner + ("," + inner).join(parts) + newline + "}"

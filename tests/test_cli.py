@@ -499,6 +499,63 @@ def test_gen_tasks_schedule_may_reach_the_last_position(workdir):
     assert max(schedule.entry(0)) == MAX_POSITION - 1
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--seed", "-1"], "--seed"),
+    (["--count", "0"], "--count"),
+    (["--prompt-len", "0"], "--prompt-len"),
+    (["--prompt-len", str(MAX_POSITION)], "--prompt-len"),
+    (["--prompt-len", "70000"], "--prompt-len"),
+    (["--prompt-len", str(10**11)], "--prompt-len"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("schedule", [False, True], ids=["tasks", "tasks+schedule"])
+def test_gen_tasks_refuses_a_bad_flag_before_writing(workdir, capsys, flags, named, schedule):
+    tmp, model, _, _ = workdir
+    tasks_out = tmp / "new" / "gen.jsonl"
+    sched_out = tmp / "new" / "sched.json"
+    extra = ["--eos-offset", "5", "--schedule-out", str(sched_out)] if schedule else []
+    code = main(["gen-tasks", "--model-config", str(model), "--out", str(tasks_out),
+                 *extra, *flags])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp / "new").exists()
+
+
+def test_gen_tasks_creates_missing_output_directories(workdir):
+    tmp, model, _, _ = workdir
+    tasks_out = tmp / "a" / "b" / "gen.jsonl"
+    sched_out = tmp / "c" / "sched.json"
+    code = main(["gen-tasks", "--model-config", str(model), "--out", str(tasks_out),
+                 "--eos-offset", "5", "--schedule-out", str(sched_out)])
+    assert code == 0
+    assert len(tasks_out.read_text().splitlines()) == 3
+    assert "0" in json.loads(sched_out.read_text())
+
+
+@pytest.mark.parametrize("target", ["--out", "--schedule-out"])
+@pytest.mark.parametrize("place", ["under a file", "a directory"])
+def test_gen_tasks_refuses_an_output_path_before_writing(workdir, capsys, target, place):
+    tmp, model, _, _ = workdir
+    paths = {"--out": tmp / "gen.jsonl", "--schedule-out": tmp / "sched.json"}
+    if place == "under a file":
+        (tmp / "file").write_text("")
+        paths[target] = tmp / "file" / "out.json"
+    else:
+        paths[target] = tmp
+    code = main(["gen-tasks", "--model-config", str(model), "--eos-offset", "5",
+                 "--out", str(paths["--out"]), "--schedule-out", str(paths["--schedule-out"])])
+    assert code == 2
+    assert f"error: {target} " in capsys.readouterr().err
+    assert not any(p.is_file() for p in paths.values())
+
+
+def test_run_refuses_an_out_directory_that_cannot_be_created(workdir, capsys):
+    tmp, model, _, tasks = workdir
+    (tmp / "file").write_text("")
+    code = main(["run", *base_args(model, tasks, tmp / "file" / "out")])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_gen_tasks_rejects_a_vocab_without_ordinary_tokens(workdir, capsys):
     tmp, _, _, _ = workdir
     model = tmp / "tiny_vocab.json"

@@ -468,6 +468,53 @@ def test_scripted_out_of_range_step_compiles_nothing():
     assert list(sched._compiled) == [1]
 
 
+def _compile_step_reference(entry, vocab, mask_id):
+    """A schedule step's span arrays built from a list of (token,
+    confidence) tuples, one ``math.log`` per slot into a float32 list."""
+    positions = np.fromiter(entry, dtype=np.int64, count=len(entry))
+    base = int(positions.min()) if entry else 0
+    span = int(positions.max()) - base + 1 if entry else 0
+    pairs = np.empty((span + 1, 2), dtype=np.float64)
+    pairs[:] = (mask_id, 0.0)
+    if entry:
+        pairs[positions - base] = list(entry.values())
+    tokens = pairs[:, 0].astype(np.int32)
+    c = np.minimum(np.maximum(pairs[:, 1], 2.0 / vocab), 1.0 - 1e-9)
+    n = np.where(tokens == mask_id, vocab - 1, vocab - 2)
+    peaks = np.array([math.log(x) for x in (c * n / (1.0 - c)).tolist()], dtype=np.float32)
+    return base, tokens, peaks
+
+
+@st.composite
+def _schedule_steps(draw):
+    vocab = draw(st.integers(3, 300))
+    mask_id = draw(st.integers(0, vocab - 1))
+    # spans from one slot to a few thousand, densely or sparsely filled
+    base = draw(st.integers(0, 60_000))
+    width = draw(st.integers(1, 4_000))
+    token = st.one_of(st.just(mask_id), st.integers(0, vocab - 1))
+    conf = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-12]),
+                     st.floats(0.0, 1.0))
+    steps = draw(st.lists(
+        st.dictionaries(st.integers(base, base + width - 1), st.tuples(token, conf), max_size=300),
+        min_size=1, max_size=3,
+    ))
+    return vocab, mask_id, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_steps())
+def test_compiled_step_equals_the_list_of_tuples_construction(case):
+    vocab, mask_id, steps = case
+    sched = _schedule(steps, vocab=vocab, mask_id=mask_id)
+    for step, entry in enumerate(steps):
+        base, tokens, peaks = sched.compiled(step)
+        want_base, want_tokens, want_peaks = _compile_step_reference(entry, vocab, mask_id)
+        assert base == want_base
+        assert tokens.dtype == want_tokens.dtype and tokens.tobytes() == want_tokens.tobytes()
+        assert peaks.dtype == want_peaks.dtype and peaks.tobytes() == want_peaks.tobytes()
+
+
 def test_scripted_confidence_survives_mask_suppression(toy_config):
     """The decode path drops the mask token before decisions; scripted rows
     are built so that does not move their confidence."""

@@ -1,20 +1,29 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import blockspec.cache
+import blockspec.layout
+import blockspec.speculative
 import reference_decide
 from blockspec import (
     ConfigError,
+    LogitsView,
     NoCandidatesError,
     RangeError,
     RunConfig,
     ScriptedModel,
     ScriptedSchedule,
+    ShapeError,
     StaleCacheError,
     decode,
 )
+from blockspec.cache import refresh_dual_cache
 from blockspec.decoder import StepOutcome
 from blockspec.speculative import (
     Candidate,
+    STAGE_CANDIDATES,
     CandidateSet,
     SpecSet,
     resolve_jump,
@@ -389,6 +398,109 @@ def test_single_candidate_degenerates_to_verified_threshold(toy_config):
     accepted_pos = [p for p, _, _ in outcome.accepted]
     assert int(best) in accepted_pos
     assert len(accepted_pos) == 2  # candidate + the adopted block's top-1
+
+
+# --- the forward's rows and the stage-1 layouts ---------------------------------
+
+def _spec_inputs(toy_config, stage, seed=4):
+    """A scripted model, a block-0 state with room for `stage`, its cache and
+    a full candidate set of masked positions."""
+    model = _below_threshold_model(toy_config, range(12, 76))
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
+                         block_size=32, n_decoded=2 if stage == 1 else 12)
+    cache, _ = refresh_dual_cache(model, state, state.block_range())
+    masked = state.block_masked_positions()[: STAGE_CANDIDATES[stage]]
+    cset = CandidateSet(tuple(Candidate(int(p), 11, 0.5) for p in masked))
+    return model, state, cache, cset
+
+
+def _rewrap_rows(model, change):
+    """Make `model` hand spec_step a view of `change(logits, positions, tags)`."""
+    forward = model.forward
+
+    def wrapped(*args, **kwargs):
+        view, kv = forward(*args, **kwargs)
+        return LogitsView(*change(view.logits, view.positions, view.tags)), kv
+
+    model.forward = wrapped
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_spec_step_accepts_equal_but_distinct_row_arrays(toy_config, stage):
+    model, state, cache, cset = _spec_inputs(toy_config, stage)
+    config = RunConfig(strategy="odb", gen_length=64, block_size=32)
+    want = spec_step(model, state, cache, cset, stage, config)
+    _rewrap_rows(model, lambda logits, positions, tags: (logits, positions.copy(), tags.copy()))
+    assert spec_step(model, state, cache, cset, stage, config) == want
+
+
+def _reversed_rows(logits, positions, tags):
+    return logits[::-1], positions[::-1], tags[::-1]
+
+
+def _swapped_tags(logits, positions, tags):
+    """The first row's tag 0 traded with the last row's speculative tag."""
+    tags = tags.copy()
+    tags[[0, -1]] = tags[[-1, 0]]
+    return logits, positions, tags
+
+
+@pytest.mark.parametrize("change", [_reversed_rows, _swapped_tags], ids=["permuted", "swapped-tags"])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_spec_step_refuses_rows_out_of_layout_order(toy_config, stage, change):
+    model, state, cache, cset = _spec_inputs(toy_config, stage)
+    _rewrap_rows(model, change)
+    config = RunConfig(strategy="odb", gen_length=64, block_size=32)
+    with pytest.raises(ShapeError, match="forward rows differ"):
+        spec_step(model, state, cache, cset, stage, config)
+
+
+@pytest.fixture
+def spec_layout_builds(monkeypatch):
+    """(block start, stage, lattice width) of every build_spec_layout call
+    made by the decode path."""
+    builds = []
+    build = blockspec.layout.build_spec_layout
+
+    def counting(block_range, spec_set, decoded_positions, context_positions):
+        builds.append((block_range[0], spec_set.stage, spec_set.n_blocks))
+        return build(block_range, spec_set, decoded_positions, context_positions)
+
+    for module in (blockspec.cache, blockspec.speculative):
+        monkeypatch.setattr(module, "build_spec_layout", counting)
+    return builds
+
+
+def test_stage1_layouts_are_built_once_per_width_per_block_cycle(toy_config, spec_layout_builds):
+    model = _below_threshold_model(toy_config, range(12, 108))
+    traj = decode(model, list(range(1, 13)),
+                  RunConfig(strategy="odb", gen_length=96, block_size=32, truncate_threshold=1.1))
+    spec = [s for s in traj.steps if s.kind == "spec"]
+    stage1 = Counter((12 + 32 * s.block, s.blocks_evaluated - 1) for s in spec if s.stage == 1)
+    built = Counter((start, width) for start, stage, width in spec_layout_builds if stage == 1)
+    # every block cycle reaches stage 1, and some layout serves several steps
+    assert {start for start, _ in stage1} == {12, 44, 76}
+    assert sum(stage1.values()) > len(stage1)
+    assert built == Counter(dict.fromkeys(stage1, 1))
+    # stage 2 builds per step
+    assert sum(1 for b in spec_layout_builds if b[1] == 2) == sum(1 for s in spec if s.stage == 2) > 0
+
+
+def test_a_truncated_cache_builds_its_own_stage1_layouts(toy_config, spec_layout_builds):
+    _, _, cache, cset = _spec_inputs(toy_config, 1)
+    wide, narrow = SpecSet.build(cset, 1), SpecSet.build(CandidateSet(cset.candidates[:1]), 1)
+    layout = cache.stage1_layout(wide)
+    assert cache.stage1_layout(wide) is layout
+    assert cache.stage1_layout(narrow).n_queries == 2 * 32
+    short = cache.truncated(60)
+    short_layout = short.stage1_layout(wide)
+    assert short_layout is not layout and short.stage1_layout(wide) is short_layout
+    assert short_layout.context_positions is short.positions
+    assert np.array_equal(short_layout.query_positions, layout.query_positions)
+    assert spec_layout_builds == [(12, 1, 3), (12, 1, 1), (12, 1, 3)]
+    with pytest.raises(RangeError):
+        cache.stage1_layout(SpecSet.build(cset, 2))
 
 
 # --- end-to-end NFE family --------------------------------------------------------------
