@@ -34,7 +34,6 @@ from .metrics import (
     HardwareProfile,
     MetricsReport,
     cost_of_forward,
-    estimate_speedup,
     trajectory_metrics,
 )
 from .model import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,34 +68,29 @@ def apply_truncation(
 ) -> tuple[DecodeState, TruncationEvent | None]:
     """Shrink the generation length to cover a confident EOS.
 
-    new_gen_length = ceil((offset + 1) / block_size) * block_size, clamped to
-    the active block's end.  Never deletes an unmasked token and never cuts
-    the active block; cuts that do not strictly shrink are no-ops.
+    new_gen_length = ceil((offset + 1) / block_size) * block_size, which
+    lies past the active block's end since the cut does.  Never deletes an
+    unmasked token and never cuts the active block; cuts that do not
+    strictly shrink are no-ops.
     """
     offset, confidence = cut
-    block_end_offset = (state.active_block + 1) * state.block_size
-    if offset < block_end_offset:
+    if offset < (state.active_block + 1) * state.block_size:
         log.warning("truncation at offset %d inside decoded region; ignored", offset)
         return state, None
     if offset >= state.gen_length:
         raise RangeError(f"cut offset {offset} beyond gen_length {state.gen_length}")
     new_gen = math.ceil((offset + 1) / state.block_size) * state.block_size
-    new_gen = max(new_gen, block_end_offset)
     if new_gen >= state.gen_length:
         return state, None
     drop_from = state.prompt_len + new_gen
     if not np.all(state.masked[drop_from:]):
         log.warning("truncation would delete unmasked tokens; ignored")
         return state, None
-    new_state = state.copy()
-    new_state.tokens = new_state.tokens[:drop_from]
-    old_gen = state.gen_length
-    new_state.gen_length = new_gen
     event = TruncationEvent(
         refresh_epoch=refresh_epoch,
         eos_position=state.prompt_len + offset,
         eos_confidence=confidence,
-        old_gen_length=old_gen,
+        old_gen_length=state.gen_length,
         new_gen_length=new_gen,
     )
-    return new_state, event
+    return replace(state, tokens=state.tokens[:drop_from].copy()), event

@@ -26,13 +26,7 @@ from .decoder import STRATEGIES, RunConfig
 from .engine import decode
 from .errors import ConfigError, ProgressError, RangeError, ShapeError, field_kinds, from_document
 from .layout import build_block_layout, build_spec_layout
-from .metrics import (
-    HardwareProfile,
-    estimate_speedup,
-    phase_summary,
-    trajectory_metrics,
-    write_cost_csv,
-)
+from .metrics import HardwareProfile, phase_summary, roofline_rows, trajectory_metrics
 from .model import MAX_POSITION, ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
 from .speculative import STAGE_CANDIDATES, Candidate, CandidateSet, SpecSet
 from .trajectory import encode_json
@@ -203,6 +197,16 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(encode_json(payload) + "\n")
 
 
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """Dict rows as CSV under the first row's keys; floats written by repr."""
+    cols = list(rows[0])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
+
+
 def _decode_task(model, task: TaskRecord, config: RunConfig):
     try:
         return decode(model, list(task.prompt_tokens), config)
@@ -212,6 +216,16 @@ def _decode_task(model, task: TaskRecord, config: RunConfig):
         ) from err
     except (ConfigError, RangeError, ShapeError) as err:
         raise CliError(f"{task.source}: task {task.id}: {err}", EXIT_PARSE) from err
+
+
+def _mask_rows(layout) -> list[dict]:
+    """The layout's dense mask as 0/1 rows, each labelled by its query row
+    and keyed by its key slots: ``cache:<position>`` for a context key,
+    ``t<tag>:<position>`` for a query row and its fresh key."""
+    queries = [f"t{t}:{p}" for t, p in zip(layout.query_tags, layout.query_positions)]
+    keys = [f"cache:{p}" for p in layout.context_positions] + queries
+    return [{"query": q, **dict(zip(keys, row))}
+            for q, row in zip(queries, layout.dense_mask().astype(int).tolist())]
 
 
 def _dump_masks(out_dir: Path, config: RunConfig) -> None:
@@ -227,16 +241,15 @@ def _dump_masks(out_dir: Path, config: RunConfig) -> None:
     bs = config.block_size
     start, end = bs, 2 * bs  # pretend prompt of one block
     ctx = [p for p in range(3 * bs) if not (start <= p < end)]
-    build_block_layout((start, end), ctx).dump_mask_csv(masks / "mask_block.csv")
+    _write_csv(masks / "mask_block.csv", _mask_rows(build_block_layout((start, end), ctx)))
     for stage, n_decoded in ((1, 0), (2, config.stage2_threshold)):
         free = range(start + n_decoded, end)[: STAGE_CANDIDATES[stage]]
         if not free:
             continue
         spec = SpecSet.build(CandidateSet(tuple(Candidate(p, 1, 0.5) for p in free)), stage)
         decoded = range(start, start + n_decoded)
-        build_spec_layout((start, end), spec, decoded, ctx).dump_mask_csv(
-            masks / f"mask_spec_stage{stage}.csv"
-        )
+        layout = build_spec_layout((start, end), spec, decoded, ctx)
+        _write_csv(masks / f"mask_spec_stage{stage}.csv", _mask_rows(layout))
 
 
 def cmd_run(args) -> int:
@@ -263,22 +276,12 @@ def cmd_run(args) -> int:
         summary["tasks"][task.id] = entry
     if profile is not None:
         summary["profile"] = profile.to_dict()
-        _write_rows_csv(out_dir / "metrics.csv", metrics_rows)
-        write_cost_csv(out_dir / "roofline.csv", trajectories, profile)
+        _write_csv(out_dir / "metrics.csv", metrics_rows)
+        _write_csv(out_dir / "roofline.csv", roofline_rows(trajectories, profile))
     _write_json(out_dir / "summary.json", summary)
     if args.dump_mask:
         _dump_masks(out_dir, config)
     return EXIT_OK
-
-
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    """Dict rows as CSV under the first row's keys; floats written by repr."""
-    cols = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols])
 
 
 def cmd_compare(args) -> int:
@@ -296,20 +299,19 @@ def cmd_compare(args) -> int:
     table = []
     aggregate = {s: {**dict.fromkeys(COUNT_COLUMNS, 0), "time": 0.0} for s in args.strategies}
     for task in tasks:
-        trajs = {}
+        reports = {}
         row = {"task": task.id}
         for strategy, config in zip(args.strategies, configs):
             traj = _decode_task(model, task, config)
             (out_dir / f"trajectory_{task.id}_{strategy}.json").write_text(traj.to_json())
-            report = trajectory_metrics(traj, profile)
-            trajs[strategy] = traj
+            report = reports[strategy] = trajectory_metrics(traj, profile)
             agg = aggregate[strategy]
             for column, name in COUNT_COLUMNS.items():
                 row[f"{strategy}_{column}"] = getattr(report, name)
                 agg[column] += getattr(report, name)
             agg["time"] += report.total_est_time_s
         for a, b in pairs:
-            row[f"{b}/{a}"] = estimate_speedup(trajs[a], trajs[b], profile)
+            row[f"{b}/{a}"] = reports[a].total_est_time_s / reports[b].total_est_time_s
         table.append(row)
 
     agg_speedups = {
@@ -326,7 +328,7 @@ def cmd_compare(args) -> int:
         "speedup_columns": speedup_cols,
     }
     _write_json(out_dir / "compare.json", payload)
-    _write_rows_csv(out_dir / "compare.csv", table)
+    _write_csv(out_dir / "compare.csv", table)
     return EXIT_OK
 
 
@@ -339,7 +341,7 @@ def cmd_roofline(args) -> int:
         traj = _decode_task(model, task, config)
         trajectories[task.id] = traj
         summaries[task.id] = phase_summary(traj, profile)
-    write_cost_csv(out_dir / "roofline.csv", trajectories, profile)
+    _write_csv(out_dir / "roofline.csv", roofline_rows(trajectories, profile))
     _write_json(
         out_dir / "roofline_summary.json",
         {"profile": profile.to_dict(), "balance": profile.balance, "tasks": summaries},

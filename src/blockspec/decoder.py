@@ -6,7 +6,7 @@ argmax/softmax so an acceptance always unmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class DecodeState:
 
     tokens: np.ndarray
     prompt_len: int
-    gen_length: int
     block_size: int
     active_block: int = 0
     mask_token_id: int = 0
@@ -109,7 +108,6 @@ class DecodeState:
         return cls(
             tokens=tokens,
             prompt_len=int(prompt.size),
-            gen_length=gen_length,
             block_size=block_size,
             mask_token_id=mask_token_id,
         )
@@ -126,6 +124,10 @@ class DecodeState:
         return int(self.tokens.shape[0])
 
     @property
+    def gen_length(self) -> int:
+        return self.seq_len - self.prompt_len
+
+    @property
     def n_blocks(self) -> int:
         return self.gen_length // self.block_size
 
@@ -134,21 +136,14 @@ class DecodeState:
         start = self.prompt_len + b * self.block_size
         return start, start + self.block_size
 
-    # The decode loop calls these every step, so they compare only the
+    # The decode loop calls this every step, so it compares only the
     # block's slice of the tokens, never the whole sequence.
     def block_masked_positions(self) -> np.ndarray:
         start, end = self.block_range()
         return (self.tokens[start:end] == self.mask_token_id).nonzero()[0] + start
 
-    def block_decoded_positions(self) -> np.ndarray:
-        start, end = self.block_range()
-        return (self.tokens[start:end] != self.mask_token_id).nonzero()[0] + start
-
     def masked_positions(self) -> np.ndarray:
         return np.flatnonzero(self.masked)
-
-    def copy(self) -> "DecodeState":
-        return replace(self, tokens=self.tokens.copy())
 
     def check_invariants(self) -> None:
         if np.any(self.masked[: self.prompt_len]):

@@ -68,7 +68,7 @@ def _log_step(traj, *, kind, state, t_tokens, c_tokens, epoch, outcome=None, cac
         rec.blocks_evaluated = outcome.blocks_evaluated
         rec.candidates = list(outcome.candidates)
         rec.adopted_tag = outcome.adopted_tag
-    traj.add_step(rec)
+    traj.steps.append(rec)
 
 
 def _decode_vanilla_tau(model, state, config, traj):

@@ -74,18 +74,6 @@ class AttentionLayout:
         ctx = np.ones((self.n_queries, self.n_context), dtype=bool)
         return np.concatenate([ctx, self.fresh_mask()], axis=1)
 
-    def dump_mask_csv(self, path) -> None:
-        """Write the dense mask as a 0/1 CSV grid for visual inspection."""
-        grid = self.dense_mask().astype(int)
-        header = [f"cache:{pos}" for pos in self.context_positions]
-        header += [f"t{t}:{p}" for t, p in zip(self.query_tags, self.query_positions)]
-        lines = ["query," + ",".join(header)]
-        for q in range(self.n_queries):
-            label = f"t{self.query_tags[q]}:{self.query_positions[q]}"
-            lines.append(label + "," + ",".join(str(v) for v in grid[q]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def full_sequence_layout(seq_len: int) -> AttentionLayout:
     """All positions as queries, full bidirectional visibility, no cache."""

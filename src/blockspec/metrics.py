@@ -15,8 +15,7 @@ its modeled time is the roofline max of compute and memory time.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, DegenerateInputError, RangeError, check_fields, load_document
 from .model import ModelConfig, count_params
@@ -33,9 +32,11 @@ class HardwareProfile:
 
     def __post_init__(self):
         check_fields(self)
+        # at one per second or more the balance point is at most peak_flops
+        # and a modeled time at most a forward's flops or bytes, all finite
         for name in ("peak_flops", "mem_bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+            if (rate := getattr(self, name)) < 1.0:
+                raise ConfigError(f"{name} must be at least 1 per second, got {rate!r}")
 
     @property
     def balance(self) -> float:
@@ -51,7 +52,6 @@ class HardwareProfile:
 
 @dataclass(frozen=True)
 class CostRecord:
-    phase: str
     t_tokens: int
     c_tokens: int
     flops: float
@@ -84,7 +84,6 @@ def cost_of_forward(model_cfg: ModelConfig, t: int, c: int, profile: HardwarePro
     est = max(flops / profile.peak_flops, nbytes / profile.mem_bandwidth)
     bound = "compute" if ai >= profile.balance else "memory"
     return CostRecord(
-        phase="",
         t_tokens=t,
         c_tokens=c,
         flops=flops,
@@ -96,12 +95,9 @@ def cost_of_forward(model_cfg: ModelConfig, t: int, c: int, profile: HardwarePro
 
 
 def step_cost_records(traj: Trajectory, profile: HardwareProfile) -> list[CostRecord]:
-    """One CostRecord per trajectory step, phase-labelled."""
+    """One CostRecord per trajectory step, in step order."""
     cfg = ModelConfig(**traj.model_config)
-    return [
-        replace(cost_of_forward(cfg, step.t_tokens, step.c_tokens, profile), phase=step.phase)
-        for step in traj.steps
-    ]
+    return [cost_of_forward(cfg, step.t_tokens, step.c_tokens, profile) for step in traj.steps]
 
 
 @dataclass
@@ -132,7 +128,7 @@ def trajectory_metrics(traj: Trajectory, profile: HardwareProfile) -> MetricsRep
         raise DegenerateInputError("empty trajectory")
     records = step_cost_records(traj, profile)
     total_time = sum(r.est_time_s for r in records)
-    prefill_time = sum(r.est_time_s for r in records if r.phase == "prefill")
+    prefill_time = sum(r.est_time_s for s, r in zip(traj.steps, records) if s.phase == "prefill")
     nfe = traj.nfe
     jump_total = traj.total_jumps
     tokens_generated = sum(len(s.accepted) for s in traj.steps)
@@ -151,30 +147,16 @@ def trajectory_metrics(traj: Trajectory, profile: HardwareProfile) -> MetricsRep
     )
 
 
-def estimate_speedup(traj_a: Trajectory, traj_b: Trajectory, profile: HardwareProfile) -> float:
-    """Modeled time ratio a/b; above 1 means b is the faster run."""
-    time_a = sum(r.est_time_s for r in step_cost_records(traj_a, profile))
-    time_b = sum(r.est_time_s for r in step_cost_records(traj_b, profile))
-    if time_a <= 0 or time_b <= 0:
-        raise DegenerateInputError("zero-time trajectory")
-    return time_a / time_b
-
-
-ROOFLINE_CSV_COLUMNS = ("step", "phase", "T", "C", "flops", "bytes", "ai", "bound", "est_time_s")
-
-
-def write_cost_csv(path, trajectories: dict[str, Trajectory], profile: HardwareProfile) -> None:
-    """Per-step CostRecord CSV over {task id: trajectory}, task column first."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", *ROOFLINE_CSV_COLUMNS])
-        for task_id, traj in trajectories.items():
-            for i, rec in enumerate(step_cost_records(traj, profile)):
-                writer.writerow([
-                    task_id, i, rec.phase, rec.t_tokens, rec.c_tokens,
-                    repr(rec.flops), repr(rec.bytes), repr(rec.arithmetic_intensity),
-                    rec.bound, repr(rec.est_time_s),
-                ])
+def roofline_rows(trajectories: dict[str, Trajectory], profile: HardwareProfile) -> list[dict]:
+    """One row per step of each {task id: trajectory}, keyed by the columns
+    of roofline.csv, task column first."""
+    return [
+        {"task": task_id, "step": i, "phase": step.phase, "T": rec.t_tokens, "C": rec.c_tokens,
+         "flops": rec.flops, "bytes": rec.bytes, "ai": rec.arithmetic_intensity,
+         "bound": rec.bound, "est_time_s": rec.est_time_s}
+        for task_id, traj in trajectories.items()
+        for i, (step, rec) in enumerate(zip(traj.steps, step_cost_records(traj, profile)))
+    ]
 
 
 def phase_summary(traj: Trajectory, profile: HardwareProfile) -> dict:
@@ -182,7 +164,7 @@ def phase_summary(traj: Trajectory, profile: HardwareProfile) -> dict:
     records = step_cost_records(traj, profile)
     out = {}
     for phase in ("prefill", "decode"):
-        sub = [r for r in records if r.phase == phase]
+        sub = [r for s, r in zip(traj.steps, records) if s.phase == phase]
         if not sub:
             continue
         mean_ai = sum(r.arithmetic_intensity for r in sub) / len(sub)

@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -261,29 +260,18 @@ def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, scores, out)
     np.matmul(values.transpose(1, 2, 0)[heads], scores.transpose(0, 2, 1), out=out[heads])
 
 
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _attention_worker() -> ThreadPoolExecutor:
-    """The one thread, started on first use, that runs the second half of
-    split attention for every toy model of the process."""
+def _start_worker() -> None:
+    """Make the executor whose one thread runs the second half of split
+    attention for every toy model of the process; the thread starts on the
+    first split forward.  A forked child has no copy of its parent's
+    thread, so the child makes an executor of its own."""
     global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="blockspec-attention")
-        return _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="blockspec-attention")
 
 
-def _forget_worker() -> None:
-    """A forked child has no copy of the parent's worker thread, so it
-    starts its own on first use."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
+_start_worker()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_start_worker)
 
 
 def _usable_cpus() -> int:
@@ -414,7 +402,7 @@ class ToyModel:
             args = (q, keys, values, bias, n_ctx, kq, scores, attn)
             if split:
                 half = h_dim // 2
-                future = _attention_worker().submit(_attention, slice(half, h_dim), *args)
+                future = _worker.submit(_attention, slice(half, h_dim), *args)
                 try:
                     _attention(slice(0, half), *args)
                 finally:

@@ -51,9 +51,6 @@ class Trajectory:
     gen_length_final: int = 0
     completed: bool = False
 
-    def add_step(self, record: StepRecord) -> None:
-        self.steps.append(record)
-
     @property
     def nfe(self) -> int:
         return len(self.steps)

@@ -1,4 +1,5 @@
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def random_state(rng, config, prompt_len=12, gen_length=64, block_size=32,
         for p in picks:
             state.tokens[p] = int(rng.choice(ordinary))
     return state
+
+
+def copy_state(state):
+    """The decode state with its own copy of the tokens."""
+    return replace(state, tokens=state.tokens.copy())
+
+
+def block_decoded_positions(state):
+    """Absolute positions of the active block that hold a decoded token."""
+    start, end = state.block_range()
+    return (state.tokens[start:end] != state.mask_token_id).nonzero()[0] + start
 
 
 def rising_schedule(prompt_len, gen_length, seed=11):

@@ -23,7 +23,7 @@ from blockspec.layout import build_spec_layout
 from blockspec.model import LogitsView, _conf_floor
 from blockspec.speculative import SpecSet, resolve_jump
 
-from conftest import hit_table, select, subset_of
+from conftest import block_decoded_positions, hit_table, select, subset_of
 
 
 def threshold_decide(entries, threshold):
@@ -79,7 +79,7 @@ def spec_step(model, state, cache, candidates, stage, config, *, step=0):
         raise NoCandidatesError("speculative step needs at least one candidate")
     block_range = state.block_range()
     masked_abs = state.block_masked_positions()
-    decoded_abs = state.block_decoded_positions()
+    decoded_abs = block_decoded_positions(state)
     for cand in candidates.candidates:
         if cand.position not in masked_abs:
             raise RangeError(f"candidate position {cand.position} is not masked")

@@ -28,7 +28,10 @@ from blockspec.layout import build_block_layout, build_spec_layout, full_sequenc
 from blockspec.model import LogitsView, scripted_forward
 from blockspec.speculative import Candidate, CandidateSet, SpecSet, resolve_jump
 
-from conftest import TOY, comparable_dict, hit_table, random_state, rel_err, select, subset_of
+from conftest import (
+    TOY, block_decoded_positions, comparable_dict, copy_state, hit_table,
+    random_state, rel_err, select, subset_of,
+)
 from reference_decide import threshold_decide
 from shared_kv import SharedKV, build_shared_kv, isolate, shared_view
 from test_speculative import oracle_chain_enumeration, oracle_two_candidate_cases, outcome_accepting
@@ -117,7 +120,7 @@ def test_criterion_2_mask_isolation(toy_config):
         ))
         spec_set = SpecSet.build(cands, stage=stage)
         view = cache_view(cache, block)
-        layout = build_spec_layout(block, spec_set, state.block_decoded_positions(),
+        layout = build_spec_layout(block, spec_set, block_decoded_positions(state),
                                    view.positions)
         tokens, subset_pos = _spec_tokens(state, layout, spec_set)
         batched, _ = model.forward(tokens, layout, view)
@@ -165,7 +168,7 @@ def test_criterion_3_shared_kv_correctness(toy_config):
         ))
         spec_set = SpecSet.build(cands, stage=2)
         view = cache_view(cache, block)
-        layout = build_spec_layout(block, spec_set, state.block_decoded_positions(),
+        layout = build_spec_layout(block, spec_set, block_decoded_positions(state),
                                    view.positions)
         tokens, _ = _spec_tokens(state, layout, spec_set)
         batched, _ = model.forward(tokens, layout, view)
@@ -174,7 +177,7 @@ def test_criterion_3_shared_kv_correctness(toy_config):
         # own forward, then run each speculative block against them
         plain_layout = build_block_layout(block, view.positions)
         _, block_kv = model.forward(state.tokens[block[0]:block[1]], plain_layout, view)
-        decoded = state.block_decoded_positions()
+        decoded = block_decoded_positions(state)
         rows_in_block = decoded - block[0]
         by_hand = SharedKV(
             positions=decoded,
@@ -247,16 +250,16 @@ def test_criterion_5_reverse_transition_sampler(toy_config):
         vocab_size=128, mask_token_id=126,
     )
     view = scripted_forward(sched, 0, list(range(1, 1001)))
-    out = state.copy()
+    out = copy_state(state)
     apply_outcome(out, tau_leaping_step(state, view, 0.5, 0.25, np.random.default_rng(42)))
     frac = 1.0 - float(out.masked[1:].mean())
     assert 0.45 <= frac <= 0.55
 
-    out_zero = state.copy()
+    out_zero = copy_state(state)
     apply_outcome(out_zero, tau_leaping_step(state, view, 0.5, 0.0, np.random.default_rng(7)))
     assert not out_zero.masked.any()
 
-    partial = out.copy()
+    partial = copy_state(out)
     before = partial.tokens.copy()
     fixed = ~partial.masked
     view2 = scripted_forward(sched, 0, list(range(1, 1001)))

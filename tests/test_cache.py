@@ -6,7 +6,7 @@ from blockspec.cache import cache_view, refresh_dual_cache
 from blockspec.layout import build_block_layout, full_sequence_layout
 from blockspec.model import check_compatible
 
-from conftest import n_prefix, n_suffix, random_state, rel_err
+from conftest import block_decoded_positions, n_prefix, n_suffix, random_state, rel_err
 from shared_kv import EmptySharedError, build_shared_kv, shared_view
 
 
@@ -76,7 +76,7 @@ def test_cache_is_immutable_across_decode_steps(refreshed, toy_model):
 def test_shared_kv_covers_exactly_decoded_positions(refreshed, toy_model):
     state, cache, _ = refreshed
     shared = build_shared_kv(toy_model, state, state.block_range(), cache)
-    decoded = state.block_decoded_positions()
+    decoded = block_decoded_positions(state)
     assert shared.size == 10
     assert np.array_equal(np.sort(shared.positions), np.sort(decoded))
 
@@ -97,7 +97,7 @@ def test_shared_kv_matches_explicit_substitution(refreshed, toy_model):
     view = cache_view(cache, block)
     layout = build_block_layout(block, view.positions)
     _, new_kv = toy_model.forward(state.tokens[block[0]:block[1]], layout, view)
-    decoded = state.block_decoded_positions()
+    decoded = block_decoded_positions(state)
     rows = decoded - block[0]
     shared = build_shared_kv(toy_model, state, block, cache)
     order = np.argsort(shared.positions)

@@ -405,6 +405,28 @@ def test_dump_mask_writes_grids(workdir):
         assert len(grid) > 1
 
 
+def test_dump_mask_grid_is_the_layout_visibility(workdir):
+    """Each grid row is a query row over every key slot, labelled
+    ``cache:<position>`` or ``t<tag>:<position>``: a context key is visible
+    to every row and, at stage 1, where no row is shared, a fresh key only
+    to the rows of its own tag."""
+    tmp, model, _, tasks = workdir
+    out = tmp / "out_masks"
+    code = main(["run", *base_args(model, tasks, out), "--strategy", "odb", "--dump-mask"])
+    assert code == 0
+    for name in ("mask_block.csv", "mask_spec_stage1.csv"):
+        with open(out / "masks" / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[0] == "query"
+        keys = [label.split(":") for label in header[1:]]
+        n_ctx = sum(kind == "cache" for kind, _ in keys)
+        assert n_ctx == 64 and all(kind != "cache" for kind, _ in keys[n_ctx:])
+        assert [row[0] for row in rows] == header[1 + n_ctx:]
+        for row in rows:
+            tag = row[0].split(":")[0]
+            assert row[1:] == ["1" if kind in ("cache", tag) else "0" for kind, _ in keys]
+
+
 @pytest.mark.parametrize("block_size", [1, 2, 3, 4])
 def test_dump_mask_at_small_block_sizes(workdir, block_size):
     """Stage 2 starts from stage2_threshold decoded rows and speculates on
@@ -569,8 +591,9 @@ def test_gen_tasks_rejects_a_vocab_without_ordinary_tokens(workdir, capsys):
 
 
 def test_scripted_alp_compare_consistency(workdir):
-    """The compare table's odb/fast column equals estimate_speedup on the
-    same trajectories (cross-module consistency on the ALP scenario)."""
+    """The compare table's odb/fast column is the ratio of the two runs'
+    modeled totals, bit for bit (cross-module consistency on the ALP
+    scenario)."""
     from blockspec import (
         HardwareProfile,
         ModelConfig,
@@ -578,7 +601,7 @@ def test_scripted_alp_compare_consistency(workdir):
         ScriptedModel,
         ScriptedSchedule,
         decode,
-        estimate_speedup,
+        trajectory_metrics,
     )
 
     tmp, model, profile, _ = workdir
@@ -608,8 +631,63 @@ def test_scripted_alp_compare_consistency(workdir):
     odb = decode(smodel, prompt, RunConfig(strategy="odb", gen_length=256,
                                            block_size=32, truncate_threshold=0.9))
     prof = HardwareProfile.from_json(profile)
-    assert row["odb/fast"] == pytest.approx(estimate_speedup(fast, odb, prof), abs=1e-12)
+    want = (trajectory_metrics(fast, prof).total_est_time_s
+            / trajectory_metrics(odb, prof).total_est_time_s)
+    assert row["odb/fast"] == want
     assert row["odb/fast"] > 1.0
+
+
+# Rates under which the balance point or a modeled time is not finite.
+NON_FINITE_PROFILES = {
+    "inf-balance": ({"peak_flops": 1e308, "mem_bandwidth": 1e-308}, "mem_bandwidth"),
+    "subnormal-peak": ({"peak_flops": 5e-324, "mem_bandwidth": 1e11}, "peak_flops"),
+    "inf-times": ({"peak_flops": 1e-300, "mem_bandwidth": 1e-300}, "peak_flops"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--strategy", "odb", "--dump-mask"],
+    ["roofline", "--strategy", "vanilla"],
+    ["compare", "--strategies", "vanilla", "fast", "odb"],
+], ids=["run", "roofline", "compare"])
+@pytest.mark.parametrize("rates, named", NON_FINITE_PROFILES.values(), ids=NON_FINITE_PROFILES)
+def test_a_profile_with_non_finite_costs_is_refused_before_writing(
+    workdir, capsys, command, rates, named
+):
+    tmp, model, _, tasks = workdir
+    profile = tmp / "overflow.json"
+    profile.write_text(json.dumps({"name": "overflow", **rates}))
+    out = tmp / "out_overflow"
+    code = main([command[0], *base_args(model, tasks, out), *command[1:],
+                 "--profile", str(profile)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "overflow.json" in err and f"{named} must be at least 1 per second" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scripted", [False, True], ids=["toy", "scripted"])
+def test_llada_baseline_config_commits_one_token_per_step(tmp_path, scripted):
+    """The baseline dLLM, LLaDA's low-confidence remasking at one token per
+    step, is vanilla at accept_threshold 1.0: no confidence lies above it,
+    so each full-sequence forward commits only its forced top-1."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = tmp_path / "baseline"
+    extra = ["--scripted", str(configs / "schedule_eos87.json")] if scripted else []
+    code = main(["run", "--model-config", str(configs / "toy_model.json"),
+                 "--tasks", str(configs / "tasks_demo.jsonl"), "--out", str(out),
+                 "--strategy", "vanilla",
+                 "--run-config", str(configs / "run_llada_baseline.json"), *extra])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["run_config"]["accept_threshold"] == 1.0
+    gen_length = summary["run_config"]["gen_length"]
+    assert summary["tasks"]
+    for task_id, entry in summary["tasks"].items():
+        traj = json.loads((out / f"trajectory_{task_id}.json").read_text())
+        assert entry["nfe"] == traj["nfe"] == len(traj["steps"]) == gen_length
+        assert all(len(step["accepted"]) == 1 for step in traj["steps"])
+        assert all(step["t_tokens"] == step["c_tokens"] for step in traj["steps"])
 
 
 def test_vanilla_tau_mode_through_cli(workdir):

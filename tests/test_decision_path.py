@@ -14,7 +14,7 @@ from blockspec.decoder import decision_entries, masked_greedy, threshold_decide
 from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
 from blockspec.speculative import Candidate, CandidateSet, spec_step
 
-from conftest import TOY, random_state, rising_schedule
+from conftest import TOY, copy_state, random_state, rising_schedule
 
 
 @pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
@@ -37,7 +37,7 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         return got
 
     def checked_spec(model, state, cache, candidates, stage, config, *, step=0):
-        before = state.copy()
+        before = copy_state(state)
         got = real_spec(model, state, cache, candidates, stage, config, step=step)
         want = reference_decide.spec_step(model, before, cache, candidates, stage, config, step=step)
         assert got == want

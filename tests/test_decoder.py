@@ -23,7 +23,7 @@ from blockspec.errors import from_document
 from blockspec.layout import full_sequence_layout
 from blockspec.model import scripted_forward
 
-from conftest import comparable_dict, random_state, rising_schedule
+from conftest import block_decoded_positions, comparable_dict, random_state, rising_schedule
 
 
 def make_scripted(toy_config, entries):
@@ -359,7 +359,7 @@ def test_mask_flags_are_read_only_and_follow_tokens(toy_config):
         state.masked[5] = False
     apply_outcome(state, StepOutcome(accepted=[(5, 9, 0.9), (100, 11, 0.9)], rejected_top=[]))
     assert np.array_equal(np.flatnonzero(~state.masked), [0, 1, 2, 3, 5, 100])
-    assert np.array_equal(state.block_decoded_positions(), [5])
+    assert np.array_equal(block_decoded_positions(state), [5])
     # the cut to 64 would delete the token at 100
     _, event = apply_truncation(state, (40, 0.99))
     assert event is None

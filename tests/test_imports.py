@@ -33,3 +33,32 @@ def test_relative_imports_form_an_acyclic_graph():
     assert {"alp", "speculative"} <= graph["engine"]
     # static_order raises CycleError naming any cycle
     assert len(list(TopologicalSorter(graph).static_order())) == len(MODULES)
+
+
+def _writes_a_file(node) -> bool:
+    """A call of ``open`` with a mode that writes, or of a path's
+    ``write_text`` or ``write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+               for m in modes)
+
+
+def test_only_the_cli_writes_files():
+    """The library returns rows and numbers; cli.py writes every output."""
+    offenders = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        if name != "cli"
+        for node in ast.walk(tree)
+        if _writes_a_file(node)
+        or (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+    ]
+    assert offenders == []

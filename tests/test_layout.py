@@ -144,17 +144,6 @@ def test_stage2_requires_decoded_positions():
         _spec_layout(stage=2, n_candidates=4, n_decoded=0)
 
 
-def test_dump_mask_csv(tmp_path):
-    layout, _ = _spec_layout(stage=1, n_candidates=2, cache=40)
-    path = tmp_path / "mask.csv"
-    layout.dump_mask_csv(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == layout.n_queries + 1
-    cells = lines[1].split(",")
-    assert len(cells) == layout.n_keys + 1
-    assert set(cells[1:]) <= {"0", "1"}
-
-
 def test_full_sequence_layout_all_visible():
     layout = full_sequence_layout(7)
     assert layout.n_queries == 7

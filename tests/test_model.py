@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from blockspec.errors import from_document
 from blockspec.layout import full_sequence_layout
 from blockspec.model import softmax
 
-from conftest import TOY, logits_to_prediction, random_state, rel_err, select, weight_checksum
+from conftest import (
+    TOY, block_decoded_positions, logits_to_prediction, random_state,
+    rel_err, select, weight_checksum,
+)
 
 
 # --- config -----------------------------------------------------------------
@@ -348,7 +352,7 @@ def test_forward_matches_dense_reference_bitwise(monkeypatch, shape):
         view = cache_view(cache, block)
         cases.append((state.tokens.copy(), full_sequence_layout(state.seq_len), None))
         block_layout = build_block_layout(block, view.positions)
-        while state.block_decoded_positions().size < 8:
+        while block_decoded_positions(state).size < 8:
             tokens = state.tokens[block[0]:block[1]].copy()
             cases.append((tokens, block_layout, view))
             logits, _ = model.forward(tokens, block_layout, view)
@@ -356,7 +360,7 @@ def test_forward_matches_dense_reference_bitwise(monkeypatch, shape):
             apply_outcome(state, outcome)
         for stage, k in ((1, 2), (2, 4)):
             spec_set = SpecSet.build(select_candidates(outcome, k), stage)
-            layout = build_spec_layout(block, spec_set, state.block_decoded_positions(),
+            layout = build_spec_layout(block, spec_set, block_decoded_positions(state),
                                        view.positions)
             cand = {c.position: c.token for c in spec_set.candidates}
             subsets = {tag: {spec_set.candidates[j - 1].position for j in subset}
@@ -387,13 +391,14 @@ def test_forward_on_one_usable_cpu_starts_no_worker(monkeypatch, toy_model):
     from dense_forward import dense_forward
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(blockspec.model, "_worker", None)
+    # an executor that has started no thread yet: a submit would start one
+    monkeypatch.setattr(blockspec.model, "_worker", ThreadPoolExecutor(max_workers=1))
     layout = full_sequence_layout(200)
     assert layout.n_queries * layout.n_keys >= blockspec.model.SPLIT_MIN_SCORES
     tokens = np.random.default_rng(3).integers(0, 120, size=200)
     threads = threading.active_count()
     got, _ = toy_model.forward(tokens, layout)
-    assert blockspec.model._worker is None and threading.active_count() == threads
+    assert threading.active_count() == threads
     want, _ = dense_forward(toy_model, tokens, layout)
     assert got.logits.tobytes() == want.logits.tobytes()
 

@@ -31,7 +31,7 @@ from blockspec.speculative import (
     spec_step,
 )
 
-from conftest import hit_table, random_state, subset_of
+from conftest import block_decoded_positions, hit_table, random_state, subset_of
 
 
 def cands(n, base_pos=100):
@@ -569,7 +569,7 @@ def test_spec_step_refuses_a_malformed_candidate_before_the_forward(toy_config, 
                          block_size=32, n_decoded=2)
     cache, _ = refresh_dual_cache(model, state, state.block_range())
     masked = state.block_masked_positions().tolist()
-    decoded = int(state.block_decoded_positions()[0])
+    decoded = int(block_decoded_positions(state)[0])
     first, second = Candidate(masked[0], 11, 0.5), Candidate(masked[1], 12, 0.4)
     broken, match = {
         "repeated-position": ((first, Candidate(masked[0], 12, 0.4)),
