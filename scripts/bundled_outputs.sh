@@ -43,6 +43,10 @@ cli compare --strategies vanilla fast odb "${profile[@]}" --out "$out/compare_to
 cli run --strategy vanilla --tau-steps 20 --out "$out/run_toy_vanilla_tau20"
 cli run --strategy vanilla --tau-steps 7 --seed 3 "${scripted[@]}" \
     --out "$out/run_scripted_vanilla_tau7"
+# the paper's baseline (LLaDA, one token per step) from its bundled run config
+baseline=(--strategy vanilla "${profile[@]}" --run-config "$cfg/run_llada_baseline.json")
+cli run "${baseline[@]}" --out "$out/run_toy_llada_baseline"
+cli run "${baseline[@]}" "${scripted[@]}" --out "$out/run_scripted_llada_baseline"
 # settings from a --run-config document instead of flags
 echo '{"block_size": 16, "accept_threshold": 0.8, "truncate_threshold": 0.85}' > "$out/run_config.json"
 cli run --strategy odb "${scripted[@]}" --run-config "$out/run_config.json" \

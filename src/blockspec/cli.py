@@ -24,7 +24,8 @@ import numpy as np
 
 from .decoder import STRATEGIES, RunConfig
 from .engine import decode
-from .errors import ConfigError, ProgressError, RangeError, ShapeError, field_kinds, from_document
+from .errors import (ConfigError, ProgressError, RangeError, ShapeError, field_kinds,
+                     from_document, parse_json, read_json, reading)
 from .layout import build_block_layout, build_spec_layout
 from .metrics import HardwareProfile, phase_summary, roofline_rows, trajectory_metrics
 from .model import MAX_POSITION, ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
@@ -71,98 +72,72 @@ def load_tasks(path) -> list[TaskRecord]:
     """Parse a JSONL task file; diagnostics carry line and field."""
     tasks: list[TaskRecord] = []
     seen = set()
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as err:
-        raise CliError(f"cannot read tasks file {path}: {err}", EXIT_PARSE) from err
+    with reading(f"tasks file {path}"):
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise CliError(f"{path}:{ln}: invalid JSON: {err}", EXIT_PARSE) from err
-        if not isinstance(raw, dict):
-            raise CliError(f"{path}:{ln}: a task must be a JSON object", EXIT_PARSE)
-        for key in ("id", "prompt_tokens"):
-            if key not in raw:
-                raise CliError(f"{path}:{ln}: missing field '{key}'", EXIT_PARSE)
-        tokens = raw["prompt_tokens"]
-        if (
-            not isinstance(tokens, list)
-            or not tokens
-            or not all(isinstance(t, int) and not isinstance(t, bool) for t in tokens)
-        ):
-            raise CliError(
-                f"{path}:{ln}: field 'prompt_tokens' must be a non-empty list of integers",
-                EXIT_PARSE,
-            )
-        task_id = raw["id"]
-        # the id names the task's output files, so it must be one path part
-        if (
-            not isinstance(task_id, str)
-            or task_id in ("", ".", "..")
-            or any(c in task_id for c in "/\\\0")
-        ):
-            raise CliError(
-                f"{path}:{ln}: field 'id' must be a non-empty string without '/', '\\' "
-                f"or NUL and not '.' or '..', got {task_id!r}",
-                EXIT_PARSE,
-            )
-        try:
-            fits = len(task_id.encode("utf-8")) <= MAX_TASK_ID_BYTES
-        except UnicodeEncodeError:  # a lone surrogate
-            fits = False
-        if not fits:
-            raise CliError(
-                f"{path}:{ln}: field 'id' must be valid UTF-8 of at most "
-                f"{MAX_TASK_ID_BYTES} bytes",
-                EXIT_PARSE,
-            )
-        if task_id in seen:
-            raise CliError(f"{path}:{ln}: duplicate task id '{task_id}'", EXIT_PARSE)
+        with reading(f"tasks file {path}:{ln}"):
+            raw = parse_json(line)
+            if not isinstance(raw, dict):
+                raise ConfigError("a task must be a JSON object")
+            for key in ("id", "prompt_tokens"):
+                if key not in raw:
+                    raise ConfigError(f"missing field '{key}'")
+            tokens = raw["prompt_tokens"]
+            if (
+                not isinstance(tokens, list)
+                or not tokens
+                or not all(isinstance(t, int) and not isinstance(t, bool) for t in tokens)
+            ):
+                raise ConfigError("field 'prompt_tokens' must be a non-empty list of integers")
+            task_id = raw["id"]
+            # the id names the task's output files, so it must be one path part
+            if (
+                not isinstance(task_id, str)
+                or task_id in ("", ".", "..")
+                or any(c in task_id for c in "/\\\0")
+            ):
+                raise ConfigError("field 'id' must be a non-empty string without '/', '\\' "
+                                  f"or NUL and not '.' or '..', got {task_id!r}")
+            try:
+                fits = len(task_id.encode("utf-8")) <= MAX_TASK_ID_BYTES
+            except UnicodeEncodeError:  # a lone surrogate
+                fits = False
+            if not fits:
+                raise ConfigError(
+                    f"field 'id' must be valid UTF-8 of at most {MAX_TASK_ID_BYTES} bytes")
+            if task_id in seen:
+                raise ConfigError(f"duplicate task id '{task_id}'")
         seen.add(task_id)
         tasks.append(TaskRecord(id=task_id, prompt_tokens=tuple(tokens), source=f"{path}:{ln}"))
     if not tasks:
-        raise CliError(f"{path}: no tasks found", EXIT_PARSE)
+        raise ConfigError(f"tasks file {path}: no tasks found")
     return tasks
 
 
-def _load(cls, path, what: str, *context):
-    """`cls.from_json(path, *context)`; a bad file exits 2 naming `what` and `path`."""
-    try:
-        return cls.from_json(path, *context)
-    except (OSError, ValueError, TypeError) as err:
-        raise CliError(f"{what} {path}: {err}", EXIT_PARSE) from err
-
-
 def _load_model(args):
-    cfg = _load(ModelConfig, args.model_config, "model config")
+    cfg = ModelConfig.from_json(args.model_config)
     if args.scripted:
         ids = (cfg.vocab_size, cfg.mask_token_id, cfg.eos_token_id)
-        return ScriptedModel(cfg, _load(ScriptedSchedule, args.scripted, "schedule", *ids))
-    try:
+        with reading(f"schedule {args.scripted}"):
+            schedule = ScriptedSchedule.from_dict(read_json(args.scripted), *ids)
+        return ScriptedModel(cfg, schedule)
+    with reading(f"model config {args.model_config}"):
         return ToyModel(cfg)
-    except ConfigError as err:
-        raise CliError(f"model config {args.model_config}: {err}", EXIT_PARSE) from err
 
 
 def _run_config(args, strategy: str) -> RunConfig:
     """The length defaults, overridden by the --run-config document, then by
     every run flag given on the command line, then by `strategy`."""
     path = args.run_config
-    try:
-        document = {}
-        if path:
-            with open(path) as fh:
-                document = json.load(fh)
-            if not isinstance(document, dict):
-                raise ConfigError("must be a JSON object")
+    with reading(f"run config {path}" if path else "run config"):
+        document = read_json(path) if path else {}
+        if not isinstance(document, dict):
+            raise ConfigError("must be a JSON object")
         flags = {f.name: v for f in RUN_FLAGS if (v := getattr(args, f.name)) is not None}
         merged = {**LENGTH_DEFAULTS, **document, **flags, "strategy": strategy}
-        return from_document(RunConfig, merged, "run config")
-    except (OSError, ValueError, TypeError) as err:
-        raise CliError(f"run config{f' {path}' if path else ''}: {err}", EXIT_PARSE) from err
+        return from_document(RunConfig, merged)
 
 
 def _setup(args, strategies):
@@ -171,7 +146,7 @@ def _setup(args, strategies):
     tasks = load_tasks(args.tasks)
     model = _load_model(args)
     configs = [_run_config(args, strategy) for strategy in strategies]
-    profile = _load(HardwareProfile, args.profile, "profile") if args.profile else None
+    profile = HardwareProfile.from_json(args.profile) if args.profile else None
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,7 +325,7 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_gen_tasks(args) -> int:
-    cfg = _load(ModelConfig, args.model_config, "model config")
+    cfg = ModelConfig.from_json(args.model_config)
     if args.count < 1:
         raise CliError(f"--count must be positive, got {args.count}", EXIT_PARSE)
     # a prompt must leave at least one position for the response
@@ -397,9 +372,9 @@ def cmd_gen_tasks(args) -> int:
     if schedule_out:
         positions = {}
         for off in range(args.gen_length):
-            pos = args.prompt_len + off
-            token = ordinary[(7 + 3 * off) % len(ordinary)]
-            positions[str(pos)] = [int(token), args.fill_confidence]
+            if off != args.eos_offset:  # the eos entry scripts that position
+                token = ordinary[(7 + 3 * off) % len(ordinary)]
+                positions[str(args.prompt_len + off)] = [int(token), args.fill_confidence]
         schedule = {
             "0": {
                 "positions": positions,
@@ -473,6 +448,9 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except ConfigError as err:  # a malformed input, named by the reader of its document
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as err:  # pragma: no cover - last-resort diagnostics
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -52,8 +52,10 @@ class RunConfig:
         if self.tau_steps is not None:
             if self.strategy != "vanilla":
                 raise ConfigError("tau_steps applies to the vanilla strategy only")
-            if self.tau_steps < 1:
-                raise ConfigError("tau_steps must be positive")
+            # up to 2**52 steps consecutive fl(i/k) differ by at least 2**-53,
+            # so the sampler's time grid 1 - i/k strictly decreases
+            if not 1 <= self.tau_steps <= 2**52:
+                raise ConfigError(f"tau_steps must lie in [1, 2**52], got {self.tau_steps}")
         if self.stage2_min_decoded is not None and not (
             1 <= self.stage2_min_decoded <= self.block_size
         ):

@@ -1,10 +1,13 @@
-"""Exception types shared across the package, and the loader and field check
-of the JSON config documents (model config, run config, hardware profile)."""
+"""Exception types shared across the package, the one reader of every input
+document (model config, run config, hardware profile, schedule, task lines)
+and the field check of the config documents."""
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from functools import cache
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 
@@ -76,23 +79,59 @@ def check_fields(config) -> None:
         object.__setattr__(config, name, check_value(name, getattr(config, name), kinds))
 
 
-def from_document(cls, raw, what: str):
+def from_document(cls, raw):
     """`cls(**raw)` for the dataclass `cls`, once `raw` is a JSON object
     holding every field without a default and no other key; each error
-    names `what` and the offending keys."""
+    names the offending keys."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object")
+        raise ConfigError("must be a JSON object")
     required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
     missing = [k for k, needed in required.items() if needed and k not in raw]
     extra = [k for k in raw if k not in required]
     if missing:
-        raise ConfigError(f"{what} missing keys: {missing}")
+        raise ConfigError(f"missing keys: {missing}")
     if extra:
-        raise ConfigError(f"{what} has unknown keys: {extra}")
+        raise ConfigError(f"unknown keys: {extra}")
     return cls(**raw)
 
 
+@contextmanager
+def reading(document: str):
+    """Re-raise a failure to read, parse or check the input inside as one
+    ConfigError that starts with `document`: its name and path, or a task
+    file's line."""
+    try:
+        yield
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{document}: invalid JSON: {err}") from None
+    # a ConfigError, undecodable UTF-8, an integer of more digits than
+    # Python converts, nesting past the recursion limit
+    except (OSError, ValueError, RecursionError) as err:
+        raise ConfigError(f"{document}: {err}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
+def parse_json(text: str):
+    """The value of the JSON `text`; call it in ``reading``."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at `path`; call it in ``reading``."""
+    return parse_json(Path(path).read_text(encoding="utf-8"))
+
+
 def load_document(cls, path, what: str):
-    """`from_document` over the JSON file at `path`."""
-    with open(path) as fh:
-        return from_document(cls, json.load(fh), what)
+    """`from_document` over the JSON file at `path`; an error names `what`
+    and `path`."""
+    with reading(f"{what} {path}"):
+        return from_document(cls, read_json(path))

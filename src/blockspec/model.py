@@ -16,7 +16,6 @@ Everything runs in 32-bit floats; forwards are pure functions of
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -445,7 +444,7 @@ class ScriptedSchedule:
 
     def __post_init__(self):
         if not self.steps:
-            raise ConfigError("schedule has no steps")
+            raise ConfigError("no steps given")
         for n, entry in enumerate(self.steps):
             for pos, (tok, conf) in entry.items():
                 if not (0 <= pos < MAX_POSITION):
@@ -481,17 +480,11 @@ class ScriptedSchedule:
         return hit
 
     @classmethod
-    def from_json(cls, path, vocab_size: int, mask_token_id: int, eos_token_id: int | None = None) -> "ScriptedSchedule":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw, vocab_size, mask_token_id, eos_token_id)
-
-    @classmethod
     def from_dict(cls, raw: dict, vocab_size: int, mask_token_id: int, eos_token_id: int | None = None) -> "ScriptedSchedule":
         """Parse ``{"<step>": {"positions": {"<pos>": [token, conf]},
         "eos": [[pos, conf], ...]}}`` with step keys exactly 0..n-1."""
         if not isinstance(raw, dict):
-            raise ConfigError("schedule document must be an object keyed by step index")
+            raise ConfigError("must be an object keyed by step index")
         keys = {_int_key(k, "step key"): k for k in raw}
         if sorted(keys) != list(range(len(raw))):
             raise ConfigError(f"step keys must be exactly 0..{len(raw) - 1}, got {sorted(raw)}")
@@ -514,9 +507,11 @@ class ScriptedSchedule:
                     pair, f"{where} position {pos!r}", "token"
                 )
             if eos_entries and eos_token_id is None:
-                raise ConfigError("schedule has eos entries but no eos_token_id was given")
+                raise ConfigError("eos entries given but no eos_token_id")
             for pair in eos_entries:
                 pos, conf = _scripted_pair(pair, f"{where} eos entry", "position")
+                if pos in entry:
+                    raise ConfigError(f"{where}: position {pos} given twice")
                 entry[pos] = (int(eos_token_id), conf)
             steps.append(entry)
         return cls(
@@ -527,11 +522,15 @@ class ScriptedSchedule:
         )
 
 
-def _int_key(key, where: str) -> int:
+def _int_key(key: str, where: str) -> int:
+    """`key` as an integer, if it is the decimal form of one (so "020" or
+    "2_0" cannot stand for the position 20 a second time)."""
     try:
-        return int(key)
+        if str(int(key)) == key:
+            return int(key)
     except ValueError:
-        raise ConfigError(f"{where} {key!r} is not an integer") from None
+        pass
+    raise ConfigError(f"{where} {key!r} is not an integer in decimal form")
 
 
 def _scripted_pair(value, where: str, first: str) -> tuple[int, float]:

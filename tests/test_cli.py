@@ -7,7 +7,7 @@ import pytest
 
 from blockspec.cli import main
 from blockspec.decoder import RunConfig
-from blockspec.errors import ConfigError, field_kinds, from_document
+from blockspec.errors import ConfigError, field_kinds
 from blockspec.metrics import HardwareProfile
 from blockspec.model import MAX_POSITION, ModelConfig, ScriptedSchedule
 
@@ -141,6 +141,20 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     assert "threshold" in capsys.readouterr().err
 
 
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+DOCUMENT_NAMES = {"--run-config": "run config", "--profile": "profile",
+                  "--model-config": "model config"}
+# each config document with one key given twice
+REPEATED_KEY_DOCUMENTS = {
+    "--run-config": '{"accept_threshold": 0.5, "accept_threshold": 0.9}',
+    "--profile": '{"name": "a", "name": "b", "peak_flops": 1e12, "mem_bandwidth": 1e12}',
+    "--model-config": json.dumps(TOY)[:-1] + ', "seed": 7}',
+}
+
+
 @pytest.mark.parametrize("option,content,named", [
     ("--run-config", "[1, 2]", "bad.json"),
     ("--profile", "[1, 2]", "bad.json"),
@@ -167,18 +181,25 @@ def test_run_rejects_bad_thresholds(workdir, capsys, flags):
     ("--profile", '{"name": "x", "peak_flops": 1' + "0" * 400 + ', "mem_bandwidth": 1}', "peak_flops"),
     ("--profile", '{"name": "x", "peak_flops": 1e12, "mem_bandwidth": 1e11, "peak_flop": 2e12}',
      "peak_flop'"),
+    *[pytest.param(option, content, named, id=f"{option[2:]}-{case}")
+      for option, repeated in REPEATED_KEY_DOCUMENTS.items()
+      for case, content, named in (("repeated-key", repeated, "given twice"),
+                                   ("nested-990", nested(990), "recursion"),
+                                   ("nested-200000", nested(200_000), "recursion"))],
 ])
 def test_run_rejects_malformed_config_files(workdir, capsys, option, content, named):
     tmp, model, _, tasks = workdir
     bad = tmp / "bad.json"
     bad.write_text(content + "\n")
     # a flag overrides the run config, so the document's bad value must come alone
-    document = json.loads(content) if option == "--run-config" else None
-    drop = list(document) if isinstance(document, dict) else []
+    drop = list(BASE_RUN_FLAGS) if option == "--run-config" else []
     code = main(["run", *base_args(model, tasks, tmp / "out", drop=drop), "--strategy", "fast",
                  option, str(bad)])
     assert code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    document = DOCUMENT_NAMES[option]
+    assert f"error: {document} {bad}: " in err and err.count(document) == 1
+    assert named in err
 
 
 @pytest.mark.parametrize("flags,named", [
@@ -190,6 +211,19 @@ def test_run_rejects_out_of_range_flags(workdir, capsys, flags, named):
     code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast", *flags])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau_steps", [2**52 + 1, 2**54])
+def test_run_refuses_tau_steps_past_the_time_grid(workdir, capsys, tau_steps):
+    """Refused naming the field while the run config is read.  The --out
+    path lies under a file, so a k let through fails before its first step
+    (that many steps would take years) and names --out instead."""
+    tmp, model, _, tasks = workdir
+    (tmp / "file").write_text("")
+    code = main(["run", *base_args(model, tasks, tmp / "file" / "out"), "--strategy", "vanilla",
+                 "--tau-steps", str(tau_steps)])
+    assert code == 2
+    assert "tau_steps must lie in [1, 2**52]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["n_layers", "vocab_size", "d_model"])
@@ -278,16 +312,28 @@ def test_run_config_precedence(workdir, document, flags, expected):
     ({"0": {"eos": [[65536, 0.5]]}}, "pos 65536"),
     ({"0": {"postions": {"20": [5, 0.99]}, "eos": []}}, "step '0': unknown keys ['postions']"),
     ({"0": {"positions": {"20": [5, 10**400]}}}, "position '20' confidence"),
+    pytest.param('{"0": {}, "0": {}}', "key '0' given twice", id="repeated-step"),
+    pytest.param('{"0": {"positions": {"20": [5, 0.5], "20": [6, 0.5]}}}',
+                 "key '20' given twice", id="repeated-position"),
+    pytest.param(nested(990), "recursion", id="nested-990"),
+    pytest.param(nested(200_000), "recursion", id="nested-200000"),
+    # a step or position given twice after integer conversion
+    ({"0": {"positions": {"20": [5, 0.5], "020": [6, 0.5]}}}, "position '020'"),
+    ({"0": {"positions": {"2_0": [5, 0.5]}}}, "position '2_0'"),
+    ({"0": {}, "00": {}}, "step key '00'"),
+    ({"0": {"positions": {"20": [5, 0.5]}, "eos": [[20, 0.9]]}}, "step '0': position 20 given twice"),
+    ({"0": {"eos": [[20, 0.9], [20, 0.5]]}}, "step '0': position 20 given twice"),
 ])
 def test_run_rejects_malformed_schedule(workdir, capsys, schedule, named):
     tmp, model, _, tasks = workdir
     bad = tmp / "sched.json"
-    bad.write_text(json.dumps(schedule) + "\n")
+    bad.write_text((schedule if isinstance(schedule, str) else json.dumps(schedule)) + "\n")
     code = main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast",
                  "--scripted", str(bad)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "sched.json" in err and named in err
+    assert f"error: schedule {bad}: " in err and err.count("schedule") == 1
+    assert named in err
 
 
 @pytest.mark.parametrize("task_id", ["a/b", "../x", None, 5, "", "a\\b", "..", "a\0b"])
@@ -322,6 +368,35 @@ def test_compare_bounds_task_id_bytes(workdir, capsys, task_id, code):
         assert not out.exists()
     else:
         assert (out / f"trajectory_{task_id}_vanilla.json").is_file()
+
+
+@pytest.mark.parametrize("content,line,named", [
+    (b'{"id": "a", "id": "b", "prompt_tokens": [1, 2]}\n', 1, "key 'id' given twice"),
+    (b'{"id": "a", "prompt_tokens": [1, 2]}\n' + nested(990).encode(), 2, "recursion"),
+    (nested(200_000).encode(), 1, "recursion"),
+    (b'{"id": "a", "prompt_tokens": [' + b"1" * 5000 + b"]}", 1, "5000 digits"),
+    (b'{"id": "a", "prompt_tokens": [1, 2]}\n\xff\n', None, "utf-8"),
+], ids=["repeated-key", "nested-990", "nested-200000", "5000-digits", "not-utf-8"])
+def test_run_rejects_an_unreadable_task_file(workdir, capsys, content, line, named):
+    tmp, model, _, _ = workdir
+    bad = tmp / "bad.jsonl"
+    bad.write_bytes(content)
+    code = main(["run", *base_args(model, bad, tmp / "out"), "--strategy", "fast"])
+    assert code == 2
+    err = capsys.readouterr().err
+    where = f"{bad}:{line}" if line else f"{bad}"
+    assert f"error: tasks file {where}: " in err and err.count("tasks file") == 1
+    assert named in err
+    assert not (tmp / "out").exists()
+
+
+def test_a_task_line_may_hold_a_unicode_line_separator(workdir):
+    """Only a newline ends a JSONL line: U+2028 inside a string does not."""
+    tmp, model, _, _ = workdir
+    tasks = tmp / "tasks.jsonl"
+    tasks.write_text(json.dumps({"id": "a", "note": "x\u2028y", "prompt_tokens": [1, 2]},
+                                ensure_ascii=False) + "\n")
+    assert main(["run", *base_args(model, tasks, tmp / "out"), "--strategy", "fast"]) == 0
 
 
 def test_run_rejects_non_object_task_line(workdir, capsys):
@@ -468,6 +543,8 @@ def test_gen_tasks_and_schedule(workdir):
     assert TOY["mask_token_id"] not in rec["prompt_tokens"]
     sched = json.loads(sched_out.read_text())
     assert sched["0"]["eos"] == [[8 + 87, 0.99]]
+    # the eos entry alone scripts its position
+    assert sorted(map(int, sched["0"]["positions"])) == [8 + off for off in range(128) if off != 87]
     # regenerating with the same seed is identical
     tasks_out2 = tmp / "gen2.jsonl"
     main(["gen-tasks", "--model-config", str(model), "--count", "2",
@@ -515,9 +592,9 @@ def test_gen_tasks_schedule_may_reach_the_last_position(workdir):
                  "--count", "1", "--prompt-len", "16", "--gen-length", str(MAX_POSITION - 16),
                  "--eos-offset", "5", "--schedule-out", str(sched_out)])
     assert code == 0
-    cfg = from_document(ModelConfig, json.loads(model.read_text()), "model config")
-    schedule = ScriptedSchedule.from_json(sched_out, cfg.vocab_size, cfg.mask_token_id,
-                                          cfg.eos_token_id)
+    cfg = ModelConfig.from_json(model)
+    schedule = ScriptedSchedule.from_dict(json.loads(sched_out.read_text()), cfg.vocab_size,
+                                          cfg.mask_token_id, cfg.eos_token_id)
     assert max(schedule.entry(0)) == MAX_POSITION - 1
 
 
@@ -622,8 +699,8 @@ def test_scripted_alp_compare_consistency(workdir):
     payload = json.loads((out / "compare.json").read_text())
     row = payload["per_task"][0]
 
-    cfg = from_document(ModelConfig, json.loads(model.read_text()), "model config")
-    schedule = ScriptedSchedule.from_json(sched_out, cfg.vocab_size,
+    cfg = ModelConfig.from_json(model)
+    schedule = ScriptedSchedule.from_dict(json.loads(sched_out.read_text()), cfg.vocab_size,
                                           cfg.mask_token_id, cfg.eos_token_id)
     smodel = ScriptedModel(cfg, schedule)
     prompt = json.loads(tasks_out.read_text().splitlines()[0])["prompt_tokens"]

@@ -304,10 +304,23 @@ def test_run_config_validation():
         RunConfig(strategy="warp", gen_length=32, block_size=32)
     with pytest.raises(ConfigError):
         from_document(RunConfig, {"strategy": "fast", "gen_length": 32,
-                                  "block_size": 32, "mystery": 1}, "run config")
-    cfg = from_document(RunConfig, {"strategy": "odb", "gen_length": 64, "block_size": 32},
-                        "run config")
+                                  "block_size": 32, "mystery": 1})
+    cfg = from_document(RunConfig, {"strategy": "odb", "gen_length": 64, "block_size": 32})
     assert cfg.stage2_threshold == 8
+
+
+def test_tau_steps_stop_where_the_time_grid_stops_decreasing():
+    """Up to 2**52 steps each step's t = 1 - i/k lies above the next's; a
+    larger k is refused naming the field, since at k = 2**53 + 2**51 the
+    grid already repeats a value at step 3."""
+    k = 2**52
+    assert RunConfig(strategy="vanilla", gen_length=32, block_size=32, tau_steps=k).tau_steps == k
+    for i in (0, 1, 2, k // 3, k // 2, k - 2):
+        assert 1.0 - i / k > 1.0 - (i + 1) / k
+    with pytest.raises(ConfigError, match="tau_steps"):
+        RunConfig(strategy="vanilla", gen_length=32, block_size=32, tau_steps=k + 1)
+    k = 2**53 + 2**51
+    assert 1.0 - 2 / k == 1.0 - 3 / k
 
 
 def test_decode_state_invariants(toy_config):

@@ -62,3 +62,26 @@ def test_only_the_cli_writes_files():
         or (isinstance(node, ast.ImportFrom) and node.module == "csv")
     ]
     assert offenders == []
+
+
+def _parses_json(node) -> bool:
+    """A call of ``json.load`` or ``json.loads``, or an import of either
+    from ``json``."""
+    if isinstance(node, ast.ImportFrom) and node.module == "json":
+        return any(a.name in ("load", "loads") for a in node.names)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "loads")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+
+
+def test_only_errors_parses_json():
+    """Every input document goes through the one strict reader in errors.py."""
+    assert any(_parses_json(node) for node in ast.walk(MODULES["errors"]))
+    offenders = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        if name != "errors"
+        for node in ast.walk(tree)
+        if _parses_json(node)
+    ]
+    assert offenders == []

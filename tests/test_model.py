@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import threading
@@ -21,7 +22,7 @@ from blockspec import (
     count_params,
     scripted_forward,
 )
-from blockspec.errors import from_document
+from blockspec.errors import from_document, load_document
 from blockspec.layout import full_sequence_layout
 from blockspec.model import softmax
 
@@ -46,9 +47,9 @@ def test_config_rejects_clashing_special_tokens():
 
 
 def test_config_round_trips_through_dict(toy_config):
-    assert from_document(ModelConfig, toy_config.to_dict(), "model config") == toy_config
+    assert from_document(ModelConfig, toy_config.to_dict()) == toy_config
     with pytest.raises(ConfigError):
-        from_document(ModelConfig, {**toy_config.to_dict(), "bogus": 1}, "model config")
+        from_document(ModelConfig, {**toy_config.to_dict(), "bogus": 1})
 
 
 @pytest.mark.parametrize("cls,what,valid,required", [
@@ -58,14 +59,17 @@ def test_config_round_trips_through_dict(toy_config):
     (HardwareProfile, "profile", {"name": "x", "peak_flops": 1e12, "mem_bandwidth": 1e11},
      "mem_bandwidth"),
 ], ids=["model-config", "run-config", "profile"])
-def test_from_document_names_the_document_and_the_key(cls, what, valid, required):
-    assert from_document(cls, valid, what) == cls(**valid)
+def test_from_document_names_the_document_and_the_key(tmp_path, cls, what, valid, required):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(valid))
+    assert load_document(cls, path, what) == from_document(cls, valid) == cls(**valid)
     missing = {k: v for k, v in valid.items() if k != required}
     for raw, named in (([1, 2], "JSON object"), (missing, f"'{required}'"),
                        ({**valid, "bogus": 1}, "'bogus'")):
+        path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError) as err:
-            from_document(cls, raw, what)
-        assert what in str(err.value) and named in str(err.value)
+            load_document(cls, path, what)
+        assert str(err.value).startswith(f"{what} {path}: ") and named in str(err.value)
 
 
 # --- parameter count ---------------------------------------------------------
