@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -99,7 +100,7 @@ def load_tasks(path) -> list[TaskRecord]:
                 or any(c in task_id for c in "/\\\0")
             ):
                 raise ConfigError("field 'id' must be a non-empty string without '/', '\\' "
-                                  f"or NUL and not '.' or '..', got {task_id!r}")
+                                  f"or NUL and not '.' or '..', got {reprlib.repr(task_id)}")
             try:
                 fits = len(task_id.encode("utf-8")) <= MAX_TASK_ID_BYTES
             except UnicodeEncodeError:  # a lone surrogate

@@ -6,6 +6,7 @@ argmax/softmax so an acceptance always unmasks.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +90,12 @@ class DecodeState:
         in [0, vocab_size) when `vocab_size` is given, and none may be the
         mask token."""
         if vocab_size is not None:
-            for i, tok in enumerate(np.ravel(prompt_tokens).tolist()):
+            # object dtype keeps each Python int exact: mixed with a token
+            # past int64, ravel would read the list as float64
+            for i, tok in enumerate(np.ravel(np.asarray(prompt_tokens, dtype=object)).tolist()):
                 if not 0 <= tok < vocab_size:
                     raise ConfigError(
-                        f"prompt_tokens[{i}] = {tok} outside vocab [0, {vocab_size})"
+                        f"prompt_tokens[{i}] = {reprlib.repr(tok)} outside vocab [0, {vocab_size})"
                     )
         prompt = np.asarray(prompt_tokens, dtype=np.int64).reshape(-1)
         if prompt.size == 0:

@@ -4,6 +4,8 @@ and the field check of the config documents."""
 
 import json
 import math
+import reprlib
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from functools import cache
@@ -69,7 +71,7 @@ def check_value(name: str, value, kinds: tuple):
     elif type(value) in kinds:
         return value
     wanted = " or ".join(KIND_NAMES[kind] for kind in kinds)
-    raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    raise ConfigError(f"{name} must be {wanted}, got {reprlib.repr(value)}")
 
 
 def check_fields(config) -> None:
@@ -104,8 +106,7 @@ def reading(document: str):
         yield
     except json.JSONDecodeError as err:
         raise ConfigError(f"{document}: invalid JSON: {err}") from None
-    # a ConfigError, undecodable UTF-8, an integer of more digits than
-    # Python converts, nesting past the recursion limit
+    # a ConfigError, undecodable UTF-8, nesting past the recursion limit
     except (OSError, ValueError, RecursionError) as err:
         raise ConfigError(f"{document}: {err}") from None
 
@@ -115,14 +116,26 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"key {key!r} given twice")
+            raise ConfigError(f"key {reprlib.repr(key)} given twice")
         obj[key] = value
     return obj
 
 
+def _int_literal(text: str) -> int:
+    """A JSON integer literal as an int; one longer than Python converts
+    is refused by its length, not with Python's advice to raise the
+    limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ConfigError(f"an integer literal of {digits} digits is longer than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_json(text: str):
     """The value of the JSON `text`; call it in ``reading``."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_int_literal)
 
 
 def read_json(path):

@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,31 +234,120 @@ def check_compatible(config: ModelConfig, layout: AttentionLayout, context) -> N
             raise ShapeError("cache head dims disagree with model config")
 
 
-def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, scores, out) -> None:
-    """Masked softmax attention of the query heads in `heads`, written to
-    ``out[heads]`` ([heads, d_head, rows]); `kq` and `scores` are the
-    [heads, keys, rows] and [heads, rows, keys] work buffers.
+# numpy sums a contiguous float32 row pairwise: a run of more than this many
+# values is split in two at a multiple of 8 below its half.
+_PAIRWISE_LEAF = 128
 
-    Every step is one sgemm call or one row reduction per head, or
-    elementwise, so any split of the heads computes each head bit for bit
-    as one call over all of them does.
+
+@lru_cache(maxsize=1024)
+def _sum_plan(m: int):
+    """numpy's order for summing a contiguous float32 row of `m` values, as
+    (runs, tail, adds) for ``_key_sum``.
+
+    numpy splits the row until its parts, the leaves, hold at most
+    ``_PAIRWISE_LEAF`` values.  A leaf adds its groups of 8 values into
+    eight sequential accumulators, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the values after its
+    last full group in order.  Every split falls on a multiple of 8, so only
+    the last leaf has such values; `tail` slices them.  (A row of fewer than
+    8 values is one leaf of no groups.)  Each run ``(values, leaves, k, g)``
+    covers `k` adjacent leaves of `g` groups each.  `adds` lists the splits
+    bottom up as index pairs into the leaf sums followed by the sums the
+    earlier pairs made; the last pair makes the row's sum.
     """
-    kq, scores = kq[heads], scores[heads]
-    # Scores as K·Qᵀ per head [h, m, r]: the operand order that
+    leaves, adds = [], []  # leaves as (first group, groups)
+
+    def split(start: int, n: int) -> int:
+        """Index of the sum of the values [start, start + n): a leaf's, or
+        -1 - i for the i-th of `adds` until the leaves are counted."""
+        if n <= _PAIRWISE_LEAF:
+            leaves.append((start // 8, n // 8))
+            return len(leaves) - 1
+        half = n // 2 - n // 2 % 8
+        adds.append((split(start, half), split(start + half, n - half)))
+        return -len(adds)
+
+    split(0, m)
+    runs = []  # [first group, first leaf, leaves, groups per leaf]
+    for i, (group, g) in enumerate(leaves):
+        if runs and runs[-1][3] == g:
+            runs[-1][2] += 1
+        else:
+            runs.append([group, i, 1, g])
+    runs = tuple((slice(8 * group, 8 * (group + k * g)), slice(i, i + k), k, g)
+                 for group, i, k, g in runs)
+    n = len(leaves)
+    adds = tuple(tuple(i if i >= 0 else n - 1 - i for i in pair) for pair in adds)
+    return runs, slice(m - m % 8, m), adds
+
+
+def _key_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` of the float32 array `a` of non-negative values
+    with keys on its first axis, bit for bit as numpy sums each column of
+    keys once it is a contiguous row: ``np.ascontiguousarray(np.moveaxis(a,
+    0, -1)).sum(-1)``.
+
+    ``_sum_plan`` gives numpy's pairwise order.  One reduce over an outer
+    axis per run of equal leaves adds each leaf's groups of 8 in order,
+    three adds combine the eight accumulators of every leaf as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, the tail is added row by row,
+    and the leaf sums are added up the split tree.
+    """
+    runs, tail, adds = _sum_plan(len(a))
+    flat = a.reshape(len(a), -1)
+    c = flat.shape[1]
+    acc = np.empty((runs[-1][1].stop, 8, c), dtype=np.float32)  # per leaf
+    for rows, leaves, k, g in runs:
+        np.add.reduce(flat[rows].reshape(k, g, 8, c), axis=1, out=acc[leaves])
+    acc = acc[:, 0::2] + acc[:, 1::2]
+    acc = acc[:, 0::2] + acc[:, 1::2]
+    sums = acc[:, 0] + acc[:, 1]
+    last = sums[-1]
+    for row in flat[tail]:
+        last += row
+    sums = list(sums)
+    for left, right in adds:
+        sums.append(sums[left] + sums[right])
+    return sums[-1].reshape(a.shape[1:])
+
+
+def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, out) -> None:
+    """Masked softmax attention of the query heads in `heads`, written to
+    ``out[heads]`` ([heads, d_head, rows]).  `kq` is a flat work buffer of
+    heads x keys x rows scores, and `bias` the [fresh keys, rows] mask bias
+    or None.
+
+    Every step is one BLAS call per head, elementwise, or a reduction over
+    the keys of each (head, row) column, so any split of the heads computes
+    each head bit for bit as one call over all of them does.
+    """
+    m, r = keys.shape[0], q.shape[0]
+    first, stop, _ = heads.indices(q.shape[1])
+    # These heads' scores, [keys, heads, rows], in a block of their own, so
+    # that each split's rows of scores per key stay contiguous.
+    kq = kq[first * m * r : stop * m * r].reshape(m, stop - first, r)
+    # K·Qᵀ per head, through a [h, m, r] view: the operand order that
     # einsum("rhd,mhd->rhm") hands BLAS, whose rounding can depend on it.
-    # Scaling copies them head-major to [h, r, m], where each row's keys
-    # are contiguous: the masked softmax then runs in place with the
-    # reductions in row-major order.  Adding 0 keeps a score and adding
-    # -inf hides it, so the bias masks exactly.
-    np.matmul(keys.transpose(1, 0, 2)[heads], q.transpose(1, 2, 0)[heads], out=kq)
-    np.multiply(kq.transpose(0, 2, 1), np.float32(1.0 / math.sqrt(q.shape[2])), out=scores)
+    # Keys outermost, each key's scores for the heads and rows are
+    # contiguous, and the masked softmax runs in place down each column of
+    # keys.  Its sums follow numpy's pairwise order over a contiguous row,
+    # so every weight equals the row-major softmax's.  Adding 0 keeps a
+    # score and adding -inf hides it, so the bias masks exactly.
+    np.matmul(keys.transpose(1, 0, 2)[heads], q.transpose(1, 2, 0)[heads],
+              out=kq.transpose(1, 0, 2))
+    kq *= np.float32(1.0 / math.sqrt(q.shape[2]))
     if bias is not None:
-        scores[:, :, n_ctx:] += bias
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    # Vᵀ·Wᵀ per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
-    np.matmul(values.transpose(1, 2, 0)[heads], scores.transpose(0, 2, 1), out=out[heads])
+        kq[n_ctx:] += bias[:, None]
+    kq -= kq.max(axis=0)
+    np.exp(kq, out=kq)
+    kq /= _key_sum(kq)
+    weights = kq.transpose(1, 0, 2)
+    if r == 1:
+        # BLAS multiplies one row's weights as a vector, and rounds a
+        # strided vector otherwise than a contiguous one
+        weights = weights.copy()
+    # Vᵀ·P per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
+    np.matmul(values.transpose(1, 2, 0)[heads], weights, out=out[heads])
 
 
 def _start_worker() -> None:
@@ -287,6 +378,12 @@ class ToyModel:
     model state forward touches is the RoPE table: a forward past its last
     position builds a larger table and replaces it whole, so a row, once
     built, is never rewritten.
+
+    Attention keeps a layer's scores where BLAS writes K·Qᵀ, keys
+    outermost ([keys, heads, rows]), and runs the masked softmax there
+    without a transposed copy.  Each column's sum over its keys reproduces
+    numpy's pairwise order over a contiguous row (``_key_sum``), so the
+    weights equal a row-major softmax's bit for bit.
 
     A forward with at least ``SPLIT_MIN_SCORES`` score entries per head and
     two or more heads, in a process that may use two or more CPUs, runs
@@ -368,13 +465,12 @@ class ToyModel:
         tags = layout.query_tags
         bias = None
         if (tags != tags[0]).any():
-            bias = np.where(layout.fresh_mask(), np.float32(0.0), np.float32(-np.inf))
+            bias = np.where(layout.fresh_mask().T, np.float32(0.0), np.float32(-np.inf))
         split = h_dim >= 2 and r * m >= SPLIT_MIN_SCORES and _usable_cpus() >= 2
 
         # Each layer refills these; allocated once per call, they keep the
         # forward reentrant and never reach the caller.
-        kq = np.empty((h_dim, m, r), dtype=np.float32)
-        scores = np.empty((h_dim, r, m), dtype=np.float32)
+        kq = np.empty(h_dim * m * r, dtype=np.float32)
         attn = np.empty((h_dim, dh, r), dtype=np.float32)
         hidden = np.empty((r, cfg.d_ff), dtype=np.float32)
         gelu_t = np.empty_like(hidden)
@@ -398,7 +494,7 @@ class ToyModel:
                 values = np.concatenate([cache.values[li], v], axis=0)
             else:
                 keys, values = k, v
-            args = (q, keys, values, bias, n_ctx, kq, scores, attn)
+            args = (q, keys, values, bias, n_ctx, kq, attn)
             if split:
                 half = h_dim // 2
                 future = _worker.submit(_attention, slice(half, h_dim), *args)
@@ -449,12 +545,12 @@ class ScriptedSchedule:
             for pos, (tok, conf) in entry.items():
                 if not (0 <= pos < MAX_POSITION):
                     raise ConfigError(
-                        f"step {n} pos {pos}: position outside [0, {MAX_POSITION})"
+                        f"step {n} pos {reprlib.repr(pos)}: position outside [0, {MAX_POSITION})"
                     )
                 if not (0.0 <= conf <= 1.0):
                     raise ConfigError(f"step {n} pos {pos}: confidence {conf} outside [0,1]")
                 if not (0 <= tok < self.vocab_size):
-                    raise ConfigError(f"step {n} pos {pos}: token {tok} outside vocab")
+                    raise ConfigError(f"step {n} pos {pos}: token {reprlib.repr(tok)} outside vocab")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -487,16 +583,17 @@ class ScriptedSchedule:
             raise ConfigError("must be an object keyed by step index")
         keys = {_int_key(k, "step key"): k for k in raw}
         if sorted(keys) != list(range(len(raw))):
-            raise ConfigError(f"step keys must be exactly 0..{len(raw) - 1}, got {sorted(raw)}")
+            raise ConfigError(
+                f"step keys must be exactly 0..{len(raw) - 1}, got {reprlib.repr(sorted(raw))}")
         steps = []
         for n in range(len(raw)):
             where = f"step {keys[n]!r}"
             entry_raw = raw[keys[n]]
             if not isinstance(entry_raw, dict):
-                raise ConfigError(f"{where}: must be an object, got {entry_raw!r}")
+                raise ConfigError(f"{where}: must be an object, got {reprlib.repr(entry_raw)}")
             extra = [k for k in entry_raw if k not in ("positions", "eos")]
             if extra:
-                raise ConfigError(f"{where}: unknown keys {extra}")
+                raise ConfigError(f"{where}: unknown keys {reprlib.repr(extra)}")
             positions = entry_raw.get("positions", {})
             eos_entries = entry_raw.get("eos", [])
             if not isinstance(positions, dict) or not isinstance(eos_entries, list):
@@ -504,14 +601,14 @@ class ScriptedSchedule:
             entry: dict[int, tuple[int, float]] = {}
             for pos, pair in positions.items():
                 entry[_int_key(pos, f"{where} position")] = _scripted_pair(
-                    pair, f"{where} position {pos!r}", "token"
+                    pair, f"{where} position {reprlib.repr(pos)}", "token"
                 )
             if eos_entries and eos_token_id is None:
                 raise ConfigError("eos entries given but no eos_token_id")
             for pair in eos_entries:
                 pos, conf = _scripted_pair(pair, f"{where} eos entry", "position")
                 if pos in entry:
-                    raise ConfigError(f"{where}: position {pos} given twice")
+                    raise ConfigError(f"{where}: position {reprlib.repr(pos)} given twice")
                 entry[pos] = (int(eos_token_id), conf)
             steps.append(entry)
         return cls(
@@ -530,14 +627,14 @@ def _int_key(key: str, where: str) -> int:
             return int(key)
     except ValueError:
         pass
-    raise ConfigError(f"{where} {key!r} is not an integer in decimal form")
+    raise ConfigError(f"{where} {reprlib.repr(key)} is not an integer in decimal form")
 
 
 def _scripted_pair(value, where: str, first: str) -> tuple[int, float]:
     """(integer, float) from a two-item list, each held to its kind by
     ``check_value``, else a ConfigError naming `where`."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{where}: expected [{first}, confidence], got {value!r}")
+        raise ConfigError(f"{where}: expected [{first}, confidence], got {reprlib.repr(value)}")
     return (check_value(f"{where} {first}", value[0], (int,)),
             check_value(f"{where} confidence", value[1], (float,)))
 

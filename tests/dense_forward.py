@@ -1,7 +1,7 @@
 """Dense reference forward for the tests.
 
 ``ToyModel.forward`` projects q|k|v in one batched matmul, rotates q|k in
-one pass, and scales, masks and softmaxes head-major scores in place.  This
+one pass, and scales, masks and softmaxes key-major scores in place.  This
 module keeps the straightforward form it replaced: separate Wq/Wk/Wv
 products, einsum scores, an ``np.where`` mask over every layout, and an
 allocating softmax, layer norm, RoPE and GELU.  Both perform the same

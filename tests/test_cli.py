@@ -109,6 +109,7 @@ def test_run_rejects_bad_prompt_tokens(workdir, capsys, tokens):
     ([5, -4, 3], 1),
     ([5, 3, TOY["vocab_size"]], 2),
     ([5, 3, 2**70], 2),
+    ([5, 3, 2**63], 2),  # past int64 but not uint64: printed as an integer, not a float
 ])
 def test_run_rejects_prompt_tokens_outside_vocab(workdir, capsys, tokens, index, scripted):
     tmp, model, _, _ = workdir
@@ -374,7 +375,8 @@ def test_compare_bounds_task_id_bytes(workdir, capsys, task_id, code):
     (b'{"id": "a", "id": "b", "prompt_tokens": [1, 2]}\n', 1, "key 'id' given twice"),
     (b'{"id": "a", "prompt_tokens": [1, 2]}\n' + nested(990).encode(), 2, "recursion"),
     (nested(200_000).encode(), 1, "recursion"),
-    (b'{"id": "a", "prompt_tokens": [' + b"1" * 5000 + b"]}", 1, "5000 digits"),
+    (b'{"id": "a", "prompt_tokens": [' + b"1" * 5000 + b"]}", 1,
+     "an integer literal of 5000 digits is longer than 4300 digits"),
     (b'{"id": "a", "prompt_tokens": [1, 2]}\n\xff\n', None, "utf-8"),
 ], ids=["repeated-key", "nested-990", "nested-200000", "5000-digits", "not-utf-8"])
 def test_run_rejects_an_unreadable_task_file(workdir, capsys, content, line, named):
@@ -386,8 +388,56 @@ def test_run_rejects_an_unreadable_task_file(workdir, capsys, content, line, nam
     err = capsys.readouterr().err
     where = f"{bad}:{line}" if line else f"{bad}"
     assert f"error: tasks file {where}: " in err and err.count("tasks file") == 1
-    assert named in err
+    assert named in err and "set_int_max_str_digits" not in err
     assert not (tmp / "out").exists()
+
+
+def document(value, placeholder: str) -> str:
+    """`value` as JSON with each string `"@"` in it replaced by `placeholder`."""
+    return json.dumps(value).replace('"@"', placeholder)
+
+
+# deep enough that a full repr runs to 600 characters, and still parsed
+DEEP, LONG = nested(300), "1" * 4000
+
+
+@pytest.mark.parametrize("option,content,named", [
+    ("--model-config", document({**TOY, "d_model": "@"}, DEEP), "d_model"),
+    ("--run-config", document({"accept_threshold": "@"}, LONG), "accept_threshold"),
+    ("--profile", document({"name": "x", "peak_flops": "@", "mem_bandwidth": 1}, LONG),
+     "peak_flops"),
+    ("--scripted", document({"0": "@"}, DEEP), "step '0'"),
+    ("--scripted", document({"0": {"positions": {"20": "@"}}}, DEEP), "position '20'"),
+    ("--scripted", document({"0": {"positions": {"20": ["@", 0.5]}}}, LONG), "pos 20: token"),
+    ("--scripted", document({"0": {"positions": {LONG: [5, 0.5]}}}, ""), "position outside"),
+    ("--tasks", document({"id": "/" + "x" * 4000, "prompt_tokens": [1, 2]}, ""), "'id'"),
+    ("--tasks", document({"id": "a", "prompt_tokens": [1, "@"]}, LONG), "prompt_tokens[1]"),
+    ("--run-config", f'{{"{LONG}": 1, "{LONG}": 2}}', "given twice"),
+], ids=["deep-model-field", "long-run-field", "long-profile-field", "deep-step",
+        "deep-position", "long-token", "long-position", "long-task-id", "long-prompt-token",
+        "long-repeated-key"])
+def test_exit_2_messages_bound_the_value_they_show(workdir, capsys, option, content, named):
+    """A deeply nested array or a 4 000-digit value is shown in a few dozen
+    characters, and the message still names its field."""
+    tmp, model, _, tasks = workdir
+    bad = tmp / "bad.json"
+    bad.write_text(content + "\n")
+    drop = list(BASE_RUN_FLAGS) if option == "--run-config" else []
+    args = base_args(model, bad if option == "--tasks" else tasks, tmp / "out", drop=drop)
+    if option != "--tasks":
+        args += [option, str(bad)]
+    assert main(["run", *args, "--strategy", "fast"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and len(err) < 200 + len(str(bad))
+
+
+def test_a_990_deep_field_value_is_shown_short():
+    value = []
+    for _ in range(989):
+        value = [value]
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(**{**TOY, "d_model": value})
+    assert str(err.value).startswith("d_model must be an integer, got [[[[[[") and len(str(err.value)) < 60
 
 
 def test_a_task_line_may_hold_a_unicode_line_separator(workdir):

@@ -322,6 +322,37 @@ def test_layer_norm_matches_mean_var_form_bitwise(rows, width, scale, seed):
     assert _layer_norm(x).tobytes() == dense_forward._layer_norm(x).tobytes()
 
 
+# Key counts where numpy's pairwise sum of a row changes shape: a row under
+# one group of 8, one leaf of at most 128 values, and a second split.
+KEY_EDGES = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_key_reductions_equal_numpy_over_contiguous_rows(data):
+    """``_key_sum`` and the column max over the keys of [keys, heads, rows]
+    scores equal numpy's sum and max of each contiguous row of keys byte
+    for byte, on a head slice as the two-core split passes it, with -inf
+    scores and exact zero weights where masked keys are."""
+    from blockspec.model import _key_sum
+
+    keys = data.draw(st.one_of(st.sampled_from(KEY_EDGES), st.integers(1, 1100)), label="keys")
+    rows = data.draw(st.integers(1, 160), label="rows")
+    heads = data.draw(st.integers(1, 4), label="heads")
+    first = data.draw(st.integers(0, heads - 1), label="first head")
+    spread = data.draw(st.floats(0.1, 30.0), label="spread")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scores = (rng.standard_normal((keys, heads, rows)) * spread).astype(np.float32)
+    scores[rng.random(scores.shape) < data.draw(st.floats(0.0, 0.5), label="masked")] = -np.inf
+    scores[rng.integers(keys)] = 0.0  # every column sees a key
+    part = scores[:, first:]
+    by_row = np.ascontiguousarray(np.moveaxis(part, 0, -1))
+    assert part.max(axis=0).tobytes() == by_row.max(-1).tobytes()
+    weights = np.exp(part - by_row.max(-1))
+    by_row = np.ascontiguousarray(np.moveaxis(weights, 0, -1))
+    assert _key_sum(weights).tobytes() == by_row.sum(-1).tobytes()
+
+
 @pytest.mark.parametrize("shape", [
     {},
     {"d_model": 60, "n_heads": 4},               # d_head 15: RoPE passes its last column
@@ -372,6 +403,16 @@ def test_forward_matches_dense_reference_bitwise(monkeypatch, shape):
             tokens = np.array([cand[p] if p in subsets.get(t, ()) else state.tokens[p]
                                for p, t in zip(layout.query_positions, layout.query_tags)])
             cases.append((tokens, layout, view))
+    # full-sequence forwards under one group of 8 keys and at the edge of
+    # numpy's 128-value pairwise leaf
+    for n in (1, 5, 128, 129):
+        cases.append((rng.integers(0, 120, size=n), full_sequence_layout(n), None))
+    # a block of one query row, whose weights BLAS takes as a vector
+    state = DecodeState.new(rng.integers(0, 120, size=19), 4, 1, config.mask_token_id)
+    block = state.block_range()
+    view = cache_view(refresh_dual_cache(model, state, block)[0], block)
+    cases.append((state.tokens[block[0]:block[1]].copy(), build_block_layout(block, view.positions),
+                  view))
     assert {layout.stage for _, layout, _ in cases} == {0, 1, 2}
     split = [layout.n_queries * layout.n_keys >= SPLIT_MIN_SCORES for _, layout, _ in cases]
     assert any(split) and not all(split)
