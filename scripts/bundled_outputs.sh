@@ -35,6 +35,12 @@ for strategy in vanilla fast odb; do
         --out "$out/run_scripted_$strategy"
 done
 cli run --strategy odb --out "$out/run_toy_odb_noprofile"
+# the stage rule away from its default threshold: every speculative step at
+# stage 2, and a block that stays at stage 1 for longer
+for decoded in 1 16; do
+    cli run --strategy odb --stage2-min-decoded "$decoded" --dump-mask \
+        --out "$out/run_toy_odb_stage2_min_$decoded"
+done
 cli run --strategy odb "${scripted[@]}" --out "$out/run_scripted_odb_noprofile"
 for strategy in odb vanilla; do
     cli roofline --strategy "$strategy" "${profile[@]}" --out "$out/roofline_toy_$strategy"

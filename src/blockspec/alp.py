@@ -50,8 +50,6 @@ def scan_eos(
     if draft.n_rows != state.seq_len:
         raise RangeError("draft does not cover the current sequence")
     _, block_end = state.block_range()
-    if block_end >= state.seq_len:
-        return None
     # Only rows at or after the block end can cut.  An index array, not a
     # slice, so masked_greedy works on a copy of the draft's logits.
     rows = np.flatnonzero(draft.positions >= block_end)

@@ -20,7 +20,7 @@ from .cache import refresh_dual_cache
 from .decoder import DecodeState, RunConfig, apply_outcome, tau_leaping_step, threshold_step
 from .errors import ProgressError
 from .layout import build_block_layout, full_sequence_layout
-from .speculative import STAGE_CANDIDATES, select_candidates, spec_step
+from .speculative import spec_step
 from .trajectory import StepRecord, Trajectory
 
 
@@ -137,20 +137,16 @@ def _decode_blockwise(model, state, config, traj):
 
         prev_outcome = None
         block_step = 0
-        # every block position is masked or decoded, so one scan gives both
-        while (n_masked := state.block_masked_positions().size) > 0:
-            if is_odb and prev_outcome is not None and len(prev_outcome.rejected_top) > 0:
-                stage = 2 if state.block_size - n_masked >= config.stage2_threshold else 1
-                candidates = select_candidates(prev_outcome, STAGE_CANDIDATES[stage])
-                outcome, t_rows, c_keys = spec_step(
-                    model, state, cache, candidates, stage, config, step=block_step
+        while state.block_masked_positions().size > 0:
+            if is_odb and prev_outcome is not None and prev_outcome.rejected_top:
+                outcome, step_layout = spec_step(
+                    model, state, cache, prev_outcome, config, step=block_step
                 )
                 kind = "spec"
             else:
                 logits, _ = model.forward(state.tokens[window], layout, cache, step=block_step)
                 outcome = threshold_step(state, logits, config.accept_threshold)
-                t_rows = layout.n_queries
-                c_keys = layout.n_keys
+                step_layout = layout
                 kind = "threshold"
             # apply_outcome refuses an unmasked position, so each accepted
             # entry unmasks one token
@@ -161,8 +157,8 @@ def _decode_blockwise(model, state, config, traj):
                 traj,
                 kind=kind,
                 state=state,
-                t_tokens=t_rows,
-                c_tokens=c_keys,
+                t_tokens=step_layout.n_queries,
+                c_tokens=step_layout.n_keys,
                 epoch=epoch,
                 outcome=outcome,
             )

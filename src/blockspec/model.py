@@ -644,8 +644,11 @@ def _compile_step(entry, vocab: int, mask_id: int) -> tuple[int, np.ndarray, np.
 
     Inverting the two-level softmax with n uniform competitors:
     p = e^a / (e^a + n), so a = ln(p n / (1 - p)).  Confidence is clamped to
-    keep the argmax on the target.  The logarithm is ``math.log`` slot by
-    slot: numpy's vectorized ``log`` need not round like the C library's.
+    keep the argmax on the target.  A 2-token vocabulary leaves a target
+    other than the mask token no competitor: it holds all the non-mask
+    probability whatever its logit, so the formula counts one.  The
+    logarithm is ``math.log`` slot by slot: numpy's vectorized ``log`` need
+    not round like the C library's.
     """
     size = len(entry)
     positions = np.fromiter(entry, dtype=np.int64, count=size)
@@ -659,7 +662,7 @@ def _compile_step(entry, vocab: int, mask_id: int) -> tuple[int, np.ndarray, np.
         pairs[positions - base] = np.fromiter(flat, dtype=np.float64, count=2 * size).reshape(size, 2)
     tokens = pairs[:, 0].astype(np.int32)
     c = np.minimum(np.maximum(pairs[:, 1], _conf_floor(vocab)), 1.0 - 1e-9)
-    n = np.where(tokens == mask_id, vocab - 1, vocab - 2)
+    n = np.where(tokens == mask_id, vocab - 1, max(vocab - 2, 1))
     logs = map(math.log, (c * n / (1.0 - c)).tolist())
     peaks = np.fromiter(logs, dtype=np.float64, count=span + 1).astype(np.float32)
     return base, tokens, peaks

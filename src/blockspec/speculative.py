@@ -15,11 +15,13 @@ jumps feed the effective-NFE metric.  The singleton {c2} can join the ladder
 through its one missing candidate; {c3} and {c4} are adoption fallbacks only
 (their next ladder block misses two or more candidates).
 
-Stage 1 recomputes every block position per speculative block.  Stage 2
-(entered once enough of the block is decoded) keeps only still-masked rows
-in speculative blocks and shares the main block's decoded-row K/V with all
-of them via the attention mask, so the batched forward itself realizes the
-decoded-share strategy in exactly one model evaluation.
+A step sizes itself from the step before it: stage 1 recomputes every
+block position per speculative block on up to two candidates; stage 2,
+once ``stage2_threshold`` block tokens are decoded, speculates on up to four
+and keeps only still-masked rows in speculative blocks, sharing the main
+block's decoded-row K/V with all of them via the attention mask, so the
+batched forward itself realizes the decoded-share strategy in exactly one
+model evaluation.
 
 A step decides from [tags x masked positions] tables, with no per-block
 lists:
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,30 +54,20 @@ from .decoder import (
     threshold_decide,
 )
 from .errors import ConfigError, NoCandidatesError, RangeError, ShapeError
-from .layout import build_spec_layout, spec_decision_rows
+from .layout import AttentionLayout, build_spec_layout, spec_decision_rows
 
 # Candidates a speculative step takes at each stage.
 STAGE_CANDIDATES = {1: 2, 2: 4}
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     position: int
     token: int
     confidence: float
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Top rejected entries, confidence descending (ties by position)."""
-
-    candidates: tuple[Candidate, ...]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __getitem__(self, i: int) -> Candidate:
-        return self.candidates[i]
+# Top rejected entries, confidence descending (ties by position).
+CandidateSet = tuple[Candidate, ...]
 
 
 def select_candidates(outcome: StepOutcome, k: int) -> CandidateSet:
@@ -89,9 +82,7 @@ def select_candidates(outcome: StepOutcome, k: int) -> CandidateSet:
     if not outcome.rejected_top:
         raise NoCandidatesError("no rejected entries to speculate on")
     picked = outcome.rejected_top[: k]
-    return CandidateSet(
-        candidates=tuple(Candidate(int(p), int(t), float(c)) for p, t, c in picked)
-    )
+    return tuple(Candidate(int(p), int(t), float(c)) for p, t, c in picked)
 
 
 @functools.cache
@@ -132,7 +123,7 @@ class SpecSet:
         limit = STAGE_CANDIDATES[stage]
         if m > limit:
             raise ConfigError(f"stage {stage} allows at most {limit} candidates, got {m}")
-        return cls(stage=stage, candidates=candidate_set.candidates, blocks=_lattice(m)[0])
+        return cls(stage=stage, candidates=candidate_set, blocks=_lattice(m)[0])
 
     @property
     def n_blocks(self) -> int:
@@ -182,7 +173,7 @@ def _candidate_columns(candidates: CandidateSet, masked: np.ndarray, mask_token_
     """
     column = {p: i for i, p in enumerate(masked.tolist())}
     seen = set()
-    for j, cand in enumerate(candidates.candidates, 1):
+    for j, cand in enumerate(candidates, 1):
         if cand.position not in column:
             problem = "position is not masked"
         elif cand.position in seen:
@@ -195,7 +186,7 @@ def _candidate_columns(candidates: CandidateSet, masked: np.ndarray, mask_token_
             seen.add(cand.position)
             continue
         raise RangeError(f"candidate c{j} (position {cand.position}, token {cand.token}): {problem}")
-    return np.array([column[c.position] for c in candidates.candidates], dtype=np.int64)
+    return np.array([column[c.position] for c in candidates], dtype=np.int64)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -206,36 +197,33 @@ def spec_step(
     model,
     state: DecodeState,
     cache,
-    candidates: CandidateSet,
-    stage: int,
+    previous: StepOutcome,
     config: RunConfig,
     *,
     step: int = 0,
-) -> tuple[StepOutcome, int, int]:
-    """One batched speculative forward plus jump resolution.
+) -> tuple[StepOutcome, AttentionLayout]:
+    """One batched speculative forward plus jump resolution, sized from the
+    step before it.
 
+    The step takes stage 2 once ``config.stage2_threshold`` block tokens are
+    decoded, stage 1 before, and that stage's ``STAGE_CANDIDATES`` budget of
+    `previous`'s top rejections as its candidates (``select_candidates``).
     Counts as a single model evaluation; blocks_evaluated reports the lattice
     width.  The adopted block's candidate subset plus its own threshold
-    acceptances become the step's accepted set.  Returns (outcome, query
-    rows, context+query key count) for cost accounting.  `cache` must be
-    the active block's, else StaleCacheError.
+    acceptances become the step's accepted set.  Returns the outcome and the
+    layout of the forward, whose query and key counts are the step's cost.
+    `cache` must be the active block's, else StaleCacheError.
     """
-    if len(candidates) == 0:
-        raise NoCandidatesError("speculative step needs at least one candidate")
     block_range = state.block_range()
     start, end = block_range
     # every block position is masked or decoded, so one comparison gives both
     masked_flags = state.tokens[start:end] == state.mask_token_id
     masked_abs = masked_flags.nonzero()[0] + start
-    cand_cols = _candidate_columns(candidates, masked_abs, state.mask_token_id,
+    stage = 2 if masked_flags.size - masked_abs.size >= config.stage2_threshold else 1
+    spec_set = SpecSet.build(select_candidates(previous, STAGE_CANDIDATES[stage]), stage)
+    cand_cols = _candidate_columns(spec_set.candidates, masked_abs, state.mask_token_id,
                                    model.config.vocab_size)
-    n_decoded = masked_flags.size - masked_abs.size
-    if stage == 2 and n_decoded < config.stage2_threshold:
-        raise RangeError(
-            f"stage 2 needs >= {config.stage2_threshold} decoded tokens, have {n_decoded}"
-        )
 
-    spec_set = SpecSet.build(candidates, stage)
     view = cache_view(cache, block_range)
     if stage == 1:
         layout = view.stage1_layout(spec_set)
@@ -291,8 +279,6 @@ def spec_step(
         adopted_tag=adopted_tag,
         stage=stage,
         blocks_evaluated=1 + spec_set.n_blocks,
-        candidates=[(c.position, c.token, c.confidence) for c in spec_set.candidates],
+        candidates=list(spec_set.candidates),
     )
-    t_rows = layout.n_queries
-    c_keys = view.size + t_rows
-    return outcome, t_rows, c_keys
+    return outcome, layout

@@ -151,3 +151,13 @@ def hit_table(results, spec_set):
         return [(c.position, c.token) in accepted for c in spec_set.candidates]
 
     return np.array([row(results[tag]) for tag in range(1 + spec_set.n_blocks)], dtype=bool)
+
+
+def same_step(got, want):
+    """Whether two speculative steps' (outcome, layout) pairs agree: equal
+    outcomes, and layouts with the same rows, keys and stage."""
+    (outcome, layout), (want_outcome, want_layout) = got, want
+    return outcome == want_outcome and layout.stage == want_layout.stage and all(
+        np.array_equal(getattr(layout, name), getattr(want_layout, name))
+        for name in ("query_positions", "query_tags", "query_shared", "context_positions")
+    )

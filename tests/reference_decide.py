@@ -9,7 +9,8 @@ forms they replaced: a ``conftest.select`` copy of the view and a list-form
 ``threshold_decide`` per block, a greedy pass that divides the whole
 [rows, vocab] softmax, and one ``two_level_logits`` row at a time, with its
 logarithm taken per row.  Tests hold the program to bitwise equality with
-them.
+them.  ``spec_size`` states on its own the rule by which the program's
+``spec_step`` sizes itself from the step before it.
 """
 
 import math
@@ -21,7 +22,7 @@ from blockspec.decoder import StepOutcome
 from blockspec.errors import BlockCompleteError, NoCandidatesError, RangeError
 from blockspec.layout import build_spec_layout
 from blockspec.model import LogitsView, _conf_floor
-from blockspec.speculative import SpecSet, resolve_jump
+from blockspec.speculative import Candidate, SpecSet, resolve_jump
 
 from conftest import block_decoded_positions, hit_table, select, subset_of
 
@@ -74,13 +75,33 @@ def threshold_step(state, logits, threshold):
     return decide(select(logits, masked_pos), state.mask_token_id, threshold)
 
 
+def spec_size(state, previous, config):
+    """(candidates, stage) of the speculative step after `previous`, by the
+    paper's rule stated apart from the program: stage 2 once
+    ``stage2_threshold`` block tokens are decoded, stage 1 before; the head
+    of the previous step's rejections, up to two at stage 1 and four at
+    stage 2, are the candidates."""
+    stage = 2 if block_decoded_positions(state).size >= config.stage2_threshold else 1
+    budget = 4 if stage == 2 else 2
+    candidates = tuple(Candidate(int(p), int(t), float(c))
+                       for p, t, c in previous.rejected_top[:budget])
+    return candidates, stage
+
+
+def sized_spec_step(model, state, cache, previous, config, *, step=0):
+    """``spec_step`` sized by ``spec_size``: the program's signature."""
+    return spec_step(model, state, cache, *spec_size(state, previous, config), config, step=step)
+
+
 def spec_step(model, state, cache, candidates, stage, config, *, step=0):
+    """The speculative step on explicit candidates at an explicit stage;
+    returns (outcome, layout of the forward) like the program's."""
     if len(candidates) == 0:
         raise NoCandidatesError("speculative step needs at least one candidate")
     block_range = state.block_range()
     masked_abs = state.block_masked_positions()
     decoded_abs = block_decoded_positions(state)
-    for cand in candidates.candidates:
+    for cand in candidates:
         if cand.position not in masked_abs:
             raise RangeError(f"candidate position {cand.position} is not masked")
     if stage == 2 and decoded_abs.size < config.stage2_threshold:
@@ -126,8 +147,7 @@ def spec_step(model, state, cache, candidates, stage, config, *, step=0):
         blocks_evaluated=1 + spec_set.n_blocks,
         candidates=[(c.position, c.token, c.confidence) for c in spec_set.candidates],
     )
-    t_rows = layout.n_queries
-    return outcome, t_rows, view.size + t_rows
+    return outcome, layout
 
 
 def two_level_logits(vocab_size, mask_token_id, token, conf):
@@ -138,7 +158,7 @@ def two_level_logits(vocab_size, mask_token_id, token, conf):
     if token == mask_token_id:
         n = vocab_size - 1
     else:
-        n = vocab_size - 2
+        n = max(vocab_size - 2, 1)  # a 2-token vocabulary leaves no competitor
         row[mask_token_id] = np.float32(-1e30)
     a = math.log(c * n / (1.0 - c))
     row[token] = np.float32(a)

@@ -100,17 +100,19 @@ def test_scan_threshold_above_one_never_fires(toy_config):
 def test_scan_of_the_rows_that_can_cut_equals_the_all_rows_scan(toy_config):
     """scan_eos greedy-decodes only rows at or after the block end; on random
     drafts with EOS planted before, at and after it, the cut equals the one
-    an all-rows scan finds, and the draft is left as it was."""
+    an all-rows scan finds, and the draft is left as it was.  The last block
+    leaves no row to scan, and the scan finds nothing there."""
     eos, mask = toy_config.eos_token_id, toy_config.mask_token_id
     rng = np.random.default_rng(5)
     for _ in range(60):
         state = fresh_state(toy_config, prompt_len=int(rng.integers(1, 12)),
                             gen_length=128, block_size=16)
-        state.active_block = int(rng.integers(0, 7))
+        state.active_block = int(rng.integers(0, state.n_blocks))
         _, block_end = state.block_range()
         logits = rng.standard_normal((state.seq_len, toy_config.vocab_size)).astype(np.float32)
         for pos in block_end + rng.integers(-3, 8, size=int(rng.integers(1, 4))):
-            logits[pos, eos] = rng.uniform(2.0, 14.0)
+            if pos < state.seq_len:
+                logits[pos, eos] = rng.uniform(2.0, 14.0)
         draft = LogitsView(logits, np.arange(state.seq_len), np.zeros(state.seq_len))
         before = draft.logits.copy()
         threshold = float(rng.uniform(0.3, 0.99))

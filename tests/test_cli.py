@@ -717,6 +717,28 @@ def test_gen_tasks_rejects_a_vocab_without_ordinary_tokens(workdir, capsys):
     assert not tasks_out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
+def test_a_scripted_run_over_a_2_token_vocab_accepts_with_certainty(tmp_path, strategy):
+    """The one token other than the mask has no competitor, so every
+    accepted confidence is 1.0."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"vocab_size": 2, "d_model": 8, "n_layers": 1, "n_heads": 2,
+                                 "d_ff": 8, "mask_token_id": 0, "eos_token_id": 1, "seed": 1}))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"0": {"positions": {"3": [1, 0.5]}}}))
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps({"id": "t", "prompt_tokens": [1, 1, 1]}) + "\n")
+    out = tmp_path / "out"
+    code = main(["run", "--model-config", str(model), "--tasks", str(tasks),
+                 "--scripted", str(schedule), "--gen-length", "4", "--block-size", "4",
+                 "--strategy", strategy, "--out", str(out)])
+    assert code == 0
+    traj = json.loads((out / "trajectory_t.json").read_text())
+    accepted = [entry for step in traj["steps"] for entry in step["accepted"]]
+    assert sorted(pos for pos, _, _ in accepted) == [3, 4, 5, 6]
+    assert all(conf == 1.0 for _, _, conf in accepted)
+
+
 def test_scripted_alp_compare_consistency(workdir):
     """The compare table's odb/fast column is the ratio of the two runs'
     modeled totals, bit for bit (cross-module consistency on the ALP

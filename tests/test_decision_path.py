@@ -10,11 +10,11 @@ import blockspec.engine
 import reference_decide
 from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
 from blockspec.cache import refresh_dual_cache
-from blockspec.decoder import decision_entries, masked_greedy, threshold_decide
+from blockspec.decoder import StepOutcome, decision_entries, masked_greedy, threshold_decide
 from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
-from blockspec.speculative import Candidate, CandidateSet, spec_step
+from blockspec.speculative import spec_step
 
-from conftest import TOY, copy_state, random_state, rising_schedule
+from conftest import TOY, copy_state, random_state, rising_schedule, same_step
 
 
 @pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
@@ -36,11 +36,12 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         seen["threshold"] += 1
         return got
 
-    def checked_spec(model, state, cache, candidates, stage, config, *, step=0):
+    def checked_spec(model, state, cache, previous, config, *, step=0):
         before = copy_state(state)
-        got = real_spec(model, state, cache, candidates, stage, config, step=step)
+        got = real_spec(model, state, cache, previous, config, step=step)
+        candidates, stage = reference_decide.spec_size(before, previous, config)
         want = reference_decide.spec_step(model, before, cache, candidates, stage, config, step=step)
-        assert got == want
+        assert same_step(got, want)
         seen["stages"].add(stage)
         return got
 
@@ -97,18 +98,24 @@ def test_spec_step_matches_reference_on_random_blocks(toy_model, toy_config, kin
     # accept candidates and the jump walk leaves the main block
     predicted, _ = masked_greedy(draft, toy_config.mask_token_id)
     positions = rng.choice(state.block_masked_positions(), size=m, replace=False).tolist()
-    cset = CandidateSet(tuple(
-        Candidate(p, int(predicted[p]) if rng.random() < 0.8 else int(rng.choice(ordinary)),
-                  data.draw(st.floats(0.0, 1.0), label="confidence"))
+    # the previous step's rejections are the m candidates, in drawn order
+    previous = StepOutcome(accepted=[], rejected_top=[
+        (p, int(predicted[p]) if rng.random() < 0.8 else int(rng.choice(ordinary)),
+         data.draw(st.floats(0.0, 1.0), label="confidence"))
         for p in positions
-    ))
+    ])
     threshold = data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="threshold")
+    # a stage-2 threshold that puts n_decoded on the drawn stage's side
+    stage2_min = (data.draw(st.integers(1, n_decoded), label="stage2_min_decoded")
+                  if stage == 2 else n_decoded + 1)
     config = RunConfig("odb", 2 * block_size, block_size, accept_threshold=threshold,
-                       stage2_min_decoded=1)
+                       stage2_min_decoded=stage2_min)
+    candidates, sized = reference_decide.spec_size(state, previous, config)
+    assert sized == stage and candidates == tuple(previous.rejected_top)
 
-    got = spec_step(model, state, cache, cset, stage, config)
-    want = reference_decide.spec_step(model, state, cache, cset, stage, config)
-    assert got == want
+    got = spec_step(model, state, cache, previous, config)
+    want = reference_decide.spec_step(model, state, cache, candidates, stage, config)
+    assert same_step(got, want)
 
 
 _TIE_VALUES = [-3.0, 0.0, 0.5, 2.0, 7.25]
@@ -153,7 +160,7 @@ def test_masked_greedy_confidence_is_full_softmax_at_argmax(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_scripted_forward_equals_stacked_two_level_rows(data):
-    vocab = data.draw(st.integers(3, 200))
+    vocab = data.draw(st.integers(2, 200))
     mask_id = data.draw(st.integers(0, vocab - 1))
     floor = _conf_floor(vocab)
     conf = st.one_of(

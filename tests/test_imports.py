@@ -85,3 +85,16 @@ def test_only_errors_parses_json():
         if _parses_json(node)
     ]
     assert offenders == []
+
+
+def test_the_stage_rule_is_stated_in_spec_step_alone():
+    """The decode loop hands a speculative step the step before it; the
+    stage and the candidate budget are spec_step's to choose."""
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(MODULES["engine"])
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    imported = {alias.name for node in ast.walk(MODULES["engine"])
+                if isinstance(node, ast.ImportFrom) and node.module == "speculative"
+                for alias in node.names}
+    assert imported == {"spec_step"}
+    assert not names & {"STAGE_CANDIDATES", "stage2_threshold", "select_candidates"}

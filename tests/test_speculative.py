@@ -31,13 +31,18 @@ from blockspec.speculative import (
     spec_step,
 )
 
-from conftest import block_decoded_positions, hit_table, random_state, subset_of
+from conftest import block_decoded_positions, hit_table, random_state, same_step, subset_of
 
 
 def cands(n, base_pos=100):
     return CandidateSet(tuple(
         Candidate(base_pos + i, 10 + i, 0.9 - 0.1 * i) for i in range(n)
     ))
+
+
+def rejecting(candidates):
+    """A previous step whose rejections, in order, are `candidates`."""
+    return StepOutcome(accepted=[], rejected_top=list(candidates))
 
 
 def outcome_accepting(spec_set, ordinals):
@@ -323,16 +328,13 @@ def test_spec_step_stage1_row_count(toy_config):
                          block_size=32, n_decoded=2)
     cache, _ = refresh_dual_cache(model, state, state.block_range())
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
-    cset = cands(2, base_pos=int(state.block_masked_positions()[0]))
     cset = CandidateSet(tuple(
         Candidate(int(p), 11, 0.5) for p in state.block_masked_positions()[:2]
     ))
-    outcome, t_rows, c_keys = spec_step(
-        model, state, cache, cset, 1, config
-    )
-    assert t_rows == 128
+    outcome, layout = spec_step(model, state, cache, rejecting(cset), config)
+    assert layout.n_queries == 128
     assert outcome.blocks_evaluated == 4
-    assert c_keys == cache.size + 128
+    assert layout.n_keys == cache.size + 128
 
 
 def test_spec_step_stage2_row_count(toy_config):
@@ -347,13 +349,40 @@ def test_spec_step_stage2_row_count(toy_config):
     cset = CandidateSet(tuple(
         Candidate(int(p), 11, 0.5) for p in state.block_masked_positions()[:4]
     ))
-    outcome, t_rows, _ = spec_step(model, state, cache, cset, 2, config)
-    assert t_rows == 32 + 7 * 20
+    outcome, layout = spec_step(model, state, cache, rejecting(cset), config)
+    assert layout.n_queries == 32 + 7 * 20
     assert outcome.blocks_evaluated == 8
     assert outcome.stage == 2
 
 
-@pytest.mark.parametrize("step", [spec_step, reference_decide.spec_step],
+@pytest.mark.parametrize("below", [True, False], ids=["threshold-1", "threshold"])
+@pytest.mark.parametrize("stage2_min_decoded", [None, 1, 20], ids=["default", "1", "20"])
+def test_spec_step_takes_stage_2_at_the_threshold(toy_config, stage2_min_decoded, below):
+    """One decoded block token short of ``stage2_threshold`` a step is stage
+    1 on two of five rejections; at the threshold it is stage 2 on four,
+    with the rows of that lattice, as the reference's rule says."""
+    model = _below_threshold_model(toy_config, range(12, 76))
+    config = RunConfig(strategy="odb", gen_length=64, block_size=32,
+                       stage2_min_decoded=stage2_min_decoded)
+    n_decoded = config.stage2_threshold - below
+    state = random_state(np.random.default_rng(n_decoded), toy_config, prompt_len=12,
+                         gen_length=64, block_size=32, n_decoded=n_decoded)
+    cache, _ = refresh_dual_cache(model, state, state.block_range())
+    previous = rejecting((int(p), 11, 0.5) for p in state.block_masked_positions()[:5])
+
+    outcome, layout = spec_step(model, state, cache, previous, config)
+    candidates, stage = reference_decide.spec_size(state, previous, config)
+    assert stage == (1 if below else 2)
+    assert outcome.stage == layout.stage == stage
+    assert outcome.candidates == list(candidates) and len(candidates) == (2 if below else 4)
+    n_blocks = 3 if below else 7
+    assert outcome.blocks_evaluated == 1 + n_blocks
+    assert layout.n_queries == 32 + n_blocks * (32 if below else 32 - n_decoded)
+    assert same_step((outcome, layout), reference_decide.spec_step(
+        model, state, cache, candidates, stage, config))
+
+
+@pytest.mark.parametrize("step", [spec_step, reference_decide.sized_spec_step],
                          ids=["program", "reference"])
 def test_spec_step_refuses_a_cache_refreshed_for_another_block(toy_config, step):
     """Block 1's stage-1 step over a cache refreshed for block 0 is refused."""
@@ -369,7 +398,7 @@ def test_spec_step_refuses_a_cache_refreshed_for_another_block(toy_config, step)
         Candidate(int(p), 11, 0.5) for p in state.block_masked_positions()[:2]
     ))
     with pytest.raises(StaleCacheError, match=r"refreshed for block \(12, 44\)"):
-        step(model, state, cache, cset, 1, config)
+        step(model, state, cache, rejecting(cset), config)
 
 
 def test_single_candidate_degenerates_to_verified_threshold(toy_config):
@@ -391,9 +420,9 @@ def test_single_candidate_degenerates_to_verified_threshold(toy_config):
     best = max(masked, key=lambda p: (entry[int(p)][1], -p))
     cset = CandidateSet((Candidate(int(best), entry[int(best)][0],
                                    entry[int(best)][1]),))
-    outcome, t_rows, _ = spec_step(model, state, cache, cset, 1, config)
+    outcome, layout = spec_step(model, state, cache, rejecting(cset), config)
     assert outcome.blocks_evaluated == 2
-    assert t_rows == 64
+    assert layout.n_queries == 64
     assert outcome.jump_count == 1
     accepted_pos = [p for p, _, _ in outcome.accepted]
     assert int(best) in accepted_pos
@@ -403,8 +432,9 @@ def test_single_candidate_degenerates_to_verified_threshold(toy_config):
 # --- the forward's rows and the stage-1 layouts ---------------------------------
 
 def _spec_inputs(toy_config, stage, seed=4):
-    """A scripted model, a block-0 state with room for `stage`, its cache and
-    a full candidate set of masked positions."""
+    """A scripted model, a block-0 state decoded far enough for `stage`
+    under the default threshold, its cache and a full candidate set of
+    masked positions."""
     model = _below_threshold_model(toy_config, range(12, 76))
     rng = np.random.default_rng(seed)
     state = random_state(rng, toy_config, prompt_len=12, gen_length=64,
@@ -430,9 +460,10 @@ def _rewrap_rows(model, change):
 def test_spec_step_accepts_equal_but_distinct_row_arrays(toy_config, stage):
     model, state, cache, cset = _spec_inputs(toy_config, stage)
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
-    want = spec_step(model, state, cache, cset, stage, config)
+    want = spec_step(model, state, cache, rejecting(cset), config)
+    assert want[0].stage == stage
     _rewrap_rows(model, lambda logits, positions, tags: (logits, positions.copy(), tags.copy()))
-    assert spec_step(model, state, cache, cset, stage, config) == want
+    assert same_step(spec_step(model, state, cache, rejecting(cset), config), want)
 
 
 def _reversed_rows(logits, positions, tags):
@@ -453,7 +484,7 @@ def test_spec_step_refuses_rows_out_of_layout_order(toy_config, stage, change):
     _rewrap_rows(model, change)
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
     with pytest.raises(ShapeError, match="forward rows differ"):
-        spec_step(model, state, cache, cset, stage, config)
+        spec_step(model, state, cache, rejecting(cset), config)
 
 
 @pytest.fixture
@@ -489,7 +520,7 @@ def test_stage1_layouts_are_built_once_per_width_per_block_cycle(toy_config, spe
 
 def test_a_truncated_cache_builds_its_own_stage1_layouts(toy_config, spec_layout_builds):
     _, _, cache, cset = _spec_inputs(toy_config, 1)
-    wide, narrow = SpecSet.build(cset, 1), SpecSet.build(CandidateSet(cset.candidates[:1]), 1)
+    wide, narrow = SpecSet.build(cset, 1), SpecSet.build(cset[:1], 1)
     layout = cache.stage1_layout(wide)
     assert cache.stage1_layout(wide) is layout
     assert cache.stage1_layout(narrow).n_queries == 2 * 32
@@ -585,5 +616,5 @@ def test_spec_step_refuses_a_malformed_candidate_before_the_forward(toy_config, 
     model.forward = lambda *args, **kwargs: calls.append(args)
     config = RunConfig(strategy="odb", gen_length=64, block_size=32)
     with pytest.raises(RangeError, match=match):
-        spec_step(model, state, cache, CandidateSet(broken), 1, config)
+        spec_step(model, state, cache, rejecting(broken), config)
     assert not calls
