@@ -22,9 +22,11 @@ mkdir -p "$out"
 out=$(cd "$out" && pwd)
 
 cfg="$tree/configs"
+blockspec() {
+    PYTHONPATH="$tree/src" python3 -m blockspec.cli "$@" --model-config "$cfg/toy_model.json"
+}
 cli() {
-    PYTHONPATH="$tree/src" python3 -m blockspec.cli "$@" \
-        --model-config "$cfg/toy_model.json" --tasks "$cfg/tasks_demo.jsonl"
+    blockspec "$@" --tasks "$cfg/tasks_demo.jsonl"
 }
 profile=(--profile "$cfg/profile_a100.json")
 scripted=(--scripted "$cfg/schedule_eos87.json")
@@ -57,3 +59,10 @@ cli run "${baseline[@]}" "${scripted[@]}" --out "$out/run_scripted_llada_baselin
 echo '{"block_size": 16, "accept_threshold": 0.8, "truncate_threshold": 0.85}' > "$out/run_config.json"
 cli run --strategy odb "${scripted[@]}" --run-config "$out/run_config.json" \
     --out "$out/run_scripted_odb_document"
+# seeded synthetic tasks and their scripted schedule, then a run over both
+gen=(--count 4 --prompt-len 12 --seed 9 --gen-length 64 --eos-offset 40)
+blockspec gen-tasks "${gen[@]}" --out "$out/gen_tasks/tasks.jsonl" \
+    --schedule-out "$out/gen_tasks/schedule.json"
+blockspec run --strategy odb --tasks "$out/gen_tasks/tasks.jsonl" \
+    --scripted "$out/gen_tasks/schedule.json" --gen-length 64 --block-size 16 \
+    --out "$out/run_gen_tasks_odb"

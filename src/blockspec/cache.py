@@ -41,10 +41,6 @@ class DualCache:
         if len(self.keys) != len(self.values):
             raise ShapeError("key/value layer counts differ")
 
-    @property
-    def size(self) -> int:
-        return int(self.positions.shape[0])
-
     def nbytes(self) -> int:
         return sum(k.nbytes + v.nbytes for k, v in zip(self.keys, self.values))
 

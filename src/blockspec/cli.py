@@ -30,7 +30,7 @@ from .errors import (ConfigError, ProgressError, RangeError, ShapeError, field_k
 from .layout import build_block_layout, build_spec_layout
 from .metrics import HardwareProfile, phase_summary, roofline_rows, trajectory_metrics
 from .model import MAX_POSITION, ModelConfig, ScriptedModel, ScriptedSchedule, ToyModel
-from .speculative import STAGE_CANDIDATES, Candidate, CandidateSet, SpecSet
+from .speculative import Candidate, CandidateSet, SpecSet, spec_stage
 from .trajectory import encode_json
 
 EXIT_OK = 0
@@ -205,12 +205,11 @@ def _mask_rows(layout) -> list[dict]:
 
 
 def _dump_masks(out_dir: Path, config: RunConfig) -> None:
-    """Write representative dense masks (block, stage-1, stage-2 layouts).
+    """Write representative dense masks (block layout, one per stage).
 
-    Stage 2 starts with the block's first `stage2_threshold` positions
-    decoded; each stage takes up to its ``STAGE_CANDIDATES`` budget of
-    candidates from the block's other positions, and a stage left with none
-    is skipped.
+    Each stage is dumped at the first decoded count for which ``spec_stage``
+    gives it, with that many leading block positions decoded and its budget
+    of candidates from the positions after them.
     """
     masks = out_dir / "masks"
     masks.mkdir(exist_ok=True)
@@ -218,13 +217,14 @@ def _dump_masks(out_dir: Path, config: RunConfig) -> None:
     start, end = bs, 2 * bs  # pretend prompt of one block
     ctx = [p for p in range(3 * bs) if not (start <= p < end)]
     _write_csv(masks / "mask_block.csv", _mask_rows(build_block_layout((start, end), ctx)))
-    for stage, n_decoded in ((1, 0), (2, config.stage2_threshold)):
-        free = range(start + n_decoded, end)[: STAGE_CANDIDATES[stage]]
-        if not free:
-            continue
+    first = {}  # stage -> (decoded count, budget) where spec_stage first gives it
+    for n_decoded in range(bs):
+        stage, budget = spec_stage(n_decoded, config)
+        first.setdefault(stage, (n_decoded, budget))
+    for stage, (n_decoded, budget) in first.items():
+        free = range(start + n_decoded, end)[:budget]
         spec = SpecSet.build(CandidateSet(tuple(Candidate(p, 1, 0.5) for p in free)), stage)
-        decoded = range(start, start + n_decoded)
-        layout = build_spec_layout((start, end), spec, decoded, ctx)
+        layout = build_spec_layout((start, end), spec, range(start, start + n_decoded), ctx)
         _write_csv(masks / f"mask_spec_stage{stage}.csv", _mask_rows(layout))
 
 

@@ -86,9 +86,9 @@ class DecodeState:
     @classmethod
     def new(cls, prompt_tokens, gen_length: int, block_size: int, mask_token_id: int,
             vocab_size: int | None = None) -> "DecodeState":
-        """Prompt then `gen_length` mask tokens.  Every prompt token must lie
-        in [0, vocab_size) when `vocab_size` is given, and none may be the
-        mask token."""
+        """Prompt then `gen_length` mask tokens, at most ``MAX_POSITION`` in
+        all.  Every prompt token must lie in [0, vocab_size) when
+        `vocab_size` is given, and none may be the mask token."""
         if vocab_size is not None:
             # object dtype keeps each Python int exact: mixed with a token
             # past int64, ravel would read the list as float64
@@ -107,6 +107,9 @@ class DecodeState:
             )
         if gen_length % block_size != 0 or gen_length < 1:
             raise ConfigError("gen_length must be a positive multiple of block_size")
+        if prompt.size + gen_length > MAX_POSITION:
+            raise ConfigError(f"{prompt.size} prompt_tokens and gen_length {gen_length} "
+                              f"need more than {MAX_POSITION} positions")
         tokens = np.concatenate(
             [prompt, np.full(gen_length, mask_token_id, dtype=np.int64)]
         )
@@ -141,14 +144,11 @@ class DecodeState:
         start = self.prompt_len + b * self.block_size
         return start, start + self.block_size
 
-    # The decode loop calls this every step, so it compares only the
-    # block's slice of the tokens, never the whole sequence.
+    # Every threshold step calls this, so it compares only the block's
+    # slice of the tokens, never the whole sequence.
     def block_masked_positions(self) -> np.ndarray:
         start, end = self.block_range()
         return (self.tokens[start:end] == self.mask_token_id).nonzero()[0] + start
-
-    def masked_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.masked)
 
     def check_invariants(self) -> None:
         if np.any(self.masked[: self.prompt_len]):
@@ -168,10 +168,10 @@ class StepOutcome:
     candidates: list = field(default_factory=list)
 
 
-def masked_greedy(view: LogitsView, mask_token_id: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def masked_greedy(view: LogitsView, mask_token_id: int, rows) -> tuple[np.ndarray, np.ndarray]:
     """Greedy (tokens, confidences) of the `rows` of `view`, an index array
-    or list, all rows by default, with the mask token removed from the
-    distribution, so committed tokens always unmask.
+    or list, with the mask token removed from the distribution, so
+    committed tokens always unmask.
 
     The row maximum is read at the argmax rather than reduced again; it can
     differ from ``max`` only in the sign of a zero, which no shifted logit's
@@ -180,7 +180,7 @@ def masked_greedy(view: LogitsView, mask_token_id: int, rows=None) -> tuple[np.n
     ``1 / sum(exp(shifted))``: bitwise the value the full [rows, vocab]
     softmax holds there, without dividing it.
     """
-    logits = view.logits.copy() if rows is None else view.logits.take(rows, axis=0)
+    logits = view.logits.take(rows, axis=0)
     logits[:, mask_token_id] = -np.inf
     tokens = logits.argmax(axis=1)
     logits -= logits[np.arange(len(logits)), tokens][:, None]
@@ -269,7 +269,7 @@ def tau_leaping_step(state: DecodeState, logits: LogitsView, t: float, s: float,
     """
     if not (0.0 <= s < t <= 1.0):
         raise RangeError(f"need 0 <= s < t <= 1, got s={s} t={t}")
-    masked_pos = state.masked_positions()
+    masked_pos = np.flatnonzero(state.masked)
     rows = logits.logits[logits.rows(masked_pos)]
     stay = rng.random(masked_pos.size) < (s / t)
     probs = softmax(rows, axis=1).astype(np.float64)

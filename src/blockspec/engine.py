@@ -135,10 +135,11 @@ def _decode_blockwise(model, state, config, traj):
             layout = full_sequence_layout(state.seq_len)
             window = slice(None)
 
+        # after each step its rejections are the block's still-masked positions
         prev_outcome = None
         block_step = 0
-        while state.block_masked_positions().size > 0:
-            if is_odb and prev_outcome is not None and prev_outcome.rejected_top:
+        while prev_outcome is None or prev_outcome.rejected_top:
+            if is_odb and prev_outcome is not None:
                 outcome, step_layout = spec_step(
                     model, state, cache, prev_outcome, config, step=block_step
                 )

@@ -121,11 +121,7 @@ def build_spec_layout(
     if not spec_set.blocks:
         raise RangeError("speculative set is empty")
     stage = spec_set.stage
-    if stage not in (1, 2):
-        raise RangeError(f"stage must be 1 or 2, got {stage}")
     decoded = np.asarray(decoded_positions, dtype=np.int64)
-    if stage == 2 and not decoded.size:
-        raise RangeError("stage 2 requires decoded positions")
     if ((decoded < start) | (decoded >= end)).any():
         raise RangeError("decoded positions outside block")
 

@@ -383,7 +383,9 @@ class ToyModel:
     outermost ([keys, heads, rows]), and runs the masked softmax there
     without a transposed copy.  Each column's sum over its keys reproduces
     numpy's pairwise order over a contiguous row (``_key_sum``), so the
-    weights equal a row-major softmax's bit for bit.
+    weights equal a row-major softmax's bit for bit.  At d_head >= 2 the
+    forward equals the straightforward dense one bit for bit; at d_head 1,
+    V·P is a matrix-vector product that BLAS rounds by the weights' layout.
 
     A forward with at least ``SPLIT_MIN_SCORES`` score entries per head and
     two or more heads, in a process that may use two or more CPUs, runs

@@ -15,13 +15,13 @@ jumps feed the effective-NFE metric.  The singleton {c2} can join the ladder
 through its one missing candidate; {c3} and {c4} are adoption fallbacks only
 (their next ladder block misses two or more candidates).
 
-A step sizes itself from the step before it: stage 1 recomputes every
-block position per speculative block on up to two candidates; stage 2,
-once ``stage2_threshold`` block tokens are decoded, speculates on up to four
-and keeps only still-masked rows in speculative blocks, sharing the main
-block's decoded-row K/V with all of them via the attention mask, so the
-batched forward itself realizes the decoded-share strategy in exactly one
-model evaluation.
+A step sizes itself from the step before it, by ``spec_stage`` alone:
+stage 1 recomputes every block position per speculative block on up to two
+candidates; stage 2, once ``stage2_threshold`` block tokens are decoded,
+speculates on up to four and keeps only still-masked rows in speculative
+blocks, sharing the main block's decoded-row K/V with all of them via the
+attention mask, so the batched forward itself realizes the decoded-share
+strategy in exactly one model evaluation.
 
 A step decides from [tags x masked positions] tables, with no per-block
 lists:
@@ -60,6 +60,14 @@ from .layout import AttentionLayout, build_spec_layout, spec_decision_rows
 STAGE_CANDIDATES = {1: 2, 2: 4}
 
 
+def spec_stage(n_decoded: int, config: RunConfig) -> tuple[int, int]:
+    """(stage, candidate budget) of a speculative step over a block with
+    `n_decoded` decoded tokens: the one statement of the sizing rule, which
+    ``spec_step`` and the CLI's mask dump follow."""
+    stage = 2 if n_decoded >= config.stage2_threshold else 1
+    return stage, STAGE_CANDIDATES[stage]
+
+
 class Candidate(NamedTuple):
     position: int
     token: int
@@ -76,13 +84,11 @@ def select_candidates(outcome: StepOutcome, k: int) -> CandidateSet:
     rejected_top is already confidence-sorted with position tiebreaks, so the
     head of the list is the candidate order c1..ck.
     """
-    if k not in STAGE_CANDIDATES.values():
-        budgets = " or ".join(map(str, STAGE_CANDIDATES.values()))
-        raise ConfigError(f"candidate budget must be {budgets}, got {k}")
+    if k < 1:
+        raise ConfigError(f"candidate budget must be positive, got {k}")
     if not outcome.rejected_top:
         raise NoCandidatesError("no rejected entries to speculate on")
-    picked = outcome.rejected_top[: k]
-    return tuple(Candidate(int(p), int(t), float(c)) for p, t, c in picked)
+    return tuple(Candidate(int(p), int(t), float(c)) for p, t, c in outcome.rejected_top[:k])
 
 
 @functools.cache
@@ -104,9 +110,9 @@ class SpecSet:
 
     ``blocks`` lists (tag, subset) with subsets as 1-based candidate ordinals:
     {c1} is tag 1, then for each further candidate cj the singleton {cj} is
-    tag 2j-2 and the prefix {c1..cj} is tag 2j-1.  Two candidates give the
-    3-block stage-1 lattice; four give the 7-block stage-2 lattice.  The main
-    block (empty subset, tag 0) is implicit.
+    tag 2j-2 and the prefix {c1..cj} is tag 2j-1; the stage sets only the
+    rows a block holds (``build_spec_layout``).  The main block (empty
+    subset, tag 0) is implicit.
     """
 
     stage: int
@@ -115,15 +121,11 @@ class SpecSet:
 
     @classmethod
     def build(cls, candidate_set: CandidateSet, stage: int) -> "SpecSet":
-        m = len(candidate_set)
-        if m == 0:
+        if not candidate_set:
             raise NoCandidatesError("cannot build a speculative set without candidates")
-        if stage not in STAGE_CANDIDATES:
-            raise RangeError(f"stage must be one of {sorted(STAGE_CANDIDATES)}, got {stage}")
-        limit = STAGE_CANDIDATES[stage]
-        if m > limit:
-            raise ConfigError(f"stage {stage} allows at most {limit} candidates, got {m}")
-        return cls(stage=stage, candidates=candidate_set, blocks=_lattice(m)[0])
+        if stage not in (1, 2):
+            raise RangeError(f"stage must be 1 or 2, got {stage}")
+        return cls(stage=stage, candidates=candidate_set, blocks=_lattice(len(candidate_set))[0])
 
     @property
     def n_blocks(self) -> int:
@@ -205,13 +207,12 @@ def spec_step(
     """One batched speculative forward plus jump resolution, sized from the
     step before it.
 
-    The step takes stage 2 once ``config.stage2_threshold`` block tokens are
-    decoded, stage 1 before, and that stage's ``STAGE_CANDIDATES`` budget of
-    `previous`'s top rejections as its candidates (``select_candidates``).
-    Counts as a single model evaluation; blocks_evaluated reports the lattice
-    width.  The adopted block's candidate subset plus its own threshold
-    acceptances become the step's accepted set.  Returns the outcome and the
-    layout of the forward, whose query and key counts are the step's cost.
+    ``spec_stage`` gives the stage and the budget of `previous`'s top
+    rejections taken as candidates.  Counts as a single model evaluation;
+    blocks_evaluated reports the lattice width.  The adopted block's
+    candidate subset plus its own threshold acceptances become the step's
+    accepted set.  Returns the outcome and the layout of the forward, whose
+    query and key counts are the step's cost.
     `cache` must be the active block's, else StaleCacheError.
     """
     block_range = state.block_range()
@@ -219,8 +220,8 @@ def spec_step(
     # every block position is masked or decoded, so one comparison gives both
     masked_flags = state.tokens[start:end] == state.mask_token_id
     masked_abs = masked_flags.nonzero()[0] + start
-    stage = 2 if masked_flags.size - masked_abs.size >= config.stage2_threshold else 1
-    spec_set = SpecSet.build(select_candidates(previous, STAGE_CANDIDATES[stage]), stage)
+    stage, budget = spec_stage(masked_flags.size - masked_abs.size, config)
+    spec_set = SpecSet.build(select_candidates(previous, budget), stage)
     cand_cols = _candidate_columns(spec_set.candidates, masked_abs, state.mask_token_id,
                                    model.config.vocab_size)
 

@@ -94,7 +94,7 @@ def n_prefix(cache):
 
 def n_suffix(cache):
     """Cached entries at or after the active block's end."""
-    return cache.size - n_prefix(cache)
+    return len(cache.positions) - n_prefix(cache)
 
 
 def rel_err(a, b):

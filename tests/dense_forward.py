@@ -6,7 +6,9 @@ module keeps the straightforward form it replaced: separate Wq/Wk/Wv
 products, einsum scores, an ``np.where`` mask over every layout, and an
 allocating softmax, layer norm, RoPE and GELU.  Both perform the same
 float32 operations in the same order, so tests hold the fast path to
-bitwise equality with this one.
+bitwise equality with this one at d_head >= 2.  At d_head 1, V·P is a
+matrix-vector product whose BLAS rounding follows the weights' layout, and
+the two round apart; tests hold them within a measured bound there.
 """
 
 import math

@@ -22,8 +22,6 @@ def spec_layout_fields(block_range, spec_set, stage, decoded_positions, context_
     if stage not in (1, 2):
         raise RangeError(f"stage must be 1 or 2, got {stage}")
     decoded = sorted(int(p) for p in decoded_positions)
-    if stage == 2 and not decoded:
-        raise RangeError("stage 2 requires decoded positions")
     if any(not (start <= p < end) for p in decoded):
         raise RangeError("decoded positions outside block")
     decoded_set = frozenset(decoded)

@@ -60,7 +60,7 @@ def _spec_tokens(state, layout, spec_set):
 def _acceptance_sets(view, rows, positions, mask_token_id, threshold):
     sub = LogitsView(view.logits[rows], np.asarray(positions, dtype=np.int64),
                      np.zeros(len(rows), dtype=np.int64))
-    toks, confs = masked_greedy(sub, mask_token_id)
+    toks, confs = masked_greedy(sub, mask_token_id, np.arange(len(rows)))
     entries = [(int(p), int(t), float(c)) for p, t, c in zip(positions, toks, confs)]
     accepted, _ = threshold_decide(entries, threshold)
     return {(p, t) for p, t, _ in accepted}
@@ -267,7 +267,7 @@ def test_criterion_5_reverse_transition_sampler(toy_config):
         np.concatenate([np.zeros((1, 128), dtype=np.float32), view2.logits]),
         np.arange(1001), np.zeros(1001, dtype=np.int64),
     )
-    apply_outcome(partial, tau_leaping_step(partial, select(full_view, partial.masked_positions()),
+    apply_outcome(partial, tau_leaping_step(partial, select(full_view, np.flatnonzero(partial.masked)),
                                             0.25, 0.1, np.random.default_rng(8)))
     assert np.array_equal(partial.tokens[fixed], before[fixed])
     print(f"\n[criterion 5] PASS - reverse transition sampler: unmask fraction "

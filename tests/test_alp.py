@@ -117,7 +117,7 @@ def test_scan_of_the_rows_that_can_cut_equals_the_all_rows_scan(toy_config):
         before = draft.logits.copy()
         threshold = float(rng.uniform(0.3, 0.99))
 
-        tokens, confs = masked_greedy(draft, mask)
+        tokens, confs = masked_greedy(draft, mask, np.arange(state.seq_len))
         hits = np.flatnonzero((draft.positions >= block_end) & (tokens == eos)
                               & (confs > threshold))
         want = (int(hits[0]) - state.prompt_len, float(confs[hits[0]])) if hits.size else None

@@ -23,7 +23,7 @@ def test_refresh_region_sizes(refreshed):
     state, cache, draft = refreshed
     assert n_prefix(cache) == 20
     assert n_suffix(cache) == 96
-    assert cache.size == 20 + 96
+    assert len(cache.positions) == 20 + 96
     assert draft.n_rows == state.seq_len
 
 
@@ -112,7 +112,7 @@ def test_cache_view_counts(refreshed, toy_model):
     with_shared = shared_view(cache, shared, state.block_range())
     assert with_shared.size == 20 + 96 + 10
     plain = cache_view(cache, state.block_range())
-    assert plain.size == 116
+    assert len(plain.positions) == 116
     assert np.array_equal(plain.positions, cache.positions)
     assert np.array_equal(with_shared.positions[-10:], shared.positions)
 
@@ -151,4 +151,4 @@ def test_truncated_cache_drops_tail(refreshed):
     assert cut.block_range == cache.block_range
     assert cache_view(cut, state.block_range()) is cut
     for k in cut.keys:
-        assert k.shape[0] == cut.size
+        assert k.shape[0] == len(cut.positions)

@@ -128,6 +128,25 @@ def test_run_rejects_prompt_tokens_outside_vocab(workdir, capsys, tokens, index,
     assert not (tmp / "out" / "trajectory_x.json").exists()
 
 
+@pytest.mark.parametrize("scripted", [False, True], ids=["toy", "scripted"])
+def test_run_rejects_a_task_past_the_last_position(workdir, capsys, scripted):
+    """A prompt and response longer than MAX_POSITION exit 2 before any
+    forward, naming both fields, under either model."""
+    tmp, model, _, _ = workdir
+    long = tmp / "long.jsonl"
+    long.write_text(json.dumps({"id": "x", "prompt_tokens": [5] * 65500}) + "\n")
+    extra = []
+    if scripted:
+        schedule = tmp / "schedule.json"
+        schedule.write_text(json.dumps({"0": {"positions": {"3": [17, 0.95]}}}))
+        extra = ["--scripted", str(schedule)]
+    code = main(["run", *base_args(model, long, tmp / "out", extra), "--strategy", "odb"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "65500 prompt_tokens and gen_length 64" in err and "long.jsonl:1" in err
+    assert not (tmp / "out" / "trajectory_x.json").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--accept-threshold", "nan"],
     ["--accept-threshold", "inf"],
@@ -550,6 +569,23 @@ def test_dump_mask_grid_is_the_layout_visibility(workdir):
         for row in rows:
             tag = row[0].split(":")[0]
             assert row[1:] == ["1" if kind in ("cache", tag) else "0" for kind, _ in keys]
+
+
+@pytest.mark.parametrize("stage,budget", [(1, 3), (2, 4)])
+def test_dump_mask_follows_spec_stage(workdir, monkeypatch, stage, budget):
+    """The dump writes the layouts the sizing rule gives: one that keeps a
+    single stage from the first decoded count dumps only that stage's grid,
+    on its budget of candidates, with no decoded (shared) row."""
+    import blockspec.cli
+
+    monkeypatch.setattr(blockspec.cli, "spec_stage", lambda n_decoded, config: (stage, budget))
+    tmp, model, _, tasks = workdir
+    out = tmp / "out_masks"
+    assert main(["run", *base_args(model, tasks, out), "--strategy", "fast", "--dump-mask"]) == 0
+    grids = {p.name: p.read_text().splitlines() for p in (out / "masks").iterdir()}
+    assert set(grids) == {"mask_block.csv", f"mask_spec_stage{stage}.csv"}
+    # a header, then the main block and 2 * budget - 1 speculative blocks of 32 rows
+    assert len(grids[f"mask_spec_stage{stage}.csv"]) == 1 + 32 * 2 * budget
 
 
 @pytest.mark.parametrize("block_size", [1, 2, 3, 4])

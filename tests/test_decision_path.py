@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import blockspec.alp
 import blockspec.engine
+import blockspec.speculative
 import reference_decide
 from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
 from blockspec.cache import refresh_dual_cache
 from blockspec.decoder import StepOutcome, decision_entries, masked_greedy, threshold_decide
 from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
-from blockspec.speculative import spec_step
+from blockspec.speculative import Candidate, spec_step
 
 from conftest import TOY, copy_state, random_state, rising_schedule, same_step
 
@@ -25,7 +26,8 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         model = ToyModel(toy_config)
     else:
         model = ScriptedModel(toy_config, rising_schedule(len(prompt), 96))
-    seen = {"threshold": 0, "greedy": 0, "stages": set()}
+    seen = {"threshold": 0, "greedy": 0, "applied": 0, "stages": set()}
+    real_apply = blockspec.engine.apply_outcome
     real_threshold = blockspec.engine.threshold_step
     real_spec = blockspec.engine.spec_step
     real_greedy = blockspec.alp.masked_greedy
@@ -45,30 +47,39 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
         seen["stages"].add(stage)
         return got
 
-    def checked_greedy(view, mask_token_id, rows=None):
+    def checked_greedy(view, mask_token_id, rows):
         got = real_greedy(view, mask_token_id, rows)
-        want = reference_decide.masked_greedy(view, mask_token_id)
-        if rows is not None:  # scan_eos passes the rows that can cut
-            want = tuple(a[rows] for a in want)
+        # scan_eos passes the rows that can cut
+        want = tuple(a[rows] for a in reference_decide.masked_greedy(view, mask_token_id))
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         seen["greedy"] += 1
         return got
 
+    def checked_apply(state, outcome):
+        real_apply(state, outcome)
+        # the decode loop ends a block cycle on a step that rejects nothing
+        rejected = sorted(p for p, _, _ in outcome.rejected_top)
+        assert rejected == state.block_masked_positions().tolist()
+        seen["applied"] += 1
+
+    monkeypatch.setattr(blockspec.engine, "apply_outcome", checked_apply)
     monkeypatch.setattr(blockspec.engine, "threshold_step", checked_threshold)
     monkeypatch.setattr(blockspec.engine, "spec_step", checked_spec)
     monkeypatch.setattr(blockspec.alp, "masked_greedy", checked_greedy)
     traj = decode(model, prompt, RunConfig(strategy, 64 if kind == "toy" else 96, 32))
     assert traj.completed and seen["threshold"] > 0
+    assert seen["applied"] == sum(step.kind != "refresh" for step in traj.steps)
     if strategy == "odb":
         assert seen["stages"] == {1, 2} and seen["greedy"] > 0
         if kind == "scripted":
             assert traj.truncations and traj.total_jumps > 0
 
 
-# (stage, candidates): both stage-1 lattices and every stage-2 one, the
-# m = 1 and m = 3 lattices being what short rejection lists produce
-_LATTICES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4)]
+# (stage, candidates): every lattice of up to four candidates at either
+# stage.  spec_stage takes two at stage 1 and four at stage 2, and short
+# rejection lists give fewer; a per-step sizing rule may take more.
+_LATTICES = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4)]
 
 
 @pytest.mark.parametrize("stage,m", _LATTICES)
@@ -96,7 +107,7 @@ def test_spec_step_matches_reference_on_random_blocks(toy_model, toy_config, kin
     cache, draft = refresh_dual_cache(model, state, state.block_range())
     # a candidate token is usually the draft's own prediction, so that blocks
     # accept candidates and the jump walk leaves the main block
-    predicted, _ = masked_greedy(draft, toy_config.mask_token_id)
+    predicted, _ = masked_greedy(draft, toy_config.mask_token_id, np.arange(state.seq_len))
     positions = rng.choice(state.block_masked_positions(), size=m, replace=False).tolist()
     # the previous step's rejections are the m candidates, in drawn order
     previous = StepOutcome(accepted=[], rejected_top=[
@@ -111,9 +122,14 @@ def test_spec_step_matches_reference_on_random_blocks(toy_model, toy_config, kin
     config = RunConfig("odb", 2 * block_size, block_size, accept_threshold=threshold,
                        stage2_min_decoded=stage2_min)
     candidates, sized = reference_decide.spec_size(state, previous, config)
-    assert sized == stage and candidates == tuple(previous.rejected_top)
+    assert sized == stage and candidates == tuple(previous.rejected_top)[:len(candidates)]
 
-    got = spec_step(model, state, cache, previous, config)
+    with pytest.MonkeyPatch.context() as patch:
+        if len(candidates) < m:
+            # a lattice wider than the stage's budget: only the sizing rule changes
+            patch.setattr(blockspec.speculative, "spec_stage", lambda n, config: (stage, m))
+            candidates = tuple(Candidate(*c) for c in previous.rejected_top)
+        got = spec_step(model, state, cache, previous, config)
     want = reference_decide.spec_step(model, state, cache, candidates, stage, config)
     assert same_step(got, want)
 
@@ -140,7 +156,7 @@ def test_masked_greedy_confidence_is_full_softmax_at_argmax(data):
         logits[:, mask_id] = logits.max() + 1.0
     view = LogitsView(logits, np.arange(n_rows), np.zeros(n_rows))
 
-    tokens, confs = masked_greedy(view, mask_id)
+    tokens, confs = masked_greedy(view, mask_id, np.arange(n_rows))
     ref_tokens, ref_confs = reference_decide.masked_greedy(view, mask_id)
     assert tokens.dtype == np.int64 and confs.dtype == np.float32
     assert tokens.tobytes() == ref_tokens.tobytes()

@@ -21,7 +21,7 @@ from blockspec import (
 from blockspec.decoder import apply_outcome, decision_entries, threshold_decide
 from blockspec.errors import from_document
 from blockspec.layout import full_sequence_layout
-from blockspec.model import scripted_forward
+from blockspec.model import MAX_POSITION, scripted_forward
 
 from conftest import block_decoded_positions, comparable_dict, random_state, rising_schedule
 
@@ -331,6 +331,15 @@ def test_decode_state_invariants(toy_config):
     state.check_invariants()
     with pytest.raises(ConfigError):
         DecodeState.new([], 32, 32, toy_config.mask_token_id)
+
+
+def test_decode_state_holds_at_most_max_position_tokens(toy_config):
+    """Every position a forward rotates or a schedule scripts lies below
+    MAX_POSITION, so the state refuses a task that reaches past it."""
+    mask = toy_config.mask_token_id
+    assert DecodeState.new([1] * (MAX_POSITION - 32), 32, 32, mask).seq_len == MAX_POSITION
+    with pytest.raises(ConfigError, match=f"{MAX_POSITION - 31} prompt_tokens and gen_length 32"):
+        DecodeState.new([1] * (MAX_POSITION - 31), 32, 32, mask)
 
 
 # --- safety checks ------------------------------------------------------------

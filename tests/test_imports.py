@@ -98,3 +98,31 @@ def test_the_stage_rule_is_stated_in_spec_step_alone():
                 for alias in node.names}
     assert imported == {"spec_step"}
     assert not names & {"STAGE_CANDIDATES", "stage2_threshold", "select_candidates"}
+
+
+def _top_level_name(stmt) -> str:
+    """The name a module-level statement defines, else ``<module>``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
+        return stmt.targets[0].id
+    return "<module>"
+
+
+def test_the_sizing_rule_is_stated_in_spec_stage_alone():
+    """The stage threshold and the per-stage budgets are read by one
+    function, so a per-step sizing rule replaces spec_stage alone; the mask
+    dump and the layout builders follow it."""
+    rule = {"STAGE_CANDIDATES", "stage2_threshold"}
+    uses = {
+        (name, _top_level_name(stmt))
+        for name, tree in MODULES.items()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if (getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)) in rule
+    }
+    assert uses == {("speculative", "STAGE_CANDIDATES"), ("speculative", "spec_stage"),
+                    ("decoder", "RunConfig")}
+    # the decode loop ends a block on its last step's rejections
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "block_masked_positions"
+                   for node in ast.walk(MODULES["engine"]))

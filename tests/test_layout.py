@@ -139,9 +139,14 @@ def test_mask_allows_bounds():
         mask_allows(layout, 99, 0)
 
 
-def test_stage2_requires_decoded_positions():
-    with pytest.raises(RangeError):
-        _spec_layout(stage=2, n_candidates=4, n_decoded=0)
+def test_stage2_without_decoded_positions_speculates_on_every_block_row():
+    """With nothing decoded, no row is shared, so a stage-2 layout holds the
+    stage-1 rows."""
+    stage2, _ = _spec_layout(stage=2, n_candidates=4, n_decoded=0)
+    stage1, _ = _spec_layout(stage=1, n_candidates=4, n_decoded=0)
+    assert stage2.stage == 2 and not stage2.query_shared.any()
+    assert stage2.query_positions.tolist() == stage1.query_positions.tolist()
+    assert stage2.query_tags.tolist() == stage1.query_tags.tolist()
 
 
 def test_full_sequence_layout_all_visible():
@@ -169,10 +174,9 @@ def _spec_inputs(draw):
     width = draw(st.integers(1, 64))
     start = draw(st.integers(0, 40))
     stage = draw(st.integers(1, 2))
-    n_candidates = draw(st.integers(1, 2 if stage == 1 else 4))
-    # unsorted, with repeats; stage 2 needs at least one decoded position
-    decoded = draw(st.lists(st.integers(start, start + width - 1), min_size=stage - 1,
-                            max_size=2 * width))
+    n_candidates = draw(st.integers(1, 4))
+    # unsorted, with repeats
+    decoded = draw(st.lists(st.integers(start, start + width - 1), max_size=2 * width))
     context = draw(st.lists(st.integers(0, 200), max_size=12))
     as_type = draw(st.sampled_from([list, tuple, np.array]))
     return (start, start + width), stage, n_candidates, decoded, as_type(context)

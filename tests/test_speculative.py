@@ -28,6 +28,7 @@ from blockspec.speculative import (
     SpecSet,
     resolve_jump,
     select_candidates,
+    spec_stage,
     spec_step,
 )
 
@@ -80,11 +81,25 @@ def test_select_candidates_tie_prefers_lower_position():
     assert cset[0].position == 5
 
 
-def test_select_candidates_requires_rejections_and_known_k():
+def test_select_candidates_requires_rejections_and_a_positive_budget():
+    """Any budget k >= 1 picks the head k rejections; the budgets a stage
+    takes are spec_stage's to choose."""
     with pytest.raises(NoCandidatesError):
         select_candidates(StepOutcome(accepted=[], rejected_top=[]), 2)
-    with pytest.raises(ConfigError):
-        select_candidates(StepOutcome(accepted=[], rejected_top=[(1, 2, 0.5)]), 3)
+    outcome = StepOutcome(accepted=[], rejected_top=[(p, 2, 0.5 - 0.1 * p) for p in range(5)])
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match=f"got {k}"):
+            select_candidates(outcome, k)
+    for k in (1, 3, 5, 6):
+        assert [c.position for c in select_candidates(outcome, k)] == list(range(min(k, 5)))
+
+
+@pytest.mark.parametrize("block_size,stage2_min_decoded", [(32, None), (32, 1), (32, 16), (4, 4), (1, 1)])
+def test_spec_stage_takes_stage_2_from_the_threshold(block_size, stage2_min_decoded):
+    config = RunConfig("odb", 2 * block_size, block_size, stage2_min_decoded=stage2_min_decoded)
+    for n_decoded in range(block_size):
+        stage = 2 if n_decoded >= config.stage2_threshold else 1
+        assert spec_stage(n_decoded, config) == (stage, STAGE_CANDIDATES[stage])
 
 
 # --- spec set lattice --------------------------------------------------------------
@@ -103,9 +118,13 @@ def test_spec_set_stage2_lattice():
     ]
 
 
-def test_spec_set_caps_by_stage():
-    with pytest.raises(ConfigError):
-        SpecSet.build(cands(3), stage=1)
+def test_spec_set_checks_the_stage_not_the_candidate_count():
+    """The lattice follows the candidate count at either stage; the stage
+    sets only the layout's rows."""
+    for m, n_blocks in ((1, 1), (3, 5), (4, 7), (5, 9)):
+        for stage in (1, 2):
+            spec = SpecSet.build(cands(m), stage=stage)
+            assert (spec.stage, spec.n_blocks) == (stage, n_blocks)
     for stage in (0, 3):
         with pytest.raises(RangeError, match=f"got {stage}"):
             SpecSet.build(cands(1), stage=stage)
@@ -334,7 +353,7 @@ def test_spec_step_stage1_row_count(toy_config):
     outcome, layout = spec_step(model, state, cache, rejecting(cset), config)
     assert layout.n_queries == 128
     assert outcome.blocks_evaluated == 4
-    assert layout.n_keys == cache.size + 128
+    assert layout.n_keys == len(cache.positions) + 128
 
 
 def test_spec_step_stage2_row_count(toy_config):
