@@ -44,9 +44,6 @@ for decoded in 1 16; do
         --out "$out/run_toy_odb_stage2_min_$decoded"
 done
 cli run --strategy odb "${scripted[@]}" --out "$out/run_scripted_odb_noprofile"
-for strategy in odb vanilla; do
-    cli roofline --strategy "$strategy" "${profile[@]}" --out "$out/roofline_toy_$strategy"
-done
 cli compare --strategies vanilla fast odb "${profile[@]}" --out "$out/compare_toy"
 cli run --strategy vanilla --tau-steps 20 --out "$out/run_toy_vanilla_tau20"
 cli run --strategy vanilla --tau-steps 7 --seed 3 "${scripted[@]}" \

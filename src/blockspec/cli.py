@@ -254,6 +254,9 @@ def cmd_run(args) -> int:
         summary["profile"] = profile.to_dict()
         _write_csv(out_dir / "metrics.csv", metrics_rows)
         _write_csv(out_dir / "roofline.csv", roofline_rows(trajectories, profile))
+        phases = {task_id: phase_summary(traj, profile) for task_id, traj in trajectories.items()}
+        _write_json(out_dir / "roofline_summary.json",
+                    {"profile": profile.to_dict(), "balance": profile.balance, "tasks": phases})
     _write_json(out_dir / "summary.json", summary)
     if args.dump_mask:
         _dump_masks(out_dir, config)
@@ -263,9 +266,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.strategies) < 2:
         raise CliError("compare needs at least two strategies", EXIT_USAGE)
-    for s in args.strategies:
-        if s not in STRATEGIES:
-            raise CliError(f"unknown strategy '{s}'", EXIT_USAGE)
     if len(set(args.strategies)) != len(args.strategies):
         raise CliError("strategies must be distinct", EXIT_USAGE)
     tasks, model, configs, profile, out_dir = _setup(args, args.strategies)
@@ -308,23 +308,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_roofline(args) -> int:
-    tasks, model, (config,), profile, out_dir = _setup(args, [args.strategy])
-
-    trajectories = {}
-    summaries = {}
-    for task in tasks:
-        traj = _decode_task(model, task, config)
-        trajectories[task.id] = traj
-        summaries[task.id] = phase_summary(traj, profile)
-    _write_csv(out_dir / "roofline.csv", roofline_rows(trajectories, profile))
-    _write_json(
-        out_dir / "roofline_summary.json",
-        {"profile": profile.to_dict(), "balance": profile.balance, "tasks": summaries},
-    )
-    return EXIT_OK
-
-
 def cmd_gen_tasks(args) -> int:
     cfg = ModelConfig.from_json(args.model_config)
     if args.count < 1:
@@ -335,6 +318,11 @@ def cmd_gen_tasks(args) -> int:
                        EXIT_PARSE)
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_PARSE)
+    if args.gen_length < 1:
+        raise CliError(f"--gen-length must be positive, got {args.gen_length}", EXIT_PARSE)
+    if args.eos_offset is not None and not 0 <= args.eos_offset < args.gen_length:
+        raise CliError(f"--eos-offset must lie in the generation window [0, {args.gen_length}), "
+                       f"got {args.eos_offset}", EXIT_PARSE)
     for flag, value in (("--eos-confidence", args.eos_confidence),
                         ("--fill-confidence", args.fill_confidence)):
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
@@ -342,8 +330,6 @@ def cmd_gen_tasks(args) -> int:
     if args.schedule_out:
         if args.eos_offset is None:
             raise CliError("--schedule-out requires --eos-offset", EXIT_USAGE)
-        if not (0 <= args.eos_offset < args.gen_length):
-            raise CliError("--eos-offset must lie inside the generation window", EXIT_USAGE)
         if args.prompt_len + args.gen_length > MAX_POSITION:
             raise CliError(f"--gen-length {args.gen_length} after --prompt-len {args.prompt_len} "
                            f"puts positions past {MAX_POSITION}", EXIT_PARSE)
@@ -416,14 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run several strategies and tabulate speedups")
     common(p_cmp, with_strategy=False)
-    p_cmp.add_argument("--strategies", nargs="+", required=True)
+    p_cmp.add_argument("--strategies", nargs="+", required=True, choices=STRATEGIES)
     p_cmp.add_argument("--profile", required=True)
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_roof = sub.add_parser("roofline", help="per-step cost records and phase summary")
-    common(p_roof)
-    p_roof.add_argument("--profile", required=True)
-    p_roof.set_defaults(func=cmd_roofline)
 
     p_gen = sub.add_parser("gen-tasks", help="generate seeded synthetic tasks (and optional schedules)")
     p_gen.add_argument("--model-config", required=True)

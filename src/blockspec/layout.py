@@ -118,8 +118,6 @@ def build_spec_layout(
     start, end = block_range
     if end <= start:
         raise RangeError(f"empty block range [{start}, {end})")
-    if not spec_set.blocks:
-        raise RangeError("speculative set is empty")
     stage = spec_set.stage
     decoded = np.asarray(decoded_positions, dtype=np.int64)
     if ((decoded < start) | (decoded >= end)).any():

@@ -7,9 +7,10 @@ import pytest
 
 from blockspec.cli import main
 from blockspec.decoder import RunConfig
+from blockspec.engine import decode
 from blockspec.errors import ConfigError, field_kinds
-from blockspec.metrics import HardwareProfile
-from blockspec.model import MAX_POSITION, ModelConfig, ScriptedSchedule
+from blockspec.metrics import HardwareProfile, phase_summary
+from blockspec.model import MAX_POSITION, ModelConfig, ScriptedSchedule, ToyModel
 
 from conftest import TOY
 
@@ -503,10 +504,42 @@ def test_compare_requires_two_strategies(workdir, capsys):
     assert "two strategies" in capsys.readouterr().err
 
 
+def test_compare_refuses_an_unknown_strategy(workdir, capsys):
+    tmp, model, profile, tasks = workdir
+    out = tmp / "x"
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", *base_args(model, tasks, out),
+              "--strategies", "fast", "turbo", "--profile", str(profile)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--strategies" in err and "'turbo'" in err
+    assert not out.exists()
+
+
+def test_run_profile_writes_the_phase_summary_of_every_task(workdir):
+    tmp, model, profile, tasks = workdir
+    out = tmp / "out_phases"
+    code = main(["run", *base_args(model, tasks, out), "--strategy", "odb",
+                 "--profile", str(profile)])
+    assert code == 0
+    document = json.loads((out / "roofline_summary.json").read_text())
+    prof = HardwareProfile.from_json(profile)
+    assert document["profile"] == prof.to_dict()
+    assert document["balance"] == prof.balance
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(document["tasks"]) == list(summary["tasks"]) == ["t0", "t1", "t2"]
+    config = RunConfig(strategy="odb", gen_length=64, block_size=32, accept_threshold=0.05, seed=3)
+    toy = ToyModel(ModelConfig.from_json(model))
+    for line in tasks.read_text().splitlines():
+        task = json.loads(line)
+        traj = decode(toy, task["prompt_tokens"], config)
+        assert document["tasks"][task["id"]] == phase_summary(traj, prof)
+
+
 def test_roofline_rows_alternate_per_block_cycle(workdir):
     tmp, model, profile, tasks = workdir
     out = tmp / "out_roof"
-    code = main(["roofline", *base_args(model, tasks, out), "--strategy", "fast",
+    code = main(["run", *base_args(model, tasks, out), "--strategy", "fast",
                  "--profile", str(profile)])
     assert code == 0
     with open(out / "roofline.csv") as fh:
@@ -530,7 +563,7 @@ def test_roofline_tiny_bandwidth_is_all_compute(workdir):
         {"name": "tiny-bw", "peak_flops": 1.0, "mem_bandwidth": 1e15}
     ))
     out = tmp / "out_tiny"
-    code = main(["roofline", *base_args(model, tasks, out), "--strategy", "fast",
+    code = main(["run", *base_args(model, tasks, out), "--strategy", "fast",
                  "--profile", str(tiny)])
     assert code == 0
     with open(out / "roofline.csv") as fh:
@@ -691,6 +724,10 @@ def test_gen_tasks_schedule_may_reach_the_last_position(workdir):
     (["--prompt-len", str(MAX_POSITION)], "--prompt-len"),
     (["--prompt-len", "70000"], "--prompt-len"),
     (["--prompt-len", str(10**11)], "--prompt-len"),
+    (["--gen-length", "0"], "--gen-length"),
+    (["--gen-length", "-5", "--eos-offset", "0"], "--gen-length"),
+    (["--eos-offset", "-1"], "--eos-offset"),
+    (["--gen-length", "64", "--eos-offset", "64"], "--eos-offset"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 @pytest.mark.parametrize("schedule", [False, True], ids=["tasks", "tasks+schedule"])
 def test_gen_tasks_refuses_a_bad_flag_before_writing(workdir, capsys, flags, named, schedule):
@@ -832,9 +869,8 @@ NON_FINITE_PROFILES = {
 
 @pytest.mark.parametrize("command", [
     ["run", "--strategy", "odb", "--dump-mask"],
-    ["roofline", "--strategy", "vanilla"],
     ["compare", "--strategies", "vanilla", "fast", "odb"],
-], ids=["run", "roofline", "compare"])
+], ids=["run", "compare"])
 @pytest.mark.parametrize("rates, named", NON_FINITE_PROFILES.values(), ids=NON_FINITE_PROFILES)
 def test_a_profile_with_non_finite_costs_is_refused_before_writing(
     workdir, capsys, command, rates, named
