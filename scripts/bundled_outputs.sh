@@ -45,9 +45,6 @@ for decoded in 1 16; do
 done
 cli run --strategy odb "${scripted[@]}" --out "$out/run_scripted_odb_noprofile"
 cli compare --strategies vanilla fast odb "${profile[@]}" --out "$out/compare_toy"
-cli run --strategy vanilla --tau-steps 20 --out "$out/run_toy_vanilla_tau20"
-cli run --strategy vanilla --tau-steps 7 --seed 3 "${scripted[@]}" \
-    --out "$out/run_scripted_vanilla_tau7"
 # the paper's baseline (LLaDA, one token per step) from its bundled run config
 baseline=(--strategy vanilla "${profile[@]}" --run-config "$cfg/run_llada_baseline.json")
 cli run "${baseline[@]}" --out "$out/run_toy_llada_baseline"

@@ -9,7 +9,6 @@ from .decoder import (
     DecodeState,
     RunConfig,
     StepOutcome,
-    tau_leaping_step,
     threshold_step,
 )
 from .engine import decode

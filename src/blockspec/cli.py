@@ -5,7 +5,8 @@ Exit codes (also shown by --help):
   0  success
   2  invalid arguments or malformed input file (message names the field)
   3  usage error detected after parsing (e.g. fewer than two strategies)
-  4  decode invariant violation (step dump on stderr)
+  4  decode invariant violation (the task's path:line, its id and the
+     violated invariant on stderr)
   1  unexpected internal error
 """
 

@@ -1,4 +1,4 @@
-"""Reverse-diffusion steps and confidence-threshold decoding for ``engine``'s loop.
+"""Decode state and the confidence-threshold decisions of ``engine``'s loop.
 
 Decode decisions never emit the mask token: its logit is dropped before
 argmax/softmax so an acceptance always unmasks.
@@ -15,10 +15,9 @@ from .errors import (
     BlockCompleteError,
     ConfigError,
     ProgressError,
-    RangeError,
     check_fields,
 )
-from .model import MAX_POSITION, LogitsView, softmax
+from .model import MAX_POSITION, LogitsView
 
 STRATEGIES = ("vanilla", "fast", "odb")
 
@@ -31,8 +30,6 @@ class RunConfig:
     accept_threshold: float = 0.9
     truncate_threshold: float = 0.9
     stage2_min_decoded: int | None = None
-    seed: int = 0
-    tau_steps: int | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -42,21 +39,12 @@ class RunConfig:
             raise ConfigError("gen_length and block_size must be positive")
         if self.gen_length > MAX_POSITION:
             raise ConfigError(f"gen_length {self.gen_length} above {MAX_POSITION}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.gen_length % self.block_size != 0:
             raise ConfigError(
                 f"gen_length {self.gen_length} not a multiple of block_size {self.block_size}"
             )
         if self.truncate_threshold <= 0:
             raise ConfigError("truncate_threshold must be positive")
-        if self.tau_steps is not None:
-            if self.strategy != "vanilla":
-                raise ConfigError("tau_steps applies to the vanilla strategy only")
-            # up to 2**52 steps consecutive fl(i/k) differ by at least 2**-53,
-            # so the sampler's time grid 1 - i/k strictly decreases
-            if not 1 <= self.tau_steps <= 2**52:
-                raise ConfigError(f"tau_steps must lie in [1, 2**52], got {self.tau_steps}")
         if self.stage2_min_decoded is not None and not (
             1 <= self.stage2_min_decoded <= self.block_size
         ):
@@ -254,31 +242,3 @@ def apply_outcome(state: DecodeState, outcome: StepOutcome) -> None:
             raise ProgressError("acceptance must not commit the mask token")
         state.tokens[pos] = tok
 
-
-def tau_leaping_step(state: DecodeState, logits: LogitsView, t: float, s: float,
-                     rng) -> StepOutcome:
-    """One reverse transition from noise level t to s < t, as the outcome
-    that unmasks its (position, token, 0.0) entries in position order;
-    `state` is left alone.
-
-    Each masked position independently stays masked with probability s/t,
-    otherwise it unmasks by sampling from the softmax of its logits (mask
-    token excluded).  Consumes one uniform draw per masked position for the
-    stay/unmask choice, then one per masked position for token sampling, in
-    position order.
-    """
-    if not (0.0 <= s < t <= 1.0):
-        raise RangeError(f"need 0 <= s < t <= 1, got s={s} t={t}")
-    masked_pos = np.flatnonzero(state.masked)
-    rows = logits.logits[logits.rows(masked_pos)]
-    stay = rng.random(masked_pos.size) < (s / t)
-    probs = softmax(rows, axis=1).astype(np.float64)
-    probs[:, state.mask_token_id] = 0.0
-    probs /= probs.sum(axis=1, keepdims=True)
-    draws = rng.random(masked_pos.size)
-    cum = np.cumsum(probs, axis=1)
-    sampled = (cum < draws[:, None]).sum(axis=1)
-    return StepOutcome(
-        accepted=decision_entries(masked_pos, sampled, np.zeros(masked_pos.size), ~stay),
-        rejected_top=[],
-    )

@@ -7,17 +7,14 @@
   jump-share speculative steps once a step leaves rejected candidates.
 
 All three accept by confidence threshold with a forced top-1, so every step
-unmasks at least one token.  ``vanilla`` with ``tau_steps`` set runs the
-reverse-transition sampler on a uniform time grid instead of the loop.
+unmasks at least one token.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .alp import apply_truncation, scan_eos
 from .cache import refresh_dual_cache
-from .decoder import DecodeState, RunConfig, apply_outcome, tau_leaping_step, threshold_step
+from .decoder import DecodeState, RunConfig, apply_outcome, threshold_step
 from .errors import ProgressError
 from .layout import build_block_layout, full_sequence_layout
 from .speculative import spec_step
@@ -39,10 +36,7 @@ def decode(model, prompt, config: RunConfig) -> Trajectory:
         gen_length_initial=config.gen_length,
         block_size=config.block_size,
     )
-    if config.tau_steps is not None:
-        state = _decode_vanilla_tau(model, state, config, traj)
-    else:
-        state = _decode_blockwise(model, state, config, traj)
+    state = _decode_blockwise(model, state, config, traj)
     state.check_invariants()
     traj.final_tokens = [int(x) for x in state.tokens]
     traj.gen_length_final = state.gen_length
@@ -69,29 +63,6 @@ def _log_step(traj, *, kind, state, t_tokens, c_tokens, epoch, outcome=None, cac
         rec.candidates = list(outcome.candidates)
         rec.adopted_tag = outcome.adopted_tag
     traj.steps.append(rec)
-
-
-def _decode_vanilla_tau(model, state, config, traj):
-    rng = np.random.default_rng(config.seed)
-    k = config.tau_steps
-    for i in range(k):
-        if not np.any(state.masked):
-            break
-        layout = full_sequence_layout(state.seq_len)
-        view, _ = model.forward(state.tokens, layout, None, step=i)
-        # step i runs from t = 1 - i/k, bitwise the s of step i - 1
-        outcome = tau_leaping_step(state, view, 1.0 - i / k, 1.0 - (i + 1) / k, rng)
-        apply_outcome(state, outcome)
-        _log_step(
-            traj,
-            kind="tau",
-            state=state,
-            t_tokens=state.seq_len,
-            c_tokens=state.seq_len,
-            epoch=0,
-            outcome=outcome,
-        )
-    return state
 
 
 def _decode_blockwise(model, state, config, traj):

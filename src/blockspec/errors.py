@@ -34,8 +34,9 @@ class BlockCompleteError(RuntimeError):
 
 
 class NoCandidatesError(RuntimeError):
-    """Candidate selection on an empty rejection list; caller should fall
-    back to a plain threshold step."""
+    """Candidate selection on an empty rejection list.  The decode loop
+    speculates only after a step that left rejections, so this marks a
+    caller bug."""
 
 
 class ProgressError(RuntimeError):

@@ -98,14 +98,6 @@ def count_params(config: ModelConfig) -> int:
     return v * d + config.n_layers * per_layer + d * v
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax in float32."""
-    x = np.asarray(x, dtype=np.float32)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 @dataclass
 class LogitsView:
     """Per-row score vectors with the map back to absolute positions.

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 class StepRecord:
     index: int
     phase: str                   # "prefill" | "decode"
-    kind: str                    # "refresh" | "threshold" | "spec" | "tau"
+    kind: str                    # "refresh" | "threshold" | "spec"
     block: int
     epoch: int
     t_tokens: int

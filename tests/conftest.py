@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blockspec import DecodeState, LogitsView, ModelConfig, ScriptedSchedule, ShapeError, ToyModel
-from blockspec.model import softmax
+from dense_forward import softmax
 
 
 TOY = dict(

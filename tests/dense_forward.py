@@ -15,9 +15,17 @@ import math
 
 import numpy as np
 
-from blockspec.model import LogitsView, softmax
+from blockspec.model import LogitsView
 
 _LN_EPS = np.float32(1e-5)
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-subtracted softmax in float32."""
+    x = np.asarray(x, dtype=np.float32)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:

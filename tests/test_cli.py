@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import blockspec.engine
 from blockspec.cli import main
-from blockspec.decoder import RunConfig
+from blockspec.decoder import RunConfig, StepOutcome
 from blockspec.engine import decode
 from blockspec.errors import ConfigError, field_kinds
 from blockspec.metrics import HardwareProfile, phase_summary
@@ -40,7 +41,7 @@ def read_dir(path: Path) -> dict:
     }
 
 
-BASE_RUN_FLAGS = {"gen_length": "64", "block_size": "32", "accept_threshold": "0.05", "seed": "3"}
+BASE_RUN_FLAGS = {"gen_length": "64", "block_size": "32", "accept_threshold": "0.05"}
 
 
 def base_args(model, tasks, out, extra=(), drop=()):
@@ -182,7 +183,10 @@ REPEATED_KEY_DOCUMENTS = {
     ("--profile", '{"name": "x", "peak_flops": [1], "mem_bandwidth": 1}', "bad.json"),
     ("--run-config", '{"speculation": false}', "speculation"),
     ("--run-config", '{"gen_length": 128.0}', "gen_length"),
-    ("--run-config", '{"seed": "x", "tau_steps": 3}', "seed"),
+    ("--run-config", '{"stage2_min_decoded": "x"}', "stage2_min_decoded"),
+    # a key that names no RunConfig field is refused, not ignored
+    ("--run-config", '{"seed": 1}', "unknown keys: ['seed']"),
+    ("--run-config", '{"tau_steps": 4}', "unknown keys: ['tau_steps']"),
     ("--run-config", '{"stage2_min_decoded": 2.5}', "stage2_min_decoded"),
     ("--run-config", '{"accept_threshold": "x"}', "accept_threshold"),
     ("--run-config", '{"accept_threshold": 1' + "0" * 400 + "}", "accept_threshold"),
@@ -224,7 +228,7 @@ def test_run_rejects_malformed_config_files(workdir, capsys, option, content, na
 
 
 @pytest.mark.parametrize("flags,named", [
-    (["--strategy", "vanilla", "--seed", "-1", "--tau-steps", "3"], "seed"),
+    (["--stage2-min-decoded", "0"], "stage2_min_decoded"),
     (["--gen-length", "1099511627776"], "gen_length"),
 ])
 def test_run_rejects_out_of_range_flags(workdir, capsys, flags, named):
@@ -234,17 +238,36 @@ def test_run_rejects_out_of_range_flags(workdir, capsys, flags, named):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tau_steps", [2**52 + 1, 2**54])
-def test_run_refuses_tau_steps_past_the_time_grid(workdir, capsys, tau_steps):
-    """Refused naming the field while the run config is read.  The --out
-    path lies under a file, so a k let through fails before its first step
-    (that many steps would take years) and names --out instead."""
-    tmp, model, _, tasks = workdir
-    (tmp / "file").write_text("")
-    code = main(["run", *base_args(model, tasks, tmp / "file" / "out"), "--strategy", "vanilla",
-                 "--tau-steps", str(tau_steps)])
-    assert code == 2
-    assert "tau_steps must lie in [1, 2**52]" in capsys.readouterr().err
+@pytest.mark.parametrize("command,flag", [("run", "--seed"), ("compare", "--tau-steps")])
+def test_run_and_compare_refuse_a_flag_no_field_reads(workdir, capsys, command, flag):
+    tmp, model, profile, tasks = workdir
+    chosen = (["--strategy", "vanilla"] if command == "run"
+              else ["--strategies", "vanilla", "fast", "--profile", str(profile)])
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *base_args(model, tasks, tmp / "out"), *chosen, flag, "4"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_run_exits_4_naming_the_task_and_the_invariant(tmp_path, monkeypatch, capsys):
+    """A step that writes over a prompt token stops the run at its first
+    task: stderr names the task's path:line, its id and the violated
+    invariant, without a traceback."""
+    monkeypatch.setattr(
+        blockspec.engine, "threshold_step",
+        lambda state, logits, threshold: StepOutcome(accepted=[(1, 9, 0.9)], rejected_top=[]),
+    )
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    tasks = configs / "tasks_demo.jsonl"
+    first_id = json.loads(tasks.read_text().splitlines()[0])["id"]
+    code = main(["run", "--model-config", str(configs / "toy_model.json"), "--tasks", str(tasks),
+                 "--out", str(tmp_path / "out"), "--strategy", "fast"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"tasks_demo.jsonl:1: task {first_id}: " in err
+    assert "position 1 accepted twice" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["n_layers", "vocab_size", "d_model"])
@@ -300,12 +323,13 @@ def test_run_config_document_and_flag_write_the_same_bytes(workdir):
 
 
 @pytest.mark.parametrize("document,flags,expected", [
-    ({}, [], {"gen_length": 128, "block_size": 32, "accept_threshold": 0.9, "seed": 0}),
-    ({"gen_length": 64, "accept_threshold": 0.5, "seed": 4}, [],
-     {"gen_length": 64, "block_size": 32, "accept_threshold": 0.5, "seed": 4}),
+    ({}, [], {"gen_length": 128, "block_size": 32, "accept_threshold": 0.9,
+              "truncate_threshold": 0.9}),
+    ({"gen_length": 64, "accept_threshold": 0.5, "truncate_threshold": 0.75}, [],
+     {"gen_length": 64, "block_size": 32, "accept_threshold": 0.5, "truncate_threshold": 0.75}),
     ({"gen_length": 64, "block_size": 16, "accept_threshold": 0.5},
      ["--gen-length", "32", "--accept-threshold", "0.25"],
-     {"gen_length": 32, "block_size": 16, "accept_threshold": 0.25, "seed": 0}),
+     {"gen_length": 32, "block_size": 16, "accept_threshold": 0.25, "truncate_threshold": 0.9}),
 ], ids=["defaults", "document", "flags-override-document"])
 def test_run_config_precedence(workdir, document, flags, expected):
     """A flag given on the command line beats --run-config, which beats the
@@ -528,7 +552,7 @@ def test_run_profile_writes_the_phase_summary_of_every_task(workdir):
     assert document["balance"] == prof.balance
     summary = json.loads((out / "summary.json").read_text())
     assert list(document["tasks"]) == list(summary["tasks"]) == ["t0", "t1", "t2"]
-    config = RunConfig(strategy="odb", gen_length=64, block_size=32, accept_threshold=0.05, seed=3)
+    config = RunConfig(strategy="odb", gen_length=64, block_size=32, accept_threshold=0.05)
     toy = ToyModel(ModelConfig.from_json(model))
     for line in tasks.read_text().splitlines():
         task = json.loads(line)
@@ -670,6 +694,22 @@ def test_gen_tasks_and_schedule(workdir):
           "--prompt-len", "8", "--seed", "5", "--out", str(tasks_out2),
           "--gen-length", "128"])
     assert tasks_out.read_text() == tasks_out2.read_text()
+
+
+def test_gen_tasks_seed_picks_the_prompts(workdir):
+    """gen-tasks keeps its own --seed; these prompts are the ones seed 5
+    has always drawn for the toy vocabulary."""
+    tmp, model, _, _ = workdir
+    tasks_out = tmp / "gen.jsonl"
+    code = main(["gen-tasks", "--model-config", str(model), "--count", "2",
+                 "--prompt-len", "8", "--seed", "5", "--out", str(tasks_out)])
+    assert code == 0
+    assert tasks_out.read_text() == (
+        '{"id": "task000", "note": "seeded synthetic prompt 0", '
+        '"prompt_tokens": [84, 101, 2, 101, 59, 64, 79, 36]}\n'
+        '{"id": "task001", "note": "seeded synthetic prompt 1", '
+        '"prompt_tokens": [123, 6, 35, 48, 71, 51, 16, 5]}\n'
+    )
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -838,7 +878,7 @@ def test_scripted_alp_compare_consistency(workdir):
                  "--tasks", str(tasks_out), "--out", str(out),
                  "--gen-length", "256", "--block-size", "32",
                  "--accept-threshold", "0.9", "--truncate-threshold", "0.9",
-                 "--seed", "3", "--strategies", "fast", "odb",
+                 "--strategies", "fast", "odb",
                  "--profile", str(profile)])
     assert code == 0
     payload = json.loads((out / "compare.json").read_text())
@@ -909,14 +949,3 @@ def test_llada_baseline_config_commits_one_token_per_step(tmp_path, scripted):
         assert entry["nfe"] == traj["nfe"] == len(traj["steps"]) == gen_length
         assert all(len(step["accepted"]) == 1 for step in traj["steps"])
         assert all(step["t_tokens"] == step["c_tokens"] for step in traj["steps"])
-
-
-def test_vanilla_tau_mode_through_cli(workdir):
-    tmp, model, profile, tasks = workdir
-    out = tmp / "out_tau"
-    code = main(["run", *base_args(model, tasks, out), "--strategy", "vanilla",
-                 "--tau-steps", "8", "--profile", str(profile)])
-    assert code == 0
-    traj = json.loads((out / "trajectory_t0.json").read_text())
-    assert all(s["kind"] == "tau" for s in traj["steps"])
-    assert traj["nfe"] <= 8

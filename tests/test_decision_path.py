@@ -12,10 +12,11 @@ import reference_decide
 from blockspec import RunConfig, ScriptedModel, ScriptedSchedule, ToyModel, decode
 from blockspec.cache import refresh_dual_cache
 from blockspec.decoder import StepOutcome, decision_entries, masked_greedy, threshold_decide
-from blockspec.model import LogitsView, _conf_floor, scripted_forward, softmax
+from blockspec.model import LogitsView, _conf_floor, scripted_forward
 from blockspec.speculative import Candidate, spec_step
 
 from conftest import TOY, copy_state, random_state, rising_schedule, same_step
+from dense_forward import softmax
 
 
 @pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])

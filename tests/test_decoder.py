@@ -7,7 +7,6 @@ from blockspec import (
     ConfigError,
     DecodeState,
     ProgressError,
-    RangeError,
     RunConfig,
     ScriptedModel,
     ScriptedSchedule,
@@ -15,15 +14,13 @@ from blockspec import (
     ToyModel,
     apply_truncation,
     decode,
-    tau_leaping_step,
     threshold_step,
 )
 from blockspec.decoder import apply_outcome, decision_entries, threshold_decide
 from blockspec.errors import from_document
-from blockspec.layout import full_sequence_layout
 from blockspec.model import MAX_POSITION, scripted_forward
 
-from conftest import block_decoded_positions, comparable_dict, random_state, rising_schedule
+from conftest import block_decoded_positions, comparable_dict, rising_schedule
 
 
 def make_scripted(toy_config, entries):
@@ -34,87 +31,6 @@ def make_scripted(toy_config, entries):
 
 def constant_entry(positions, conf, token_of=lambda p: 10 + (p % 50)):
     return {p: (token_of(p), conf) for p in positions}
-
-
-# --- tau leaping --------------------------------------------------------------
-
-def test_tau_step_s_zero_unmasks_everything(toy_model, toy_config):
-    rng = np.random.default_rng(0)
-    state = random_state(rng, toy_config)
-    view, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
-    out = tau_leaping_step(state, view, 1.0, 0.0, np.random.default_rng(1))
-    apply_outcome(state, out)
-    assert not state.masked.any()
-
-
-def test_tau_step_never_touches_unmasked(toy_model, toy_config):
-    rng = np.random.default_rng(3)
-    state = random_state(rng, toy_config, n_decoded=6)
-    before = state.tokens.copy()
-    unmasked = ~state.masked
-    view, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
-    out = tau_leaping_step(state, view, 1.0, 0.25, np.random.default_rng(2))
-    apply_outcome(state, out)
-    assert np.array_equal(state.tokens[unmasked], before[unmasked])
-    assert not state.masked[unmasked].any()
-
-
-def test_tau_step_time_order_enforced(toy_model, toy_config):
-    rng = np.random.default_rng(4)
-    state = random_state(rng, toy_config)
-    view, _ = toy_model.forward(state.tokens, full_sequence_layout(state.seq_len))
-    with pytest.raises(RangeError):
-        tau_leaping_step(state, view, 0.5, 0.5, np.random.default_rng(0))
-    with pytest.raises(RangeError):
-        tau_leaping_step(state, view, 0.5, 0.7, np.random.default_rng(0))
-
-
-def test_tau_step_unmask_fraction_matches_expectation(toy_config):
-    """t=0.5 -> s=0.25 unmasks each position w.p. (t-s)/t = 0.5; with 1000
-    positions the observed fraction sits within 3 sigma of one half."""
-    state = DecodeState.new([1], 1000, 1000, toy_config.mask_token_id)
-    sched = ScriptedSchedule(steps=[constant_entry(range(1, 1001), 0.9)],
-                             vocab_size=128, mask_token_id=126)
-    view = scripted_forward(sched, 0, list(range(1, 1001)))
-    out = tau_leaping_step(state, view, 0.5, 0.25, np.random.default_rng(42))
-    apply_outcome(state, out)
-    frac = 1.0 - state.masked[1:].mean()
-    assert 0.45 <= frac <= 0.55
-
-
-def test_tau_decode_refuses_an_outcome_naming_a_decoded_position(toy_model, monkeypatch):
-    """Tau steps unmask through apply_outcome, so a write over a prompt
-    token is refused like any other step's."""
-    monkeypatch.setattr(
-        blockspec.engine, "tau_leaping_step",
-        lambda state, logits, t, s, rng: StepOutcome(accepted=[(1, 9, 0.0)], rejected_top=[]),
-    )
-    config = RunConfig(strategy="vanilla", gen_length=32, block_size=32, tau_steps=4)
-    with pytest.raises(ProgressError, match="position 1 accepted twice"):
-        decode(toy_model, [5, 6, 7], config)
-
-
-def test_tau_full_chain_uniform_schedule(toy_config):
-    """k uniform steps from t=1 fully unmask in <= k steps, exactly k when
-    positions survive to the forced final step."""
-    sched = ScriptedSchedule(steps=[constant_entry(range(4, 68), 0.9)],
-                             vocab_size=128, mask_token_id=126)
-    model = ScriptedModel(toy_config, sched)
-    config = RunConfig(strategy="vanilla", gen_length=64, block_size=32,
-                       tau_steps=8, seed=5)
-    traj = decode(model, [1, 2, 3, 4], config)
-    assert traj.nfe <= 8
-    state_masks = 64
-    for step in traj.steps:
-        state_masks -= len(step.accepted)
-    assert state_masks == 0
-    # a fatter schedule keeps masks alive until the last step
-    config2 = RunConfig(strategy="vanilla", gen_length=256, block_size=32,
-                        tau_steps=4, seed=5)
-    sched2 = ScriptedSchedule(steps=[constant_entry(range(4, 260), 0.9)],
-                              vocab_size=128, mask_token_id=126)
-    traj2 = decode(ScriptedModel(toy_config, sched2), [1, 2, 3, 4], config2)
-    assert traj2.nfe == 4
 
 
 # --- threshold step -------------------------------------------------------------
@@ -226,12 +142,9 @@ def test_fast_has_one_refresh_per_block(toy_config):
     assert traj.nfe == 16
 
 
-@pytest.mark.parametrize("strategy,tau_steps", [
-    ("vanilla", None), ("fast", None), ("odb", None), ("vanilla", 7),
-], ids=["vanilla", "fast", "odb", "tau"])
+@pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
 @pytest.mark.parametrize("kind", ["toy", "scripted"])
-def test_step_records_take_epoch_and_phase_from_the_block_cycle(toy_config, kind, strategy,
-                                                                tau_steps):
+def test_step_records_take_epoch_and_phase_from_the_block_cycle(toy_config, kind, strategy):
     """A cached cycle's epoch is its block + 1 and an uncached one's 0; a
     step is prefill exactly when it is a refresh; a truncation names the
     refresh whose draft cut the length."""
@@ -240,7 +153,7 @@ def test_step_records_take_epoch_and_phase_from_the_block_cycle(toy_config, kind
         model, gen_length = ToyModel(toy_config), 64
     else:
         model, gen_length = ScriptedModel(toy_config, rising_schedule(len(prompt), 96)), 96
-    traj = decode(model, prompt, RunConfig(strategy, gen_length, 32, tau_steps=tau_steps))
+    traj = decode(model, prompt, RunConfig(strategy, gen_length, 32))
     cached = strategy != "vanilla"
     for s in traj.steps:
         assert s.epoch == (s.block + 1 if cached else 0)
@@ -299,28 +212,12 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(strategy="fast", gen_length=33, block_size=32)
     with pytest.raises(ConfigError):
-        RunConfig(strategy="fast", gen_length=32, block_size=32, tau_steps=4)
-    with pytest.raises(ConfigError):
         RunConfig(strategy="warp", gen_length=32, block_size=32)
     with pytest.raises(ConfigError):
         from_document(RunConfig, {"strategy": "fast", "gen_length": 32,
                                   "block_size": 32, "mystery": 1})
     cfg = from_document(RunConfig, {"strategy": "odb", "gen_length": 64, "block_size": 32})
     assert cfg.stage2_threshold == 8
-
-
-def test_tau_steps_stop_where_the_time_grid_stops_decreasing():
-    """Up to 2**52 steps each step's t = 1 - i/k lies above the next's; a
-    larger k is refused naming the field, since at k = 2**53 + 2**51 the
-    grid already repeats a value at step 3."""
-    k = 2**52
-    assert RunConfig(strategy="vanilla", gen_length=32, block_size=32, tau_steps=k).tau_steps == k
-    for i in (0, 1, 2, k // 3, k // 2, k - 2):
-        assert 1.0 - i / k > 1.0 - (i + 1) / k
-    with pytest.raises(ConfigError, match="tau_steps"):
-        RunConfig(strategy="vanilla", gen_length=32, block_size=32, tau_steps=k + 1)
-    k = 2**53 + 2**51
-    assert 1.0 - 2 / k == 1.0 - 3 / k
 
 
 def test_decode_state_invariants(toy_config):
@@ -371,6 +268,19 @@ def test_decode_refuses_a_step_that_accepts_nothing(toy_model, monkeypatch, stra
     )
     config = RunConfig(strategy=strategy, gen_length=32, block_size=32)
     with pytest.raises(ProgressError, match="unmasked zero tokens"):
+        decode(toy_model, [5, 6, 7], config)
+
+
+@pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
+def test_decode_refuses_an_outcome_naming_a_decoded_position(toy_model, monkeypatch, strategy):
+    """Every step unmasks through apply_outcome, so an outcome that writes
+    over a prompt token is refused under each strategy."""
+    monkeypatch.setattr(
+        blockspec.engine, "threshold_step",
+        lambda state, logits, threshold: StepOutcome(accepted=[(1, 9, 0.9)], rejected_top=[]),
+    )
+    config = RunConfig(strategy=strategy, gen_length=32, block_size=32)
+    with pytest.raises(ProgressError, match="position 1 accepted twice"):
         decode(toy_model, [5, 6, 7], config)
 
 

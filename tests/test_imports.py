@@ -126,3 +126,25 @@ def test_the_sizing_rule_is_stated_in_spec_stage_alone():
     # the decode loop ends a block on its last step's rejections
     assert not any(isinstance(node, ast.Attribute) and node.attr == "block_masked_positions"
                    for node in ast.walk(MODULES["engine"]))
+
+
+def test_engine_runs_the_model_in_one_decode_loop():
+    """engine.py calls a model's forward at one site, and holds one
+    outermost loop."""
+    engine = MODULES["engine"]
+    forwards = [node.lineno for node in ast.walk(engine)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "forward"]
+    assert len(forwards) == 1, forwards
+    loops = [node for node in ast.walk(engine) if isinstance(node, (ast.For, ast.While))]
+    nested = {id(inner) for outer in loops for inner in ast.walk(outer) if inner is not outer}
+    assert len([loop for loop in loops if id(loop) not in nested]) == 1
+
+
+def test_run_config_holds_the_decode_settings_alone():
+    """RunConfig's fields, in order, so a new knob shows up in review."""
+    run_config = next(node for node in MODULES["decoder"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    assert [stmt.target.id for stmt in run_config.body if isinstance(stmt, ast.AnnAssign)] == [
+        "strategy", "gen_length", "block_size", "accept_threshold", "truncate_threshold",
+        "stage2_min_decoded"]

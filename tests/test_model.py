@@ -24,12 +24,12 @@ from blockspec import (
 )
 from blockspec.errors import from_document, load_document
 from blockspec.layout import full_sequence_layout
-from blockspec.model import softmax
 
 from conftest import (
     TOY, block_decoded_positions, logits_to_prediction, random_state,
     rel_err, select, weight_checksum,
 )
+from dense_forward import softmax
 
 
 # --- config -----------------------------------------------------------------

@@ -90,17 +90,15 @@ def test_writer_refuses_other_values_and_keys(value):
         encode_json(value)
 
 
-@pytest.mark.parametrize("strategy,tau_steps", [
-    ("vanilla", None), ("fast", None), ("odb", None), ("vanilla", 5),
-], ids=["vanilla", "fast", "odb", "tau"])
+@pytest.mark.parametrize("strategy", ["vanilla", "fast", "odb"])
 @pytest.mark.parametrize("kind", ["toy", "scripted"])
-def test_to_json_is_json_dumps_of_to_dict(toy_model, toy_config, kind, strategy, tau_steps):
+def test_to_json_is_json_dumps_of_to_dict(toy_model, toy_config, kind, strategy):
     prompt = [3, 14, 15, 92, 65, 35, 89, 79, 32]
     if kind == "toy":
         model, gen_length = toy_model, 64
     else:
         model, gen_length = ScriptedModel(toy_config, rising_schedule(len(prompt), 96)), 96
-    traj = decode(model, prompt, RunConfig(strategy, gen_length, 32, tau_steps=tau_steps))
+    traj = decode(model, prompt, RunConfig(strategy, gen_length, 32))
     assert traj.to_json() == reference(traj.to_dict()) + "\n"
     # the scripted odb run cuts its length, so a truncation record is written
     assert bool(traj.truncations) == (kind == "scripted" and strategy == "odb")
