@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import reprlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,10 +38,6 @@ MAX_TOY_PARAMS = 1 << 28
 MAX_POSITION = 1 << 16
 # Largest size field; it admits the LLaDA-8B-sized configs of scripted cost runs.
 MAX_MODEL_SIZE = 1 << 20
-# Score entries per head (query rows x keys) from which a toy forward runs
-# half of its attention heads on a second thread.  Below it the hand-off
-# costs more than it saves (see ``ToyModel``).
-SPLIT_MIN_SCORES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -303,21 +297,10 @@ def _key_sum(a: np.ndarray) -> np.ndarray:
     return sums[-1].reshape(a.shape[1:])
 
 
-def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, out) -> None:
-    """Masked softmax attention of the query heads in `heads`, written to
-    ``out[heads]`` ([heads, d_head, rows]).  `kq` is a flat work buffer of
-    heads x keys x rows scores, and `bias` the [fresh keys, rows] mask bias
-    or None.
-
-    Every step is one BLAS call per head, elementwise, or a reduction over
-    the keys of each (head, row) column, so any split of the heads computes
-    each head bit for bit as one call over all of them does.
-    """
-    m, r = keys.shape[0], q.shape[0]
-    first, stop, _ = heads.indices(q.shape[1])
-    # These heads' scores, [keys, heads, rows], in a block of their own, so
-    # that each split's rows of scores per key stay contiguous.
-    kq = kq[first * m * r : stop * m * r].reshape(m, stop - first, r)
+def _attention(q, keys, values, bias, n_ctx: int, kq, out) -> None:
+    """Masked softmax attention of every query head, written to `out`
+    ([heads, d_head, rows]).  `kq` is a [keys, heads, rows] work buffer of
+    scores, and `bias` the [fresh keys, rows] mask bias or None."""
     # K·Qᵀ per head, through a [h, m, r] view: the operand order that
     # einsum("rhd,mhd->rhm") hands BLAS, whose rounding can depend on it.
     # Keys outermost, each key's scores for the heads and rows are
@@ -325,8 +308,7 @@ def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, out) -> None
     # keys.  Its sums follow numpy's pairwise order over a contiguous row,
     # so every weight equals the row-major softmax's.  Adding 0 keeps a
     # score and adding -inf hides it, so the bias masks exactly.
-    np.matmul(keys.transpose(1, 0, 2)[heads], q.transpose(1, 2, 0)[heads],
-              out=kq.transpose(1, 0, 2))
+    np.matmul(keys.transpose(1, 0, 2), q.transpose(1, 2, 0), out=kq.transpose(1, 0, 2))
     kq *= np.float32(1.0 / math.sqrt(q.shape[2]))
     if bias is not None:
         kq[n_ctx:] += bias[:, None]
@@ -334,32 +316,12 @@ def _attention(heads: slice, q, keys, values, bias, n_ctx: int, kq, out) -> None
     np.exp(kq, out=kq)
     kq /= _key_sum(kq)
     weights = kq.transpose(1, 0, 2)
-    if r == 1:
+    if q.shape[0] == 1:
         # BLAS multiplies one row's weights as a vector, and rounds a
         # strided vector otherwise than a contiguous one
         weights = weights.copy()
     # Vᵀ·P per head [h, d_head, r], einsum("rhm,mhd->rhd")'s order.
-    np.matmul(values.transpose(1, 2, 0)[heads], weights, out=out[heads])
-
-
-def _start_worker() -> None:
-    """Make the executor whose one thread runs the second half of split
-    attention for every toy model of the process; the thread starts on the
-    first split forward.  A forked child has no copy of its parent's
-    thread, so the child makes an executor of its own."""
-    global _worker
-    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="blockspec-attention")
-
-
-_start_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_worker)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    np.matmul(values.transpose(1, 2, 0), weights, out=out)
 
 
 class ToyModel:
@@ -378,15 +340,6 @@ class ToyModel:
     weights equal a row-major softmax's bit for bit.  At d_head >= 2 the
     forward equals the straightforward dense one bit for bit; at d_head 1,
     V·P is a matrix-vector product that BLAS rounds by the weights' layout.
-
-    A forward with at least ``SPLIT_MIN_SCORES`` score entries per head and
-    two or more heads, in a process that may use two or more CPUs, runs
-    heads [h//2, h) of each layer's attention on one worker thread while
-    the caller runs [0, h//2).  The worker is shared by every model of the
-    process and started by the first such forward.  Each head makes the
-    same BLAS calls and reductions either way, so outputs do not depend on
-    the split.  The projections, layer norms and MLP stay on the caller:
-    a row or column split of one GEMM need not round as the whole does.
     """
 
     def __init__(self, config: ModelConfig):
@@ -460,11 +413,10 @@ class ToyModel:
         bias = None
         if (tags != tags[0]).any():
             bias = np.where(layout.fresh_mask().T, np.float32(0.0), np.float32(-np.inf))
-        split = h_dim >= 2 and r * m >= SPLIT_MIN_SCORES and _usable_cpus() >= 2
 
         # Each layer refills these; allocated once per call, they keep the
         # forward reentrant and never reach the caller.
-        kq = np.empty(h_dim * m * r, dtype=np.float32)
+        kq = np.empty((m, h_dim, r), dtype=np.float32)
         attn = np.empty((h_dim, dh, r), dtype=np.float32)
         hidden = np.empty((r, cfg.d_ff), dtype=np.float32)
         gelu_t = np.empty_like(hidden)
@@ -488,16 +440,7 @@ class ToyModel:
                 values = np.concatenate([cache.values[li], v], axis=0)
             else:
                 keys, values = k, v
-            args = (q, keys, values, bias, n_ctx, kq, attn)
-            if split:
-                half = h_dim // 2
-                future = _worker.submit(_attention, slice(half, h_dim), *args)
-                try:
-                    _attention(slice(0, half), *args)
-                finally:
-                    future.result()
-            else:
-                _attention(slice(None), *args)
+            _attention(q, keys, values, bias, n_ctx, kq, attn)
             x += attn.transpose(2, 0, 1).reshape(r, d) @ layer["wo"]
             np.matmul(_layer_norm(x), layer["w1"], out=hidden)
             x += _gelu(hidden, gelu_t) @ layer["w2"]

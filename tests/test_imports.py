@@ -148,3 +148,19 @@ def test_run_config_holds_the_decode_settings_alone():
     assert [stmt.target.id for stmt in run_config.body if isinstance(stmt, ast.AnnAssign)] == [
         "strategy", "gen_length", "block_size", "accept_threshold", "truncate_threshold",
         "stage2_min_decoded"]
+
+
+def test_no_module_starts_a_thread_or_a_process():
+    """Every forward runs on the caller's thread: no module imports a
+    threading or process module, or registers a fork handler."""
+    banned = {"threading", "concurrent", "multiprocessing"}
+    offenders = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] in banned for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] in banned)
+        or (isinstance(node, ast.Attribute) and node.attr == "register_at_fork")
+    ]
+    assert offenders == []

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -332,7 +329,7 @@ KEY_EDGES = [1, 7, 8, 9, 127, 128, 129, 255, 256, 257]
 def test_key_reductions_equal_numpy_over_contiguous_rows(data):
     """``_key_sum`` and the column max over the keys of [keys, heads, rows]
     scores equal numpy's sum and max of each contiguous row of keys byte
-    for byte, on a head slice as the two-core split passes it, with -inf
+    for byte, on any trailing slice of the heads, with -inf
     scores and exact zero weights where masked keys are."""
     from blockspec.model import _key_sum
 
@@ -373,28 +370,24 @@ D_HEAD_1_ULPS = 256
     ({}, 0),
     ({"d_model": 60, "n_heads": 4}, 0),               # d_head 15: RoPE passes its last column
     ({"d_model": 32, "n_heads": 4, "d_ff": 80}, 0),   # d_head 8, d_ff not 4 * d_model
-    ({"d_model": 48, "n_heads": 3}, 0),               # the split halves are 1 and 2 heads
+    ({"d_model": 48, "n_heads": 3}, 0),               # an odd number of heads
     ({"d_model": 8, "n_heads": 4}, 0),                # d_head 2, the smallest held bitwise
     ({"d_model": 4, "n_heads": 4}, D_HEAD_1_ULPS),
     ({"d_model": 8, "n_heads": 8}, D_HEAD_1_ULPS),
 ], ids=["toy", "odd-d_head", "d_head-8", "3-heads", "d_head-2", "d_head-1", "d_head-1-8-heads"])
-def test_forward_matches_dense_reference_bitwise(monkeypatch, shape, ulps):
+def test_forward_matches_dense_reference_bitwise(shape, ulps):
     """The head-major in-place attention path equals the dense einsum /
     np.where / softmax forward bit for bit at d_head >= 2, logits and every
     layer's K/V, over the full, block, stage-1 and stage-2 layouts of a
     live decode, and within ``D_HEAD_1_ULPS`` at d_head 1; a forward
-    without logits returns the same K/V and no view.  The process is shown
-    two CPUs, so the gen-256 full and stage-1 forwards split their heads
-    across two threads on any host."""
+    without logits returns the same K/V and no view."""
     from blockspec import DecodeState
     from blockspec.cache import cache_view, refresh_dual_cache
     from blockspec.decoder import apply_outcome, threshold_step
     from blockspec.layout import build_block_layout, build_spec_layout
-    from blockspec.model import SPLIT_MIN_SCORES
     from blockspec.speculative import SpecSet, select_candidates
     from dense_forward import dense_forward
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = ModelConfig(**{**TOY, **shape})
     model = ToyModel(config)
     rng = np.random.default_rng(23)
@@ -434,8 +427,6 @@ def test_forward_matches_dense_reference_bitwise(monkeypatch, shape, ulps):
     cases.append((state.tokens[block[0]:block[1]].copy(), build_block_layout(block, view.positions),
                   view))
     assert {layout.stage for _, layout, _ in cases} == {0, 1, 2}
-    split = [layout.n_queries * layout.n_keys >= SPLIT_MIN_SCORES for _, layout, _ in cases]
-    assert any(split) and not all(split)
     for tokens, layout, ctx in cases:
         got, got_kv = model.forward(tokens, layout, ctx)
         want, want_kv = dense_forward(model, tokens, layout, ctx)
@@ -447,54 +438,6 @@ def test_forward_matches_dense_reference_bitwise(monkeypatch, shape, ulps):
         assert no_view is None and len(kv_only) == config.n_layers
         for (gk, gv), (k, v) in zip(got_kv, kv_only):
             assert gk.tobytes() == k.tobytes() and gv.tobytes() == v.tobytes()
-
-
-def test_forward_on_one_usable_cpu_starts_no_worker(monkeypatch, toy_model):
-    """Above the gate, a process that may use one CPU runs every head on the
-    calling thread, with the same outputs."""
-    import blockspec.model
-    from dense_forward import dense_forward
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    # an executor that has started no thread yet: a submit would start one
-    monkeypatch.setattr(blockspec.model, "_worker", ThreadPoolExecutor(max_workers=1))
-    layout = full_sequence_layout(200)
-    assert layout.n_queries * layout.n_keys >= blockspec.model.SPLIT_MIN_SCORES
-    tokens = np.random.default_rng(3).integers(0, 120, size=200)
-    threads = threading.active_count()
-    got, _ = toy_model.forward(tokens, layout)
-    assert threading.active_count() == threads
-    want, _ = dense_forward(toy_model, tokens, layout)
-    assert got.logits.tobytes() == want.logits.tobytes()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_splits_with_its_own_worker(monkeypatch, toy_model):
-    """A child forked after the worker started gets a worker of its own, so
-    its split forwards finish with the parent's logits."""
-    import multiprocessing
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    layout = full_sequence_layout(200)
-    tokens = np.random.default_rng(3).integers(0, 120, size=200)
-    want, _ = toy_model.forward(tokens, layout)
-    ctx = multiprocessing.get_context("fork")
-    parent_end, child_end = ctx.Pipe()
-
-    def child():
-        view, _ = toy_model.forward(tokens, layout)
-        child_end.send(view.logits.tobytes())
-
-    proc = ctx.Process(target=child)
-    proc.start()
-    try:
-        assert parent_end.poll(60), "forked forward did not finish"
-        assert parent_end.recv() == want.logits.tobytes()
-    finally:
-        proc.join(10)
-        if proc.is_alive():
-            proc.kill()
-    assert proc.exitcode == 0
 
 
 # --- scripted model -------------------------------------------------------------
