@@ -60,3 +60,11 @@ blockspec gen-tasks "${gen[@]}" --out "$out/gen_tasks/tasks.jsonl" \
 blockspec run --strategy odb --tasks "$out/gen_tasks/tasks.jsonl" \
     --scripted "$out/gen_tasks/schedule.json" --gen-length 64 --block-size 16 \
     --out "$out/run_gen_tasks_odb"
+# the same tasks with their only EOS in the last block, where a cut would
+# keep the length: no truncation, and the last two refreshes draft nothing
+last=(--count 4 --prompt-len 12 --seed 9 --gen-length 64 --eos-offset 56)
+blockspec gen-tasks "${last[@]}" --out "$out/gen_tasks_eos_last_block/tasks.jsonl" \
+    --schedule-out "$out/gen_tasks_eos_last_block/schedule.json"
+blockspec run --strategy odb --tasks "$out/gen_tasks_eos_last_block/tasks.jsonl" \
+    --scripted "$out/gen_tasks_eos_last_block/schedule.json" --gen-length 64 --block-size 16 \
+    --out "$out/run_gen_tasks_eos_last_block_odb"

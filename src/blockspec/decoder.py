@@ -45,19 +45,13 @@ class RunConfig:
             )
         if self.truncate_threshold <= 0:
             raise ConfigError("truncate_threshold must be positive")
-        if self.stage2_min_decoded is not None and not (
-            1 <= self.stage2_min_decoded <= self.block_size
-        ):
+        if self.stage2_min_decoded is None:
+            object.__setattr__(self, "stage2_min_decoded", max(1, self.block_size // 4))
+        if not 1 <= self.stage2_min_decoded <= self.block_size:
             raise ConfigError("stage2_min_decoded must lie in [1, block_size]")
 
-    @property
-    def stage2_threshold(self) -> int:
-        if self.stage2_min_decoded is not None:
-            return self.stage2_min_decoded
-        return max(1, self.block_size // 4)
-
     def to_dict(self) -> dict:
-        return {**vars(self), "stage2_min_decoded": self.stage2_threshold}
+        return dict(vars(self))
 
 
 @dataclass

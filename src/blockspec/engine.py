@@ -12,7 +12,7 @@ unmasks at least one token.
 
 from __future__ import annotations
 
-from .alp import apply_truncation, scan_eos
+from .alp import apply_truncation, cut_window, scan_eos
 from .cache import refresh_dual_cache
 from .decoder import DecodeState, RunConfig, apply_outcome, threshold_step
 from .errors import ProgressError
@@ -75,8 +75,9 @@ def _decode_blockwise(model, state, config, traj):
         if cached:
             # scripted models read refresh drafts by refresh ordinal, decode
             # steps by their in-block ordinal; only odb reads the draft, and
-            # only while a cut after the block can still shorten the sequence
-            predict_length = is_odb and block_range[1] < state.seq_len
+            # only while the cut window holds a position
+            start, stop = cut_window(state)
+            predict_length = is_odb and start < stop
             cache, draft = refresh_dual_cache(
                 model, state, block_range, step=state.active_block, draft=predict_length
             )
@@ -95,9 +96,8 @@ def _decode_blockwise(model, state, config, traj):
                 )
                 if cut is not None:
                     state, event = apply_truncation(state, cut, refresh_epoch=epoch)
-                    if event is not None:
-                        traj.truncations.append(event)
-                        cache = cache.truncated(state.seq_len)
+                    traj.truncations.append(event)
+                    cache = cache.truncated(state.seq_len)
             # the block range and the cached positions hold for the whole cycle
             layout = build_block_layout(block_range, cache.positions)
             window = slice(*block_range)

@@ -17,7 +17,7 @@ through its one missing candidate; {c3} and {c4} are adoption fallbacks only
 
 A step sizes itself from the step before it, by ``spec_stage`` alone:
 stage 1 recomputes every block position per speculative block on up to two
-candidates; stage 2, once ``stage2_threshold`` block tokens are decoded,
+candidates; stage 2, once ``stage2_min_decoded`` block tokens are decoded,
 speculates on up to four and keeps only still-masked rows in speculative
 blocks, sharing the main block's decoded-row K/V with all of them via the
 attention mask, so the batched forward itself realizes the decoded-share
@@ -64,7 +64,7 @@ def spec_stage(n_decoded: int, config: RunConfig) -> tuple[int, int]:
     """(stage, candidate budget) of a speculative step over a block with
     `n_decoded` decoded tokens: the one statement of the sizing rule, which
     ``spec_step`` and the CLI's mask dump follow."""
-    stage = 2 if n_decoded >= config.stage2_threshold else 1
+    stage = 2 if n_decoded >= config.stage2_min_decoded else 1
     return stage, STAGE_CANDIDATES[stage]
 
 

@@ -78,10 +78,10 @@ def threshold_step(state, logits, threshold):
 def spec_size(state, previous, config):
     """(candidates, stage) of the speculative step after `previous`, by the
     paper's rule stated apart from the program: stage 2 once
-    ``stage2_threshold`` block tokens are decoded, stage 1 before; the head
+    ``stage2_min_decoded`` block tokens are decoded, stage 1 before; the head
     of the previous step's rejections, up to two at stage 1 and four at
     stage 2, are the candidates."""
-    stage = 2 if block_decoded_positions(state).size >= config.stage2_threshold else 1
+    stage = 2 if block_decoded_positions(state).size >= config.stage2_min_decoded else 1
     budget = 4 if stage == 2 else 2
     candidates = tuple(Candidate(int(p), int(t), float(c))
                        for p, t, c in previous.rejected_top[:budget])
@@ -104,7 +104,7 @@ def spec_step(model, state, cache, candidates, stage, config, *, step=0):
     for cand in candidates:
         if cand.position not in masked_abs:
             raise RangeError(f"candidate position {cand.position} is not masked")
-    if stage == 2 and decoded_abs.size < config.stage2_threshold:
+    if stage == 2 and decoded_abs.size < config.stage2_min_decoded:
         raise RangeError("stage 2 needs more decoded tokens")
 
     spec_set = SpecSet.build(candidates, stage)

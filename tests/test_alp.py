@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspec import (
     DecodeState,
+    ProgressError,
     RangeError,
     RunConfig,
     ScriptedModel,
@@ -11,6 +14,7 @@ from blockspec import (
     decode,
     scan_eos,
 )
+from blockspec.alp import cut_window
 from blockspec.cache import refresh_dual_cache
 from blockspec.decoder import masked_greedy
 from blockspec.model import LogitsView
@@ -98,10 +102,11 @@ def test_scan_threshold_above_one_never_fires(toy_config):
 
 
 def test_scan_of_the_rows_that_can_cut_equals_the_all_rows_scan(toy_config):
-    """scan_eos greedy-decodes only rows at or after the block end; on random
-    drafts with EOS planted before, at and after it, the cut equals the one
-    an all-rows scan finds, and the draft is left as it was.  The last block
-    leaves no row to scan, and the scan finds nothing there."""
+    """scan_eos greedy-decodes only the rows of the cut window, from the
+    block end to the last block's start; on random drafts with EOS planted
+    around both, the cut equals the one an all-rows scan finds, and the
+    draft is left as it was.  The last two blocks leave no row to scan,
+    and the scan finds nothing there."""
     eos, mask = toy_config.eos_token_id, toy_config.mask_token_id
     rng = np.random.default_rng(5)
     for _ in range(60):
@@ -109,17 +114,19 @@ def test_scan_of_the_rows_that_can_cut_equals_the_all_rows_scan(toy_config):
                             gen_length=128, block_size=16)
         state.active_block = int(rng.integers(0, state.n_blocks))
         _, block_end = state.block_range()
+        last_start = state.seq_len - state.block_size
         logits = rng.standard_normal((state.seq_len, toy_config.vocab_size)).astype(np.float32)
-        for pos in block_end + rng.integers(-3, 8, size=int(rng.integers(1, 4))):
-            if pos < state.seq_len:
-                logits[pos, eos] = rng.uniform(2.0, 14.0)
+        for edge in (block_end, last_start):
+            for pos in edge + rng.integers(-3, 8, size=int(rng.integers(1, 4))):
+                if pos < state.seq_len:
+                    logits[pos, eos] = rng.uniform(2.0, 14.0)
         draft = LogitsView(logits, np.arange(state.seq_len), np.zeros(state.seq_len))
         before = draft.logits.copy()
         threshold = float(rng.uniform(0.3, 0.99))
 
         tokens, confs = masked_greedy(draft, mask, np.arange(state.seq_len))
-        hits = np.flatnonzero((draft.positions >= block_end) & (tokens == eos)
-                              & (confs > threshold))
+        hits = np.flatnonzero((draft.positions >= block_end) & (draft.positions < last_start)
+                              & (tokens == eos) & (confs > threshold))
         want = (int(hits[0]) - state.prompt_len, float(confs[hits[0]])) if hits.size else None
         assert scan_eos(draft, state, threshold, eos) == want
         assert draft.logits.tobytes() == before.tobytes()
@@ -153,26 +160,52 @@ def test_truncation_sequence_is_monotone(toy_config):
     state, e2 = apply_truncation(state, (120, 0.95), refresh_epoch=2)
     assert state.gen_length == 128 and e2 is not None
     state.active_block = 2
-    # a later cut that rounds to the current length is a no-op
-    state, e3 = apply_truncation(state, (126, 0.95), refresh_epoch=3)
-    assert e3 is None
+    # a later cut that rounds to the current length lies outside the window
+    with pytest.raises(RangeError, match="outside the cut window"):
+        apply_truncation(state, (126, 0.95), refresh_epoch=3)
     assert state.gen_length == 128
 
 
 def test_truncation_never_cuts_decoded_region(toy_config):
     state = fresh_state(toy_config)
     state.active_block = 2  # blocks 0..1 decoded
-    out, event = apply_truncation(state, (40, 0.99))
-    assert event is None
-    assert out.gen_length == 256
+    with pytest.raises(RangeError, match="outside the cut window"):
+        apply_truncation(state, (40, 0.99))
+    assert state.gen_length == 256
 
 
 def test_truncation_never_deletes_unmasked_tokens(toy_config):
     state = fresh_state(toy_config)
     state.tokens[4 + 200] = 9
-    out, event = apply_truncation(state, (87, 0.97))
-    assert event is None
-    assert out.gen_length == 256
+    with pytest.raises(ProgressError, match="would delete unmasked tokens"):
+        apply_truncation(state, (87, 0.97))
+    assert state.gen_length == 256
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncation_succeeds_on_exactly_the_cut_window(toy_config, data):
+    """A cut at a response offset succeeds exactly when its position lies
+    after the active block and before the last block, and every success
+    shrinks the length and keeps the active block; every other offset,
+    past the sequence included, is a RangeError."""
+    block_size = data.draw(st.integers(1, 8), label="block_size")
+    n_blocks = data.draw(st.integers(1, 6), label="n_blocks")
+    state = fresh_state(toy_config, prompt_len=data.draw(st.integers(1, 12), label="prompt_len"),
+                        gen_length=n_blocks * block_size, block_size=block_size)
+    state.active_block = data.draw(st.integers(0, n_blocks - 1), label="active_block")
+    start, stop = cut_window(state)
+    assert start == state.block_range()[1] and stop == state.seq_len - block_size
+    for offset in range(-1, state.gen_length + block_size):
+        if start <= state.prompt_len + offset < stop:
+            short, event = apply_truncation(state, (offset, 0.99))
+            assert event.new_gen_length == short.gen_length < state.gen_length
+            assert short.gen_length > offset and short.gen_length % block_size == 0
+            assert short.active_block < short.n_blocks
+            assert short.block_range() == state.block_range()
+        else:
+            with pytest.raises(RangeError, match="outside the cut window"):
+                apply_truncation(state, (offset, 0.99))
 
 
 # --- end-to-end ALP ------------------------------------------------------------------
@@ -231,11 +264,12 @@ def test_alp_truncation_tracks_latest_draft(toy_config):
 def test_odb_refresh_drafts_only_while_a_cut_can_shorten(monkeypatch, toy_model, toy_config,
                                                          kind):
     """An odb refresh asks its forward for the logits draft exactly when its
-    block ends before the sequence: a cut lies after the block, so the last
-    cycle's draft would go unread."""
+    cut window, from the block end to the last block's start, is not empty:
+    a cut rounds up to a block multiple, so the last two cycles' drafts
+    could shorten nothing."""
     prompt = [3, 14, 15, 92, 65, 35, 89, 79, 32]
     if kind == "toy":
-        model, gen_length = toy_model, 64
+        model, gen_length = toy_model, 96
     else:
         # its EOS cuts the length to two blocks at the first refresh
         model, gen_length = ScriptedModel(toy_config, rising_schedule(len(prompt), 96)), 96
@@ -251,6 +285,7 @@ def test_odb_refresh_drafts_only_while_a_cut_can_shorten(monkeypatch, toy_model,
     traj = decode(model, prompt, RunConfig("odb", gen_length, 32))
     refreshes = [s for s in traj.steps if s.kind == "refresh"]
     block_ends = [len(prompt) + 32 * (s.block + 1) for s in refreshes]
-    assert drafts == [end < s.t_tokens for end, s in zip(block_ends, refreshes)]
-    assert drafts.count(False) == 1
+    assert drafts == [end < s.t_tokens - 32 for end, s in zip(block_ends, refreshes)]
+    # the scripted cut at the first refresh leaves two blocks
+    assert drafts == ([True, False, False] if kind == "toy" else [True, False])
     assert bool(traj.truncations) == (kind == "scripted")

@@ -647,7 +647,7 @@ def test_dump_mask_follows_spec_stage(workdir, monkeypatch, stage, budget):
 
 @pytest.mark.parametrize("block_size", [1, 2, 3, 4])
 def test_dump_mask_at_small_block_sizes(workdir, block_size):
-    """Stage 2 starts from stage2_threshold decoded rows and speculates on
+    """Stage 2 starts from stage2_min_decoded decoded rows and speculates on
     the block's other positions; a grid no candidate can reach is skipped."""
     tmp, model, _, tasks = workdir
     out = tmp / "out_masks"

@@ -68,7 +68,8 @@ def test_live_decode_steps_match_per_tag_reference(monkeypatch, toy_config, kind
     monkeypatch.setattr(blockspec.engine, "threshold_step", checked_threshold)
     monkeypatch.setattr(blockspec.engine, "spec_step", checked_spec)
     monkeypatch.setattr(blockspec.alp, "masked_greedy", checked_greedy)
-    traj = decode(model, prompt, RunConfig(strategy, 64 if kind == "toy" else 96, 32))
+    # three blocks, so odb's first refresh has a cut window to scan
+    traj = decode(model, prompt, RunConfig(strategy, 96, 32))
     assert traj.completed and seen["threshold"] > 0
     assert seen["applied"] == sum(step.kind != "refresh" for step in traj.steps)
     if strategy == "odb":

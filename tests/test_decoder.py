@@ -217,7 +217,7 @@ def test_run_config_validation():
         from_document(RunConfig, {"strategy": "fast", "gen_length": 32,
                                   "block_size": 32, "mystery": 1})
     cfg = from_document(RunConfig, {"strategy": "odb", "gen_length": 64, "block_size": 32})
-    assert cfg.stage2_threshold == 8
+    assert cfg.stage2_min_decoded == 8
 
 
 def test_decode_state_invariants(toy_config):
@@ -293,8 +293,8 @@ def test_mask_flags_are_read_only_and_follow_tokens(toy_config):
     assert np.array_equal(np.flatnonzero(~state.masked), [0, 1, 2, 3, 5, 100])
     assert np.array_equal(block_decoded_positions(state), [5])
     # the cut to 64 would delete the token at 100
-    _, event = apply_truncation(state, (40, 0.99))
-    assert event is None
+    with pytest.raises(ProgressError, match="would delete unmasked tokens"):
+        apply_truncation(state, (40, 0.99))
     state.tokens[100] = mask
     short, event = apply_truncation(state, (40, 0.99))
     assert event is not None and short.seq_len == 4 + 64

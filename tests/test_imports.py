@@ -97,7 +97,7 @@ def test_the_stage_rule_is_stated_in_spec_step_alone():
                 if isinstance(node, ast.ImportFrom) and node.module == "speculative"
                 for alias in node.names}
     assert imported == {"spec_step"}
-    assert not names & {"STAGE_CANDIDATES", "stage2_threshold", "select_candidates"}
+    assert not names & {"STAGE_CANDIDATES", "stage2_min_decoded", "select_candidates"}
 
 
 def _top_level_name(stmt) -> str:
@@ -113,7 +113,7 @@ def test_the_sizing_rule_is_stated_in_spec_stage_alone():
     """The stage threshold and the per-stage budgets are read by one
     function, so a per-step sizing rule replaces spec_stage alone; the mask
     dump and the layout builders follow it."""
-    rule = {"STAGE_CANDIDATES", "stage2_threshold"}
+    rule = {"STAGE_CANDIDATES", "stage2_min_decoded"}
     uses = {
         (name, _top_level_name(stmt))
         for name, tree in MODULES.items()
@@ -126,6 +126,30 @@ def test_the_sizing_rule_is_stated_in_spec_stage_alone():
     # the decode loop ends a block on its last step's rejections
     assert not any(isinstance(node, ast.Attribute) and node.attr == "block_masked_positions"
                    for node in ast.walk(MODULES["engine"]))
+
+
+def _calls(tree, name: str) -> set[str]:
+    """The module-level names whose statements call `name`."""
+    return {_top_level_name(stmt) for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name}
+
+
+def test_the_cut_rule_is_stated_in_alp_alone():
+    """Where an EOS can shorten the response is cut_window's to say: the
+    decode loop compares no sequence length or block range to decide
+    whether to draft, and the scan and the truncation read the window."""
+    read = {"seq_len", "block_range"}
+    compared = [
+        f"engine.py:{node.lineno}"
+        for node in ast.walk(MODULES["engine"])
+        if isinstance(node, ast.Compare)
+        for inner in ast.walk(node)
+        if (getattr(inner, "id", None) or getattr(inner, "attr", None)) in read
+    ]
+    assert compared == []
+    assert _calls(MODULES["engine"], "cut_window") == {"_decode_blockwise"}
+    assert _calls(MODULES["alp"], "cut_window") == {"scan_eos", "apply_truncation"}
 
 
 def test_engine_runs_the_model_in_one_decode_loop():

@@ -98,7 +98,7 @@ def test_select_candidates_requires_rejections_and_a_positive_budget():
 def test_spec_stage_takes_stage_2_from_the_threshold(block_size, stage2_min_decoded):
     config = RunConfig("odb", 2 * block_size, block_size, stage2_min_decoded=stage2_min_decoded)
     for n_decoded in range(block_size):
-        stage = 2 if n_decoded >= config.stage2_threshold else 1
+        stage = 2 if n_decoded >= config.stage2_min_decoded else 1
         assert spec_stage(n_decoded, config) == (stage, STAGE_CANDIDATES[stage])
 
 
@@ -377,13 +377,13 @@ def test_spec_step_stage2_row_count(toy_config):
 @pytest.mark.parametrize("below", [True, False], ids=["threshold-1", "threshold"])
 @pytest.mark.parametrize("stage2_min_decoded", [None, 1, 20], ids=["default", "1", "20"])
 def test_spec_step_takes_stage_2_at_the_threshold(toy_config, stage2_min_decoded, below):
-    """One decoded block token short of ``stage2_threshold`` a step is stage
+    """One decoded block token short of ``stage2_min_decoded`` a step is stage
     1 on two of five rejections; at the threshold it is stage 2 on four,
     with the rows of that lattice, as the reference's rule says."""
     model = _below_threshold_model(toy_config, range(12, 76))
     config = RunConfig(strategy="odb", gen_length=64, block_size=32,
                        stage2_min_decoded=stage2_min_decoded)
-    n_decoded = config.stage2_threshold - below
+    n_decoded = config.stage2_min_decoded - below
     state = random_state(np.random.default_rng(n_decoded), toy_config, prompt_len=12,
                          gen_length=64, block_size=32, n_decoded=n_decoded)
     cache, _ = refresh_dual_cache(model, state, state.block_range())
